@@ -9,15 +9,15 @@ with accidental subtraction.
 from .counting import (
     CountTable,
     DetectorModel,
-    RatePrediction,
     accidental_rate,
     chsh_from_counts,
     efficiency_budget,
     expected_count_table,
-    expected_counts,
+    expected_count_tables,
+    mean_counts,
     measure_accidentals,
+    poisson_counts,
     simulate_count_table,
-    simulate_counts,
     subtract_accidentals,
 )
 from .errors import ConfigurationError, DegenerateDataError
@@ -27,7 +27,7 @@ from .polarimetry import (
     PolarizerPair,
     chsh_S,
     chsh_signed,
-    coincidence_prob,
+    coincidence_probs,
     correlation_E,
     fit_fringe,
     fringe_scan,

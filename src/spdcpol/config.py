@@ -123,6 +123,10 @@ def base_config_dict() -> dict[str, Any]:
     return copy.deepcopy(_BASE)
 
 
+def _reject_constant(name: str) -> None:
+    raise ConfigurationError(f"config values must be finite numbers, got {name}")
+
+
 def _check_unknown_keys(data: dict[str, Any], reference: dict[str, Any], path: str = "") -> None:
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
@@ -267,7 +271,7 @@ class ScenarioConfig:
         return int(self.data["run"]["seed"])
 
     def runs(self) -> int:
-        return max(1, int(self.data["run"]["runs"]))
+        return int(self.data["run"]["runs"])
 
     def fringe_theta1(self) -> list[float]:
         return [deg_to_rad(float(t)) for t in self.data["run"]["fringe_theta1_deg"]]
@@ -331,6 +335,8 @@ class ScenarioConfig:
             raise ConfigurationError("run.pair_rate_hz must be nonnegative")
         if self.integration_time() <= 0:
             raise ConfigurationError("run.integration_time_s must be positive")
+        if self.runs() < 1:
+            raise ConfigurationError(f"run.runs must be at least 1, got {self.runs()}")
         s = self.data["state"]
         if s["coherence"] is not None and s["visibility_z"] is not None:
             raise ConfigurationError(
@@ -357,7 +363,7 @@ def load_scenario(
         if not path.is_file():
             raise ConfigurationError(f"config file not found: {path}")
         try:
-            file_dict = json.loads(path.read_text())
+            file_dict = json.loads(path.read_text(), parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_dict, dict):

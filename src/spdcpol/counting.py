@@ -20,26 +20,27 @@ indistinguishable here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import ConfigurationError, DegenerateDataError
-from .polarimetry import ChshSettings, PolarizerPair, coincidence_prob
+from .polarimetry import ChshSettings, coincidence_probs
 from .state import TwoQubitState
 from .units import HBAR, omega_from_lambda
 
 __all__ = [
     "DetectorModel",
-    "RatePrediction",
     "CountTable",
     "derive_seed",
     "accidental_rate",
-    "expected_counts",
-    "simulate_counts",
+    "mean_counts",
+    "poisson_counts",
     "measure_accidentals",
     "subtract_accidentals",
     "chsh_table_angles",
+    "expected_count_tables",
     "expected_count_table",
     "simulate_count_table",
     "chsh_from_counts",
@@ -77,26 +78,6 @@ class DetectorModel:
             raise ValueError("accidental_calibration must be nonnegative")
 
 
-@dataclass(frozen=True)
-class RatePrediction:
-    """True-pair and accidental rates for one analyzer setting."""
-
-    true_rate: float  # pairs/s
-    accidental_rate: float  # counts/s
-
-    def __post_init__(self) -> None:
-        if self.true_rate < 0 or self.accidental_rate < 0:
-            raise ValueError("rates must be nonnegative")
-
-    @property
-    def total_rate(self) -> float:
-        return self.true_rate + self.accidental_rate
-
-    def expected(self, integration_time: float) -> float:
-        """Expected total counts over the integration time."""
-        return self.total_rate * integration_time
-
-
 def derive_seed(seed: int, *indices: int) -> int:
     """Deterministic child seed for (seed, run/setting indices)."""
     return int(np.random.SeedSequence([int(seed), *map(int, indices)]).generate_state(1)[0])
@@ -116,35 +97,20 @@ def accidental_rate(model: DetectorModel) -> float:
     )
 
 
-def expected_counts(
-    state: TwoQubitState,
-    model: DetectorModel,
-    pair_rate: float,
-    pair: PolarizerPair,
-    integration_time: float,
-) -> RatePrediction:
-    """Rates at one analyzer setting; multiply by T for expected counts."""
+def mean_counts(
+    probs: ArrayLike, model: DetectorModel, pair_rate: float, integration_time: float
+) -> NDArray[np.float64]:
+    """Expected counts (pair_rate * p + R_acc) * T for coincidence probabilities p."""
     if pair_rate < 0:
         raise ValueError(f"pair_rate must be nonnegative, got {pair_rate}")
     if integration_time < 0:
         raise ValueError(f"integration time must be nonnegative, got {integration_time}")
-    return RatePrediction(
-        true_rate=pair_rate * coincidence_prob(state, pair),
-        accidental_rate=accidental_rate(model),
-    )
+    return (pair_rate * np.asarray(probs, dtype=float) + accidental_rate(model)) * integration_time
 
 
-def simulate_counts(
-    predictions: list[RatePrediction] | tuple[RatePrediction, ...],
-    integration_time: float,
-    seed: int,
-) -> NDArray[np.int64]:
-    """Independent Poisson draws, one per setting. Same seed, same output."""
-    if integration_time < 0:
-        raise ValueError(f"integration time must be nonnegative, got {integration_time}")
-    means = np.array([p.expected(integration_time) for p in predictions])
-    rng = np.random.default_rng(seed)
-    return rng.poisson(means)
+def poisson_counts(means: ArrayLike, seed: int) -> NDArray[np.int64]:
+    """Independent Poisson draws, one per mean. Same seed, same output."""
+    return np.random.default_rng(seed).poisson(means)
 
 
 def measure_accidentals(
@@ -155,9 +121,7 @@ def measure_accidentals(
     Simulated analogue of delaying the second detector's trigger out of the
     first detector's window: the same singles, no correlated pairs.
     """
-    mean = accidental_rate(model) * integration_time
-    rng = np.random.default_rng(seed)
-    return rng.poisson(mean, size=n_settings)
+    return poisson_counts(np.full(n_settings, accidental_rate(model) * integration_time), seed)
 
 
 def subtract_accidentals(raw, accidentals) -> NDArray[np.float64]:
@@ -211,6 +175,24 @@ def chsh_table_angles(settings: ChshSettings) -> tuple[NDArray[np.float64], NDAr
     return a, b
 
 
+def expected_count_tables(
+    state: TwoQubitState,
+    settings: Sequence[ChshSettings],
+    model: DetectorModel,
+    pair_rate: float,
+    integration_time: float,
+) -> list[CountTable]:
+    """Noiseless tables of expected counts (floats), accidentals included, one per settings."""
+    # (K, 4) arm-1 and arm-2 angles; the kernel broadcasts them to (K, 4, 4)
+    a_angles, b_angles = map(np.array, zip(*map(chsh_table_angles, settings)))
+    probs = coincidence_probs(state, a_angles[:, :, None], b_angles[:, None, :])
+    means = mean_counts(probs, model, pair_rate, integration_time)
+    return [
+        CountTable(settings=s, counts=m, integration_time=integration_time)
+        for s, m in zip(settings, means)
+    ]
+
+
 def expected_count_table(
     state: TwoQubitState,
     settings: ChshSettings,
@@ -218,30 +200,16 @@ def expected_count_table(
     pair_rate: float,
     integration_time: float,
 ) -> CountTable:
-    """Noiseless table of expected counts (floats), accidentals included."""
-    a_angles, b_angles = chsh_table_angles(settings)
-    acc = accidental_rate(model)
-    counts = np.empty((4, 4))
-    for i, ta in enumerate(a_angles):
-        for j, tb in enumerate(b_angles):
-            prob = coincidence_prob(state, PolarizerPair(ta, tb))
-            counts[i, j] = (pair_rate * prob + acc) * integration_time
-    return CountTable(settings=settings, counts=counts, integration_time=integration_time)
+    """Noiseless table of expected counts for one set of CHSH settings."""
+    return expected_count_tables(state, [settings], model, pair_rate, integration_time)[0]
 
 
-def simulate_count_table(
-    state: TwoQubitState,
-    settings: ChshSettings,
-    model: DetectorModel,
-    pair_rate: float,
-    integration_time: float,
-    seed: int,
-) -> CountTable:
+def simulate_count_table(expected: CountTable, seed: int) -> CountTable:
     """Poisson-sampled 16-count table, deterministic for a given seed."""
-    expected = expected_count_table(state, settings, model, pair_rate, integration_time)
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(expected.counts).astype(float)
-    return CountTable(settings=settings, counts=counts, integration_time=integration_time)
+    counts = poisson_counts(expected.counts, seed).astype(float)
+    return CountTable(
+        settings=expected.settings, counts=counts, integration_time=expected.integration_time
+    )
 
 
 def _e_block(counts: NDArray[np.float64], block) -> tuple[float, float]:
@@ -298,13 +266,13 @@ def efficiency_budget(
     model: DetectorModel,
     measured_cc_rate: float,
     pump_lambda: float = 777.95e-9,
-) -> tuple[float, float]:
-    """Pump power reaching the guide and the implied conversion efficiency.
+) -> tuple[float, float, float]:
+    """Pump power reaching the guide, the unfolded pair rate and the conversion efficiency.
 
     power_in_guide folds the objective and facet transmissions and the
     pump-to-guided-mode overlap. The conversion efficiency is the unfolded
     generated pair rate divided by the pump photon flux at pump_lambda.
-    Returns (power_in_guide_W, efficiency).
+    Returns (power_in_guide_W, pair_rate_hz, efficiency).
     """
     for name, t in (
         ("objective_T", objective_T),
@@ -325,4 +293,4 @@ def efficiency_budget(
         raise ValueError("no pump power reaches the guide; budget undefined")
     pair_rate = inferred_pair_rate(model, measured_cc_rate) / collection_T_per_arm**2
     pump_flux = power_in_guide / (HBAR * omega_from_lambda(pump_lambda))
-    return power_in_guide, pair_rate / pump_flux
+    return power_in_guide, pair_rate, pair_rate / pump_flux

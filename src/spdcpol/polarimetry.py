@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import ConfigurationError, DegenerateDataError
 from .state import TwoQubitState
@@ -37,8 +37,7 @@ __all__ = [
     "ChshSettings",
     "FringeResult",
     "FringeFit",
-    "analyzer_vector",
-    "coincidence_prob",
+    "coincidence_probs",
     "fit_fringe",
     "visibility_max_min",
     "fringe_scan",
@@ -62,10 +61,6 @@ class PolarizerPair:
         if not (np.isfinite(self.theta1) and np.isfinite(self.theta2)):
             raise ValueError("analyzer angles must be finite")
 
-    def orthogonal(self) -> "PolarizerPair":
-        """Both analyzers rotated by 90 degrees."""
-        return PolarizerPair(self.theta1 + _QUARTER_TURN, self.theta2 + _QUARTER_TURN)
-
 
 @dataclass(frozen=True)
 class ChshSettings:
@@ -87,17 +82,15 @@ class ChshSettings:
         return cls(theta1=0.0, theta1p=-2.0 * theta, theta2=theta, theta2p=3.0 * theta)
 
 
-def analyzer_vector(theta1: float, theta2: float) -> NDArray[np.float64]:
-    """Projector ket |p1>|p2> in the (HH, HV, VH, VV) basis."""
-    c1, s1 = np.cos(theta1), np.sin(theta1)
-    c2, s2 = np.cos(theta2), np.sin(theta2)
-    return np.array([c1 * s2, c1 * c2, -s1 * s2, -s1 * c2])
-
-
-def coincidence_prob(state: TwoQubitState, pair: PolarizerPair) -> float:
-    """Probability <p1 p2| rho |p1 p2> of a coincidence at the given settings."""
-    v = analyzer_vector(pair.theta1, pair.theta2)
-    return float(np.real(v @ state.rho @ v))
+def coincidence_probs(
+    state: TwoQubitState, theta1: ArrayLike, theta2: ArrayLike
+) -> NDArray[np.float64]:
+    """Probabilities <p1 p2| rho |p1 p2>, broadcast over the two angle arrays (radians)."""
+    t1, t2 = np.broadcast_arrays(np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float))
+    c1, s1 = np.cos(t1), np.sin(t1)
+    c2, s2 = np.cos(t2), np.sin(t2)
+    v = np.stack([c1 * s2, c1 * c2, -s1 * s2, -s1 * c2], axis=-1)
+    return np.real(np.einsum("...i,ij,...j->...", v, state.rho, v))
 
 
 class FringeFit(NamedTuple):
@@ -168,36 +161,49 @@ def fringe_scan(
         raise ConfigurationError(f"theta2 grid needs at least 4 points, got {grid.size}")
     if grid.max() - grid.min() < 2.0 * np.pi - 1e-9:
         raise ConfigurationError("theta2 grid must span at least 360 degrees")
-    c1, s1 = np.cos(theta1), np.sin(theta1)
-    c2, s2 = np.cos(grid), np.sin(grid)
-    vecs = np.stack([c1 * s2, c1 * c2, -s1 * s2, -s1 * c2], axis=1)
-    probs = np.real(np.einsum("ki,ij,kj->k", vecs, state.rho, vecs))
+    probs = coincidence_probs(state, theta1, grid)
     fit = fit_fringe(grid, probs)
     # model probabilities keep b <= a; clip the roundoff excursion only
     vis = float(np.clip(fit.visibility, 0.0, 1.0))
     return FringeResult(angles=grid, probabilities=probs, visibility=vis, fit_phase=fit.phase)
 
 
-def correlation_E(state: TwoQubitState, pair: PolarizerPair) -> float:
-    """Correlation fraction E built from the four +/-90-degree projections."""
-    t1, t2 = pair.theta1, pair.theta2
-    c_pp = coincidence_prob(state, PolarizerPair(t1, t2))
-    c_oo = coincidence_prob(state, PolarizerPair(t1 + _QUARTER_TURN, t2 + _QUARTER_TURN))
-    c_op = coincidence_prob(state, PolarizerPair(t1 + _QUARTER_TURN, t2))
-    c_po = coincidence_prob(state, PolarizerPair(t1, t2 + _QUARTER_TURN))
+def _correlations(state: TwoQubitState, t1: ArrayLike, t2: ArrayLike) -> NDArray[np.float64]:
+    """Correlation fractions E, broadcast over the angle arrays."""
+    q = _QUARTER_TURN
+    # the four projections (t1, t2), (t1 + 90, t2 + 90), (t1 + 90, t2), (t1, t2 + 90)
+    probs = coincidence_probs(
+        state,
+        np.stack([t1, t1 + q, t1 + q, t1], axis=-1),
+        np.stack([t2, t2 + q, t2, t2 + q], axis=-1),
+    )
+    c_pp, c_oo, c_op, c_po = np.moveaxis(probs, -1, 0)
     denom = c_pp + c_oo + c_op + c_po
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise DegenerateDataError("all four coincidence probabilities vanish")
     return (c_pp + c_oo - c_op - c_po) / denom
 
 
+def _chsh_signed(
+    state: TwoQubitState, t1: ArrayLike, t1p: ArrayLike, t2: ArrayLike, t2p: ArrayLike
+) -> NDArray[np.float64]:
+    """Signed CHSH sums, broadcast over the four angle arrays."""
+    a = np.stack(np.broadcast_arrays(t1, t1, t1p, t1p), axis=-1)
+    b = np.stack(np.broadcast_arrays(t2, t2p, t2, t2p), axis=-1)
+    e11, e12, e21, e22 = np.moveaxis(_correlations(state, a, b), -1, 0)
+    return e11 - e12 + e21 + e22
+
+
+def correlation_E(state: TwoQubitState, pair: PolarizerPair) -> float:
+    """Correlation fraction E built from the four +/-90-degree projections."""
+    return float(_correlations(state, pair.theta1, pair.theta2))
+
+
 def chsh_signed(state: TwoQubitState, settings: ChshSettings) -> float:
     """CHSH sum without the absolute value (negative lobes preserved)."""
-    e11 = correlation_E(state, PolarizerPair(settings.theta1, settings.theta2))
-    e12 = correlation_E(state, PolarizerPair(settings.theta1, settings.theta2p))
-    e21 = correlation_E(state, PolarizerPair(settings.theta1p, settings.theta2))
-    e22 = correlation_E(state, PolarizerPair(settings.theta1p, settings.theta2p))
-    return e11 - e12 + e21 + e22
+    return float(
+        _chsh_signed(state, settings.theta1, settings.theta1p, settings.theta2, settings.theta2p)
+    )
 
 
 def chsh_S(state: TwoQubitState, settings: ChshSettings) -> float:
@@ -214,4 +220,4 @@ def s_curve(state: TwoQubitState, theta_grid: Sequence[float]) -> NDArray[np.flo
     theta_grid = np.asarray(theta_grid, dtype=float)
     if not np.all(np.isfinite(theta_grid)):
         raise ConfigurationError("theta grid must be finite")
-    return np.array([chsh_signed(state, ChshSettings.canonical(t)) for t in theta_grid])
+    return _chsh_signed(state, 0.0, -2.0 * theta_grid, theta_grid, 3.0 * theta_grid)

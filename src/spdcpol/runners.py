@@ -21,16 +21,17 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .counting import (
-    RatePrediction,
     accidental_rate,
     chsh_from_counts,
     chsh_table_angles,
     derive_seed,
     efficiency_budget,
-    inferred_pair_rate,
+    expected_count_table,
+    expected_count_tables,
+    mean_counts,
     measure_accidentals,
+    poisson_counts,
     simulate_count_table,
-    simulate_counts,
     subtract_accidentals,
 )
 from .polarimetry import ChshSettings, chsh_S, fit_fringe, fringe_scan, s_curve
@@ -145,18 +146,6 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 # --- runners -----------------------------------------------------------------
 
 
@@ -176,15 +165,12 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
     bases: list[dict[str, Any]] = []
     for i, theta1 in enumerate(cfg.fringe_theta1()):
         fringe = fringe_scan(state, theta1, grid)
-        predictions = [
-            RatePrediction(true_rate=pair_rate * p, accidental_rate=acc)
-            for p in fringe.probabilities
-        ]
+        means = mean_counts(fringe.probabilities, model, pair_rate, t_int)
         vis_raw: list[float] = []
         vis_sub: list[float] = []
         first_counts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         for r in range(runs):
-            raw = simulate_counts(predictions, t_int, derive_seed(seed, 0, i, r))
+            raw = poisson_counts(means, derive_seed(seed, 0, i, r))
             acc_counts = measure_accidentals(model, t_int, derive_seed(seed, 1, i, r), grid.size)
             sub = subtract_accidentals(raw, acc_counts)
             vis_raw.append(fit_fringe(grid, raw).visibility)
@@ -213,16 +199,14 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
                 "visibility_subtracted_fit_std": float(np.std(vis_sub)),
             }
         )
-    record.scalars = _json_safe(
-        {
-            **info,
-            "accidental_rate_hz": acc,
-            "pair_rate_hz": pair_rate,
-            "integration_time_s": t_int,
-            "runs": runs,
-            "bases": bases,
-        }
-    )
+    record.scalars = {
+        **info,
+        "accidental_rate_hz": acc,
+        "pair_rate_hz": pair_rate,
+        "integration_time_s": t_int,
+        "runs": runs,
+        "bases": bases,
+    }
     return record
 
 
@@ -241,16 +225,14 @@ def run_delay_scan(cfg: ScenarioConfig) -> ResultRecord:
         ["tau_fs", "v_int_abs"],
         [[to_fs(t), m] for t, m in zip(taus, mags)],
     )
-    record.scalars = _json_safe(
-        {
-            "tau_star_fs": to_fs(best.tau),
-            "v_int_abs_at_star": overlap_star.magnitude,
-            "concurrence_at_star": concurrence(state_star),
-            "reference_delay_experiment_fs": REFERENCE_DELAY_EXPERIMENT_FS,
-            "reference_delay_calculated_fs": REFERENCE_DELAY_CALCULATED_FS,
-            "delay_model_note": _DELAY_NOTE,
-        }
-    )
+    record.scalars = {
+        "tau_star_fs": to_fs(best.tau),
+        "v_int_abs_at_star": overlap_star.magnitude,
+        "concurrence_at_star": concurrence(state_star),
+        "reference_delay_experiment_fs": REFERENCE_DELAY_EXPERIMENT_FS,
+        "reference_delay_calculated_fs": REFERENCE_DELAY_CALCULATED_FS,
+        "delay_model_note": _DELAY_NOTE,
+    }
     return record
 
 
@@ -265,13 +247,12 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
     runs = cfg.runs()
 
     s_model = chsh_S(state, settings)
+    expected = expected_count_table(state, settings, model, pair_rate, t_int)
     s_values: list[float] = []
     sigma_values: list[float] = []
     first_table = None
     for r in range(runs):
-        table = simulate_count_table(
-            state, settings, model, pair_rate, t_int, derive_seed(seed, 2, r)
-        )
+        table = simulate_count_table(expected, derive_seed(seed, 2, r))
         s_r, sigma_r = chsh_from_counts(table)
         s_values.append(s_r)
         sigma_values.append(sigma_r)
@@ -313,7 +294,7 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
         scalars["s_counts_mean"] = float(np.mean(s_values))
         scalars["s_counts_std"] = float(np.std(s_values))
         scalars["sigma_s_mean"] = float(np.mean(sigma_values))
-    record.scalars = _json_safe(scalars)
+    record.scalars = scalars
     return record
 
 
@@ -327,31 +308,25 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     thetas = cfg.s_curve_grid()
 
     model_curve = s_curve(state, thetas)
+    expected = expected_count_tables(
+        state, [ChshSettings.canonical(theta) for theta in thetas], model, pair_rate, t_int
+    )
     rows = []
     for k, theta in enumerate(thetas):
-        table = simulate_count_table(
-            state,
-            ChshSettings.canonical(theta),
-            model,
-            pair_rate,
-            t_int,
-            derive_seed(seed, 3, k),
-        )
+        table = simulate_count_table(expected[k], derive_seed(seed, 3, k))
         s_sim, sigma = chsh_from_counts(table, signed=True)
         rows.append([rad_to_deg(theta), model_curve[k], s_sim, sigma])
 
     record = ResultRecord(command="s-curve", config=cfg.to_dict(), scalars={})
     record.add_table("curve", ["theta_deg", "s_model", "s_sim", "sigma_s"], rows)
     imax = int(np.argmax(model_curve))
-    record.scalars = _json_safe(
-        {
-            **info,
-            "s_model_max": float(model_curve[imax]),
-            "theta_at_max_deg": rad_to_deg(thetas[imax]),
-            "integration_time_s": t_int,
-            "pair_rate_hz": pair_rate,
-        }
-    )
+    record.scalars = {
+        **info,
+        "s_model_max": float(model_curve[imax]),
+        "theta_at_max_deg": rad_to_deg(thetas[imax]),
+        "integration_time_s": t_int,
+        "pair_rate_hz": pair_rate,
+    }
     return record
 
 
@@ -359,20 +334,14 @@ def run_budget(cfg: ScenarioConfig) -> ResultRecord:
     """Pump-power chain and inferred conversion efficiency."""
     inputs = cfg.budget_inputs()
     model = cfg.detector()
-    power_in_guide, efficiency = efficiency_budget(model=model, **inputs)
-    pair_rate = (
-        inferred_pair_rate(model, inputs["measured_cc_rate"])
-        / inputs["collection_T_per_arm"] ** 2
-    )
+    power_in_guide, pair_rate, efficiency = efficiency_budget(model=model, **inputs)
     record = ResultRecord(command="budget", config=cfg.to_dict(), scalars={})
-    record.scalars = _json_safe(
-        {
-            "pump_power_in_mw": inputs["pump_power_in"] * 1e3,
-            "power_in_guide_mw": power_in_guide * 1e3,
-            "inferred_pair_rate_hz": pair_rate,
-            "spdc_efficiency": efficiency,
-            "duty_cycle": model.trigger_rate * model.gate_width,
-            "measured_cc_rate_hz": inputs["measured_cc_rate"],
-        }
-    )
+    record.scalars = {
+        "pump_power_in_mw": inputs["pump_power_in"] * 1e3,
+        "power_in_guide_mw": power_in_guide * 1e3,
+        "inferred_pair_rate_hz": pair_rate,
+        "spdc_efficiency": efficiency,
+        "duty_cycle": model.trigger_rate * model.gate_width,
+        "measured_cc_rate_hz": inputs["measured_cc_rate"],
+    }
     return record

@@ -13,13 +13,12 @@ from spdcpol import (
     ChshSettings,
     DetectorModel,
     PolarizerPair,
-    RatePrediction,
     SpectralFilter,
     WaveguideDispersion,
     build_jsa,
     chsh_S,
     chsh_from_counts,
-    coincidence_prob,
+    coincidence_probs,
     concurrence,
     correlation_E,
     default_grid,
@@ -27,18 +26,18 @@ from spdcpol import (
     expected_count_table,
     fit_fringe,
     fringe_scan,
+    mean_counts,
     measure_accidentals,
     optimal_delay,
     overlap_integral,
     post_selected_state,
+    poisson_counts,
     psi_plus_state,
     s_curve,
     simulate_count_table,
-    simulate_counts,
     visibility_state,
 )
 from spdcpol.config import load_scenario
-from spdcpol.counting import accidental_rate
 from spdcpol.runners import run_delay_scan
 from spdcpol.state import DelaySetting
 
@@ -116,12 +115,10 @@ def test_criterion_1_ideal_s_curve_identity():
 
 def test_criterion_2_ideal_fringe_identity():
     state = psi_plus_state()
-    grid = np.arange(0.0, 360.0, 5.0) * DEG
-    worst = 0.0
-    for t1 in grid:
-        for t2 in grid:
-            p = coincidence_prob(state, PolarizerPair(t1, t2))
-            worst = max(worst, abs(p - 0.5 * np.cos(t1 + t2) ** 2))
+    t1 = np.arange(0.0, 360.0, 5.0)[:, None] * DEG
+    t2 = np.arange(0.0, 360.0, 5.0)[None, :] * DEG
+    probs = coincidence_probs(state, t1, t2)
+    worst = float(np.max(np.abs(probs - 0.5 * np.cos(t1 + t2) ** 2)))
     _verdict(2, "ideal fringe cos^2(t1+t2)/2 on 5x5 deg grid", worst < 1e-12, f"(max|err|={worst:.2e})")
 
 
@@ -160,14 +157,13 @@ def test_criterion_4_visibilities():
 
     # calibrated accidental preset: raw visibilities over >= 200 seeds
     model = _detector(accidental_calibration=0.026)
-    acc = accidental_rate(model)
     t_int, pair_rate, n_seeds = 60.0, 6.0, 200
     means = {}
     for offset, (label, theta1, target) in enumerate((("z", 0.0, 0.80), ("d", 45.0 * DEG, 0.77))):
         probs = fringe_scan(state, theta1, theta2).probabilities
-        preds = [RatePrediction(true_rate=pair_rate * p, accidental_rate=acc) for p in probs]
+        counts_mean = mean_counts(probs, model, pair_rate, t_int)
         fits = [
-            fit_fringe(theta2, simulate_counts(preds, t_int, seed=10_000 * offset + s)).visibility
+            fit_fringe(theta2, poisson_counts(counts_mean, seed=10_000 * offset + s)).visibility
             for s in range(n_seeds)
         ]
         means[label] = (float(np.mean(fits)), target)
@@ -232,12 +228,10 @@ def test_criterion_6_chsh_from_counts():
     # propagation versus Monte-Carlo spread at fringe-scale totals
     model_cal = _detector(accidental_calibration=0.026)
     state = post_selected_state(0.91)
-    _, sigma_prop = chsh_from_counts(expected_count_table(state, settings, model_cal, 6.0, 60.0))
+    expected = expected_count_table(state, settings, model_cal, 6.0, 60.0)
+    _, sigma_prop = chsh_from_counts(expected)
     draws = np.array(
-        [
-            chsh_from_counts(simulate_count_table(state, settings, model_cal, 6.0, 60.0, seed=s))[0]
-            for s in range(1000)
-        ]
+        [chsh_from_counts(simulate_count_table(expected, seed=s))[0] for s in range(1000)]
     )
     spread_ok = abs(draws.std() - sigma_prop) / sigma_prop < 0.20
 
@@ -262,7 +256,7 @@ def test_criterion_6_chsh_from_counts():
 
 def test_criterion_7_budget():
     model = _detector(gate_width=20e-9, singles_rate_1=600.0, singles_rate_2=500.0)
-    power, eff = efficiency_budget(
+    power, _, eff = efficiency_budget(
         pump_power_in=13e-3,
         objective_T=0.70,
         facet_T=0.73,
@@ -338,8 +332,9 @@ def test_criterion_8_property_suites():
     state = post_selected_state(0.91)
     model = _detector(accidental_calibration=0.026)
     settings = ChshSettings.canonical(22.5 * DEG)
-    t_a = simulate_count_table(state, settings, model, 6.0, 60.0, seed=5)
-    t_b = simulate_count_table(state, settings, model, 6.0, 60.0, seed=5)
+    expected = expected_count_table(state, settings, model, 6.0, 60.0)
+    t_a = simulate_count_table(expected, seed=5)
+    t_b = simulate_count_table(expected, seed=5)
     acc_a = measure_accidentals(model, 60.0, seed=6, n_settings=37)
     acc_b = measure_accidentals(model, 60.0, seed=6, n_settings=37)
     checks["seed_determinism"] = bool(

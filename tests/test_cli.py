@@ -97,6 +97,39 @@ def test_unknown_key_exits_2(tmp_path):
     assert "detector.gate_widht_ns" in err_lines[0]
 
 
+def _single_config_error(result):
+    assert result.returncode == 2
+    err_lines = [l for l in result.stderr.strip().splitlines() if l]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("CONFIG_ERROR:")
+    return err_lines[0]
+
+
+def test_negative_runs_in_config_exits_2(tmp_path):
+    cfg = tmp_path / "runs.json"
+    cfg.write_text(json.dumps({"run": {"runs": -5}}))
+    out = tmp_path / "o"
+    result = run_cli("fringe", "--preset", "paper-ideal", "--config", str(cfg), "--out", str(out))
+    assert "run.runs" in _single_config_error(result)
+    assert not out.exists()
+
+
+def test_zero_runs_flag_exits_2(tmp_path):
+    out = tmp_path / "o"
+    result = run_cli("chsh", "--preset", "paper-ideal", "--runs", "0", "--out", str(out))
+    assert "run.runs" in _single_config_error(result)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_value_exits_2(tmp_path, constant):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"run": {"pair_rate_hz": %s}}' % constant)
+    result = run_cli("chsh", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert constant in _single_config_error(result)
+    assert "Traceback" not in result.stderr
+
+
 def test_missing_config_exits_2(tmp_path):
     result = run_cli("budget", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path))
     assert result.returncode == 2

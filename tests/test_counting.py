@@ -8,20 +8,20 @@ from spdcpol import (
     CountTable,
     DegenerateDataError,
     DetectorModel,
-    PolarizerPair,
-    RatePrediction,
     accidental_rate,
     chsh_S,
     chsh_from_counts,
+    coincidence_probs,
     efficiency_budget,
     expected_count_table,
-    expected_counts,
+    expected_count_tables,
     fit_fringe,
+    mean_counts,
     measure_accidentals,
+    poisson_counts,
     post_selected_state,
     psi_plus_state,
     simulate_count_table,
-    simulate_counts,
     subtract_accidentals,
     visibility_state,
 )
@@ -80,64 +80,64 @@ def test_detector_model_validation():
         _fringe_model(coincidence_window=-1e-9)
 
 
-# --- expected_counts -------------------------------------------------------------
+# --- mean_counts: (pair_rate * p + R_acc) * T ------------------------------------
+
+
+def _ideal_probs(theta2):
+    return coincidence_probs(psi_plus_state(), 0.0, theta2)
 
 
 def test_expected_counts_fringe_null():
-    pred = expected_counts(
-        psi_plus_state(), _fringe_model(), 6.0, PolarizerPair(0.0, 90.0 * DEG), 10.0
-    )
-    assert pred.true_rate < 1e-12
-    assert_allclose(pred.accidental_rate, 13.206)
+    p = _ideal_probs(90.0 * DEG)
+    assert mean_counts(p, _fringe_model(accidental_calibration=0.0), 6.0, 10.0) < 1e-12
+    assert_allclose(mean_counts(p, _fringe_model(), 6.0, 10.0), 13.206 * 10.0, rtol=1e-12)
 
 
 def test_expected_counts_fringe_maximum():
-    pred = expected_counts(psi_plus_state(), _fringe_model(), 6.0, PolarizerPair(0.0, 0.0), 10.0)
-    assert_allclose(pred.true_rate, 3.0, atol=1e-12)
+    means = mean_counts(_ideal_probs(0.0), _fringe_model(accidental_calibration=0.0), 6.0, 10.0)
+    assert_allclose(means, 3.0 * 10.0, atol=1e-12)
 
 
 def test_expected_counts_linear_in_time():
-    pred = expected_counts(psi_plus_state(), _fringe_model(), 6.0, PolarizerPair(0.0, 0.0), 1.0)
-    assert_allclose(pred.expected(20.0), 2.0 * pred.expected(10.0), rtol=1e-15)
+    p = _ideal_probs(np.arange(0.0, 360.0, 10.0) * DEG)
+    model = _fringe_model()
+    doubled = mean_counts(p, model, 6.0, 20.0)
+    assert_allclose(doubled, 2.0 * mean_counts(p, model, 6.0, 10.0), rtol=1e-15)
 
 
 def test_expected_counts_rejects_negatives():
+    p = _ideal_probs(0.0)
     with pytest.raises(ValueError):
-        expected_counts(psi_plus_state(), _fringe_model(), -1.0, PolarizerPair(0.0, 0.0), 1.0)
+        mean_counts(p, _fringe_model(), -1.0, 1.0)
     with pytest.raises(ValueError):
-        expected_counts(psi_plus_state(), _fringe_model(), 1.0, PolarizerPair(0.0, 0.0), -1.0)
+        mean_counts(p, _fringe_model(), 1.0, -1.0)
 
 
-# --- simulate_counts ---------------------------------------------------------------
+# --- poisson_counts ------------------------------------------------------------------
 
 
 def test_simulate_counts_seed_deterministic():
-    preds = [RatePrediction(true_rate=r, accidental_rate=0.3) for r in (0.0, 1.0, 2.5, 3.0)]
-    a = simulate_counts(preds, 60.0, seed=42)
-    b = simulate_counts(preds, 60.0, seed=42)
+    means = (np.array([0.0, 1.0, 2.5, 3.0]) + 0.3) * 60.0
+    a = poisson_counts(means, seed=42)
+    b = poisson_counts(means, seed=42)
     assert np.array_equal(a, b)
-    c = simulate_counts(preds, 60.0, seed=43)
+    c = poisson_counts(means, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_simulate_counts_zero_mean():
-    preds = [RatePrediction(true_rate=0.0, accidental_rate=0.0)] * 8
     for seed in range(20):
-        assert np.all(simulate_counts(preds, 100.0, seed=seed) == 0)
+        assert np.all(poisson_counts(np.zeros(8), seed=seed) == 0)
 
 
 def test_simulate_counts_tail_bound():
     # mean 1e6: essentially every draw inside 5 sigma = 5000
-    preds = [RatePrediction(true_rate=1e4, accidental_rate=0.0)]
-    misses = sum(
-        abs(int(simulate_counts(preds, 100.0, seed=s)[0]) - 10**6) > 5000 for s in range(200)
-    )
+    misses = sum(abs(int(poisson_counts([1e6], seed=s)[0]) - 10**6) > 5000 for s in range(200))
     assert misses <= 1
 
 
 def test_simulate_counts_poisson_variance():
-    preds = [RatePrediction(true_rate=9.0, accidental_rate=0.0)]
-    draws = np.array([simulate_counts(preds, 1.0, seed=s)[0] for s in range(10_000)])
+    draws = np.array([poisson_counts([9.0], seed=s)[0] for s in range(10_000)])
     assert abs(draws.var() - 9.0) / 9.0 < 0.10
 
 
@@ -153,6 +153,15 @@ def test_measure_accidentals_mean():
     model = _fringe_model()
     draws = measure_accidentals(model, 10.0, seed=5, n_settings=20_000)
     assert_allclose(draws.mean(), 132.06, rtol=0.02)
+
+
+def test_measure_accidentals_is_the_constant_mean_draw():
+    # same stream as one Poisson call at the scalar mean with size=n
+    model = _fringe_model()
+    mean = accidental_rate(model) * 60.0
+    expected = np.random.default_rng(7).poisson(mean, size=37)
+    assert np.array_equal(measure_accidentals(model, 60.0, seed=7, n_settings=37), expected)
+    assert np.array_equal(poisson_counts(np.full(37, mean), seed=7), expected)
 
 
 def test_measure_accidentals_independent_seeds():
@@ -200,14 +209,13 @@ def test_subtraction_then_fit_unbiased_over_ensemble():
     state = post_selected_state(0.91)
     model = _fringe_model(accidental_calibration=0.026)
     theta = np.arange(0.0, 360.0 + 5.0, 10.0) * DEG
-    acc = accidental_rate(model)
     from spdcpol import fringe_scan
 
     probs = fringe_scan(state, 45.0 * DEG, theta).probabilities
-    preds = [RatePrediction(true_rate=6.0 * p, accidental_rate=acc) for p in probs]
+    means = mean_counts(probs, model, 6.0, 60.0)
     fitted = []
     for seed in range(500):
-        raw = simulate_counts(preds, 60.0, seed=seed)
+        raw = poisson_counts(means, seed=seed)
         acc_meas = measure_accidentals(model, 60.0, seed=10_000 + seed, n_settings=theta.size)
         corrected = subtract_accidentals(raw, acc_meas)
         fitted.append(fit_fringe(theta, corrected).visibility)
@@ -278,32 +286,43 @@ def test_sigma_scale_covariance():
         assert_allclose(sigk, sig1 / np.sqrt(k), rtol=1e-12)
 
 
+def test_expected_tables_match_one_table_per_settings():
+    state = visibility_state(0.8, 0.77)
+    model = _fringe_model(accidental_calibration=0.026)
+    settings = [ChshSettings.canonical(t) for t in np.arange(-90.0, 91.0, 15.0) * DEG]
+    tables = expected_count_tables(state, settings, model, 6.0, 60.0)
+    assert [t.settings for t in tables] == settings
+    for table, s in zip(tables, settings):
+        single = expected_count_table(state, s, model, 6.0, 60.0)
+        assert_allclose(table.counts, single.counts, rtol=1e-15, atol=0.0)
+        assert table.integration_time == 60.0
+
+
 def test_simulated_tables_deterministic():
     state = post_selected_state(0.91)
     model = _fringe_model(accidental_calibration=0.026)
-    settings = ChshSettings.canonical(22.5 * DEG)
-    t1 = simulate_count_table(state, settings, model, 6.0, 60.0, seed=99)
-    t2 = simulate_count_table(state, settings, model, 6.0, 60.0, seed=99)
+    expected = expected_count_table(state, ChshSettings.canonical(22.5 * DEG), model, 6.0, 60.0)
+    t1 = simulate_count_table(expected, seed=99)
+    t2 = simulate_count_table(expected, seed=99)
     assert np.array_equal(t1.counts, t2.counts)
+    assert t1.settings == expected.settings and t1.integration_time == 60.0
 
 
 def test_sigma_propagation_matches_ensemble():
     state = post_selected_state(0.91)
     model = _fringe_model(accidental_calibration=0.026)
     settings = ChshSettings.canonical(22.5 * DEG)
-    _, sigma_prop = chsh_from_counts(expected_count_table(state, settings, model, 6.0, 60.0))
+    expected = expected_count_table(state, settings, model, 6.0, 60.0)
+    _, sigma_prop = chsh_from_counts(expected)
     draws = np.array(
-        [
-            chsh_from_counts(simulate_count_table(state, settings, model, 6.0, 60.0, seed=s))[0]
-            for s in range(1000)
-        ]
+        [chsh_from_counts(simulate_count_table(expected, seed=s))[0] for s in range(1000)]
     )
     assert abs(draws.std() - sigma_prop) / sigma_prop < 0.20
 
 
 def test_ensemble_mean_counts_converge_to_expectation():
-    preds = [RatePrediction(true_rate=2.0, accidental_rate=0.5)]
-    draws = np.array([simulate_counts(preds, 60.0, seed=s)[0] for s in range(10_000)])
+    means = np.array([(2.0 + 0.5) * 60.0])
+    draws = np.array([poisson_counts(means, seed=s)[0] for s in range(10_000)])
     assert abs(draws.mean() - 150.0) / 150.0 < 0.01
 
 
@@ -311,7 +330,7 @@ def test_ensemble_mean_counts_converge_to_expectation():
 
 
 def test_budget_pump_chain():
-    power, _ = efficiency_budget(
+    power, _, _ = efficiency_budget(
         pump_power_in=13e-3,
         objective_T=0.70,
         facet_T=0.73,
@@ -326,7 +345,7 @@ def test_budget_pump_chain():
 def test_budget_efficiency_hand_value():
     # pair rate 0.3 / (0.25^2 * 0.1^2 * 2e-3 * 0.5) = 4.8e5 /s;
     # pump photon flux 1.3286 mW / (hbar * 2 pi c / 777.95 nm) = 5.2032e15 /s
-    _, eff = efficiency_budget(
+    _, pair_rate, eff = efficiency_budget(
         pump_power_in=13e-3,
         objective_T=0.70,
         facet_T=0.73,
@@ -335,12 +354,13 @@ def test_budget_efficiency_hand_value():
         model=_budget_model(),
         measured_cc_rate=0.3,
     )
+    assert_allclose(pair_rate, 4.8e5, rtol=1e-12)
     assert_allclose(eff, 9.2251e-11, rtol=1e-3)
     assert 1e-11 < eff < 1e-9
 
 
 def test_budget_zero_rate_zero_efficiency():
-    _, eff = efficiency_budget(
+    _, pair_rate, eff = efficiency_budget(
         pump_power_in=13e-3,
         objective_T=0.70,
         facet_T=0.73,
@@ -349,7 +369,7 @@ def test_budget_zero_rate_zero_efficiency():
         model=_budget_model(),
         measured_cc_rate=0.0,
     )
-    assert eff == 0.0
+    assert pair_rate == 0.0 and eff == 0.0
 
 
 def test_budget_rejects_bad_transmissions_and_efficiencies():

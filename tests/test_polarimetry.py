@@ -12,7 +12,7 @@ from spdcpol import (
     TwoQubitState,
     chsh_S,
     chsh_signed,
-    coincidence_prob,
+    coincidence_probs,
     correlation_E,
     fit_fringe,
     fringe_scan,
@@ -26,33 +26,65 @@ from spdcpol import (
 DEG = np.pi / 180.0
 
 
-# --- coincidence_prob ------------------------------------------------------------
+# --- coincidence_probs -----------------------------------------------------------
 
 
 def test_parallel_analyzers_on_ideal_state():
-    assert_allclose(coincidence_prob(psi_plus_state(), PolarizerPair(0.0, 0.0)), 0.5, atol=1e-15)
+    assert_allclose(coincidence_probs(psi_plus_state(), 0.0, 0.0), 0.5, atol=1e-15)
 
 
 def test_crossed_analyzers_null():
-    p = coincidence_prob(psi_plus_state(), PolarizerPair(0.0, 90.0 * DEG))
+    p = coincidence_probs(psi_plus_state(), 0.0, 90.0 * DEG)
     assert abs(p) < 1e-15
 
 
 def test_ideal_fringe_law_on_grid():
-    # cos^2(t1 + t2) / 2 over a 5 x 5 degree grid
+    # cos^2(t1 + t2) / 2 over a 5 x 30 degree grid, one broadcast call
     state = psi_plus_state()
-    angles = np.arange(0.0, 360.0, 5.0) * DEG
-    for t1 in angles:
-        for t2 in angles[::6]:
-            expected = 0.5 * np.cos(t1 + t2) ** 2
-            assert abs(coincidence_prob(state, PolarizerPair(t1, t2)) - expected) < 1e-12
+    t1 = np.arange(0.0, 360.0, 5.0)[:, None] * DEG
+    t2 = np.arange(0.0, 360.0, 30.0)[None, :] * DEG
+    probs = coincidence_probs(state, t1, t2)
+    assert probs.shape == (72, 12)
+    assert np.max(np.abs(probs - 0.5 * np.cos(t1 + t2) ** 2)) < 1e-12
+
+
+def _oracle_prob(rho, t1, t2):
+    """Scalar reference: <p1 p2| rho |p1 p2> as one mat-vec product per setting."""
+    c1, s1, c2, s2 = np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2)
+    v = np.array([c1 * s2, c1 * c2, -s1 * s2, -s1 * c2])
+    return float(np.real(v @ rho @ v))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.lists(st.integers(1, 4), max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_coincidence_probs_matches_scalar_oracle(seed, shape, data):
+    rng = np.random.default_rng(seed)
+    state = TwoQubitState(rho=random_density_matrix(rng))
+
+    def operand_shape():
+        # a broadcast-compatible operand: drop leading axes, collapse others to 1
+        keep = data.draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
+        lead = data.draw(st.integers(0, len(shape)))
+        return tuple(n if k else 1 for n, k in zip(shape, keep))[lead:]
+
+    t1 = rng.uniform(-4 * np.pi, 4 * np.pi, size=operand_shape())
+    t2 = rng.uniform(-4 * np.pi, 4 * np.pi, size=operand_shape())
+    probs = coincidence_probs(state, t1, t2)
+    assert probs.shape == np.broadcast_shapes(t1.shape, t2.shape)
+    b1, b2 = np.broadcast_arrays(t1, t2)
+    for idx in np.ndindex(probs.shape):
+        assert abs(probs[idx] - _oracle_prob(state.rho, b1[idx], b2[idx])) <= 1e-15
 
 
 def test_diagonal_projection_reads_coherence():
     # (1 - c)/4 at t1 = t2 = 45 deg for the single-coherence X-state
     for c in (0.0, 0.5, 0.91, 1.0):
         state = post_selected_state(c)
-        p = coincidence_prob(state, PolarizerPair(45.0 * DEG, 45.0 * DEG))
+        p = coincidence_probs(state, 45.0 * DEG, 45.0 * DEG)
         assert_allclose(p, (1.0 - c) / 4.0, atol=1e-12)
 
 
@@ -61,9 +93,9 @@ def test_probability_periodic_in_half_turn():
     rng = np.random.default_rng(3)
     for _ in range(25):
         t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
-        p = coincidence_prob(state, PolarizerPair(t1, t2))
-        assert_allclose(coincidence_prob(state, PolarizerPair(t1 + np.pi, t2)), p, atol=1e-12)
-        assert_allclose(coincidence_prob(state, PolarizerPair(t1, t2 + np.pi)), p, atol=1e-12)
+        p = coincidence_probs(state, t1, t2)
+        assert_allclose(coincidence_probs(state, t1 + np.pi, t2), p, atol=1e-12)
+        assert_allclose(coincidence_probs(state, t1, t2 + np.pi), p, atol=1e-12)
 
 
 @given(t1=st.floats(-4 * np.pi, 4 * np.pi), shift=st.floats(-np.pi, np.pi))
@@ -71,8 +103,8 @@ def test_probability_periodic_in_half_turn():
 def test_ideal_probability_depends_on_angle_sum(t1, shift):
     state = psi_plus_state()
     t2 = 0.3
-    a = coincidence_prob(state, PolarizerPair(t1, t2))
-    b = coincidence_prob(state, PolarizerPair(t1 + shift, t2 - shift))
+    a = coincidence_probs(state, t1, t2)
+    b = coincidence_probs(state, t1 + shift, t2 - shift)
     assert abs(a - b) < 1e-12
 
 
@@ -232,6 +264,15 @@ def test_s_curve_signed_has_negative_lobes():
     thetas = np.arange(0.0, 180.0, 2.0) * DEG
     curve = s_curve(psi_plus_state(), thetas)
     assert curve.min() < -2.0  # the signed sum dips to -2 sqrt 2
+
+
+def test_s_curve_equals_pointwise_chsh_signed():
+    rng = np.random.default_rng(41)
+    thetas = rng.uniform(-np.pi, np.pi, size=25)
+    for _ in range(20):
+        state = TwoQubitState(rho=random_density_matrix(rng))
+        pointwise = [chsh_signed(state, ChshSettings.canonical(t)) for t in thetas]
+        assert_allclose(s_curve(state, thetas), pointwise, rtol=0.0, atol=1e-12)
 
 
 def test_signed_vs_absolute():

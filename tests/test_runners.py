@@ -3,7 +3,9 @@ import json
 import numpy as np
 from numpy.testing import assert_allclose
 
+from spdcpol import ChshSettings, CountTable, chsh_from_counts, coincidence_probs
 from spdcpol.config import load_scenario
+from spdcpol.counting import accidental_rate, chsh_table_angles, derive_seed
 from spdcpol.runners import run_budget, run_chsh, run_delay_scan, run_fringe, run_s_curve
 
 
@@ -86,3 +88,46 @@ def test_record_write_and_reload(tmp_path):
     assert set(payload["tables"]) == set(record.tables)
     assert all(p.exists() for p in paths)
     assert not list(tmp_path.glob("*.tmp"))  # atomic writes leave no temp files
+
+
+# --- seed tree: child (seed, tag, ...) feeds exactly one Poisson call ---------------
+
+
+def _draw(seed, means, *indices):
+    return np.random.default_rng(derive_seed(seed, *indices)).poisson(means)
+
+
+def _means(cfg, state, theta1, theta2):
+    p = coincidence_probs(state, theta1, theta2)
+    return (cfg.pair_rate() * p + accidental_rate(cfg.detector())) * cfg.integration_time()
+
+
+def test_first_run_counts_follow_the_seed_tree():
+    cfg = load_scenario(preset="paper-calibrated", seed=17, runs=3)
+    state, _ = cfg.resolve_state()
+    seed, t_int = cfg.seed(), cfg.integration_time()
+
+    # fringe: raw counts from (seed, 0, basis, run), accidentals from (seed, 1, basis, run)
+    grid = cfg.fringe_theta2_grid()
+    fringe = run_fringe(cfg)
+    acc_mean = accidental_rate(cfg.detector()) * t_int
+    for i, (theta1, table) in enumerate(zip(cfg.fringe_theta1(), fringe.tables.values())):
+        raw = _draw(seed, _means(cfg, state, theta1, grid), 0, i, 0)
+        acc = _draw(seed, np.full(grid.size, acc_mean), 1, i, 0)
+        assert [row[2] for row in table["rows"]] == raw.tolist()
+        assert [row[3] for row in table["rows"]] == acc.tolist()
+
+    # chsh: the 4x4 table from (seed, 2, run)
+    a, b = chsh_table_angles(cfg.chsh_settings())
+    counts = _draw(seed, _means(cfg, state, a[:, None], b[None, :]), 2, 0)
+    chsh = run_chsh(cfg)
+    assert [row[4] for row in chsh.tables["counts"]["rows"]] == counts.ravel().tolist()
+
+    # s-curve: one table per angle k from (seed, 3, k)
+    rows = run_s_curve(cfg).tables["curve"]["rows"]
+    for k, theta in enumerate(cfg.s_curve_grid()):
+        settings = ChshSettings.canonical(theta)
+        a, b = chsh_table_angles(settings)
+        drawn = _draw(seed, _means(cfg, state, a[:, None], b[None, :]), 3, k)
+        table = CountTable(settings=settings, counts=drawn, integration_time=t_int)
+        assert rows[k][2:] == list(chsh_from_counts(table, signed=True))
