@@ -13,14 +13,14 @@ import csv
 import numpy as np
 
 from spdcpol import (
+    OverlapResult,
     SpectralFilter,
     WaveguideDispersion,
     build_jsa,
     concurrence,
     default_grid,
-    gvm_delta,
     optimal_delay,
-    overlap_integral,
+    overlap_scan,
     post_selected_state,
 )
 
@@ -36,7 +36,7 @@ def main() -> None:
     disp = WaveguideDispersion(
         length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
     )
-    half_walkoff_fs = gvm_delta(disp) * disp.length_L / 2.0 * 1e15
+    half_walkoff = disp.delta * disp.length_L / 2.0
 
     rows = []
     for fwhm_nm in np.arange(10.0, 121.0, 10.0):
@@ -44,15 +44,15 @@ def main() -> None:
             shape=args.shape, center_lambda=args.center_nm * 1e-9, fwhm_lambda=fwhm_nm * 1e-9
         )
         jsa = build_jsa(disp, filt, default_grid(filt))
-        delay = optimal_delay(jsa)
-        overlap = overlap_integral(jsa, delay)
+        delay = optimal_delay(jsa, half_walkoff)
+        overlap = OverlapResult(overlap_scan(jsa, delay.tau, 0.0, 1)[0])
         c = concurrence(post_selected_state(overlap))
         rows.append([fwhm_nm, delay.tau * 1e15, overlap.magnitude, c])
         print(
             f"fwhm={fwhm_nm:6.1f} nm  tau*={delay.tau * 1e15:7.2f} fs  "
             f"|V|={overlap.magnitude:.6f}  C={c:.6f}"
         )
-    print(f"(delta*L/2 = {half_walkoff_fs:.2f} fs)")
+    print(f"(delta*L/2 = {half_walkoff * 1e15:.2f} fs)")
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -44,7 +44,6 @@ from .spectral import (
     build_jsa,
     default_grid,
     filter_amplitude,
-    gvm_delta,
     phase_mismatch,
 )
 from .state import (
@@ -53,7 +52,7 @@ from .state import (
     TwoQubitState,
     concurrence,
     optimal_delay,
-    overlap_integral,
+    overlap_scan,
     post_selected_state,
     psi_plus_state,
     visibility_state,

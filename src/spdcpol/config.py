@@ -24,7 +24,7 @@ from . import spectral, state as state_mod
 from .counting import DetectorModel
 from .errors import ConfigurationError
 from .polarimetry import ChshSettings
-from .units import d_ps_nm_km, deg_to_rad, fs, mw, nm, ns, to_fs
+from .units import deg_to_rad, fs, nm, ns, to_fs
 
 __all__ = ["PRESETS", "ScenarioConfig", "load_scenario", "base_config_dict"]
 
@@ -144,6 +144,13 @@ def _merge(base: dict[str, Any], override: dict[str, Any]) -> None:
             base[key] = value
 
 
+def _integer(value: Any, where: str, minimum: int) -> int:
+    """A JSON integer (not a bool or a float) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(f"{where} must be an integer of at least {minimum}, got {value!r}")
+    return value
+
+
 def _angle_grid(block: dict[str, Any], where: str) -> np.ndarray:
     try:
         start, stop, step = float(block["start"]), float(block["stop"]), float(block["step"])
@@ -168,7 +175,7 @@ class ScenarioConfig:
                 length_L=float(d["length_mm"]) * 1e-3,
                 v_te=float(d["v_te_m_per_s"]),
                 v_tm=float(d["v_tm_m_per_s"]),
-                gvd_D=d_ps_nm_km(float(d["gvd_D_ps_nm_km"])),
+                gvd_D=float(d["gvd_D_ps_nm_km"]) * 1e-6,  # ps/(nm km) -> s/m^2
                 lambda_deg=nm(float(d["lambda_deg_nm"])),
                 delta0=float(d["delta0_per_m"]),
             )
@@ -188,8 +195,8 @@ class ScenarioConfig:
 
     def grid(self) -> spectral.SpectralGrid:
         g = self.data["grid"]
+        n_points = _integer(g["n_points"], "grid.n_points", 3)
         try:
-            n_points = int(g["n_points"])
             if g["omega_max_rad_s"] is None:
                 return spectral.default_grid(self.spectral_filter(), n_points=n_points)
             return spectral.SpectralGrid(float(g["omega_max_rad_s"]), n_points)
@@ -202,6 +209,15 @@ class ScenarioConfig:
     # -- state ---------------------------------------------------------------
     def phi_bs(self) -> float:
         return float(self.data["state"]["phi_bs_rad"])
+
+    def configured_delay(self) -> float | None:
+        """state.tau_fs in seconds, or None for "optimize"."""
+        tau = self.data["state"]["tau_fs"]
+        if tau == "optimize":
+            return None
+        if isinstance(tau, bool) or not isinstance(tau, (int, float)):
+            raise ConfigurationError(f'state.tau_fs must be a number or "optimize", got {tau!r}')
+        return fs(float(tau))
 
     def resolve_state(self) -> tuple[state_mod.TwoQubitState, dict[str, Any]]:
         """Two-qubit state plus a scalar report of how it was obtained."""
@@ -226,19 +242,16 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigurationError(f"state: {exc}") from exc
 
+        disp = self.dispersion()
         jsa = self.build_jsa()
-        tau_setting = s["tau_fs"]
-        if isinstance(tau_setting, str):
-            if tau_setting != "optimize":
-                raise ConfigurationError(
-                    f'state.tau_fs must be a number or "optimize", got {tau_setting!r}'
-                )
-            delay = state_mod.optimal_delay(jsa)
+        tau = self.configured_delay()
+        if tau is None:
+            delay = state_mod.optimal_delay(jsa, disp.delta * disp.length_L / 2)
             info["tau_source"] = "optimized"
         else:
-            delay = state_mod.DelaySetting(tau=fs(float(tau_setting)))
+            delay = state_mod.DelaySetting(tau=tau)
             info["tau_source"] = "configured"
-        overlap = state_mod.overlap_integral(jsa, delay)
+        overlap = state_mod.OverlapResult(state_mod.overlap_scan(jsa, delay.tau, 0.0, 1)[0])
         info["state_source"] = "spectral_model"
         info["tau_fs"] = to_fs(delay.tau)
         info["v_int_abs"] = overlap.magnitude
@@ -268,13 +281,19 @@ class ScenarioConfig:
         return float(self.data["run"]["integration_time_s"])
 
     def seed(self) -> int:
-        return int(self.data["run"]["seed"])
+        return _integer(self.data["run"]["seed"], "run.seed", 0)
 
     def runs(self) -> int:
-        return int(self.data["run"]["runs"])
+        return _integer(self.data["run"]["runs"], "run.runs", 1)
 
     def fringe_theta1(self) -> list[float]:
-        return [deg_to_rad(float(t)) for t in self.data["run"]["fringe_theta1_deg"]]
+        angles = self.data["run"]["fringe_theta1_deg"]
+        if not isinstance(angles, list):
+            raise ConfigurationError(f"run.fringe_theta1_deg must be a list, got {angles!r}")
+        try:
+            return [deg_to_rad(float(t)) for t in angles]
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"run.fringe_theta1_deg: {exc}") from exc
 
     def fringe_theta2_grid(self) -> np.ndarray:
         grid_deg = _angle_grid(self.data["run"]["fringe_theta2_deg"], "run.fringe_theta2_deg")
@@ -284,9 +303,10 @@ class ScenarioConfig:
         grid_deg = _angle_grid(self.data["run"]["s_curve_theta_deg"], "run.s_curve_theta_deg")
         return np.radians(grid_deg)
 
-    def delay_scan_grid_s(self) -> np.ndarray:
+    def delay_scan_grid_s(self) -> tuple[np.ndarray, float]:
+        """Configured delays (s) and their step (s)."""
         block = self.data["run"]["delay_scan_fs"]
-        return fs(1.0) * _angle_grid(block, "run.delay_scan_fs")
+        return fs(1.0) * _angle_grid(block, "run.delay_scan_fs"), fs(float(block["step"]))
 
     def chsh_settings(self) -> ChshSettings:
         angles = self.data["run"]["chsh_angles_deg"]
@@ -306,7 +326,7 @@ class ScenarioConfig:
     def budget_inputs(self) -> dict[str, float]:
         b = self.data["budget"]
         return {
-            "pump_power_in": mw(float(b["pump_power_mw"])),
+            "pump_power_in": float(b["pump_power_mw"]) * 1e-3,
             "objective_T": float(b["objective_transmission"]),
             "facet_T": float(b["facet_transmission"]),
             "overlap": float(b["modal_overlap"]),
@@ -335,17 +355,14 @@ class ScenarioConfig:
             raise ConfigurationError("run.pair_rate_hz must be nonnegative")
         if self.integration_time() <= 0:
             raise ConfigurationError("run.integration_time_s must be positive")
-        if self.runs() < 1:
-            raise ConfigurationError(f"run.runs must be at least 1, got {self.runs()}")
+        self.seed()
+        self.runs()
         s = self.data["state"]
         if s["coherence"] is not None and s["visibility_z"] is not None:
             raise ConfigurationError(
                 "state: coherence and visibility_z/visibility_d are mutually exclusive"
             )
-        if isinstance(s["tau_fs"], str) and s["tau_fs"] != "optimize":
-            raise ConfigurationError(
-                f'state.tau_fs must be a number or "optimize", got {s["tau_fs"]!r}'
-            )
+        self.configured_delay()
 
 
 def load_scenario(

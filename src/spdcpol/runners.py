@@ -34,14 +34,9 @@ from .counting import (
     simulate_count_table,
     subtract_accidentals,
 )
+from .errors import ConfigurationError
 from .polarimetry import ChshSettings, chsh_S, fit_fringe, fringe_scan, s_curve
-from .state import (
-    concurrence,
-    optimal_delay,
-    overlap_integral,
-    overlap_magnitudes,
-    post_selected_state,
-)
+from .state import OverlapResult, concurrence, optimal_delay, overlap_scan, post_selected_state
 from .units import rad_to_deg, to_fs
 
 __all__ = [
@@ -212,11 +207,12 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
 
 def run_delay_scan(cfg: ScenarioConfig) -> ResultRecord:
     """|V_int(tau)| over the configured window plus the located optimum."""
+    disp = cfg.dispersion()
     jsa = cfg.build_jsa()
-    taus = cfg.delay_scan_grid_s()
-    mags = overlap_magnitudes(jsa, taus)
-    best = optimal_delay(jsa)
-    overlap_star = overlap_integral(jsa, best)
+    taus, step = cfg.delay_scan_grid_s()
+    mags = np.abs(overlap_scan(jsa, taus[0], step, taus.size))
+    best = optimal_delay(jsa, disp.delta * disp.length_L / 2)
+    overlap_star = OverlapResult(overlap_scan(jsa, best.tau, 0.0, 1)[0])
     state_star = post_selected_state(overlap_star, cfg.phi_bs())
 
     record = ResultRecord(command="delay-scan", config=cfg.to_dict(), scalars={})
@@ -334,7 +330,10 @@ def run_budget(cfg: ScenarioConfig) -> ResultRecord:
     """Pump-power chain and inferred conversion efficiency."""
     inputs = cfg.budget_inputs()
     model = cfg.detector()
-    power_in_guide, pair_rate, efficiency = efficiency_budget(model=model, **inputs)
+    try:
+        power_in_guide, pair_rate, efficiency = efficiency_budget(model=model, **inputs)
+    except ValueError as exc:
+        raise ConfigurationError(f"budget: {exc}") from exc
     record = ResultRecord(command="budget", config=cfg.to_dict(), scalars={})
     record.scalars = {
         "pump_power_in_mw": inputs["pump_power_in"] * 1e3,

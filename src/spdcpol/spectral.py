@@ -38,7 +38,6 @@ __all__ = [
     "SpectralGrid",
     "JointSpectralAmplitude",
     "beta2_from_d",
-    "gvm_delta",
     "phase_mismatch",
     "filter_amplitude",
     "build_jsa",
@@ -86,7 +85,7 @@ class WaveguideDispersion:
     @property
     def delta(self) -> float:
         """Group-velocity mismatch 1/v_te - 1/v_tm (s/m)."""
-        return gvm_delta(self)
+        return 1.0 / self.v_te - 1.0 / self.v_tm
 
     @property
     def omega_deg(self) -> float:
@@ -107,11 +106,6 @@ class WaveguideDispersion:
     def beta2_mean(self) -> float:
         """beta_plus, the polarization-averaged GVD coefficient (s^2/m)."""
         return 0.5 * (self.beta2_te + self.beta2_tm)
-
-
-def gvm_delta(disp: WaveguideDispersion) -> float:
-    """Group-velocity mismatch delta = 1/v_te - 1/v_tm (s/m)."""
-    return 1.0 / disp.v_te - 1.0 / disp.v_tm
 
 
 def phase_mismatch(omega, disp: WaveguideDispersion):

@@ -31,8 +31,7 @@ __all__ = [
     "DelaySetting",
     "OverlapResult",
     "TwoQubitState",
-    "overlap_integral",
-    "overlap_magnitudes",
+    "overlap_scan",
     "optimal_delay",
     "post_selected_state",
     "visibility_state",
@@ -46,6 +45,9 @@ _HH, _HV, _VH, _VV = 0, 1, 2, 3
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
+
+DELAY_HALF_WIDTH = 200e-15  # s, optimal_delay search window about delta*L/2
+DELAY_STEP = 0.1e-15  # s, optimal_delay scan lattice
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,13 @@ class DelaySetting:
 
 @dataclass(frozen=True)
 class OverlapResult:
-    """Normalized spectral overlap V_int and its magnitude."""
+    """Normalized spectral overlap V_int at one delay, checked |V_int| <= 1."""
 
     v_int: complex
-    magnitude: float
+
+    @property
+    def magnitude(self) -> float:
+        return abs(self.v_int)
 
     def __post_init__(self) -> None:
         if self.magnitude > 1.0 + 1e-10:
@@ -99,67 +104,67 @@ class TwoQubitState:
         object.__setattr__(self, "rho", rho)
 
 
-def overlap_integral(jsa: JointSpectralAmplitude, delay: DelaySetting) -> OverlapResult:
-    """Normalized overlap V_int(tau) by trapezoid quadrature on the shared grid."""
-    f = jsa.amplitude
-    norm = jsa.norm_sq()
-    if norm <= 0.0:
-        raise DegenerateDataError("joint spectral amplitude has zero norm")
-    om = jsa.grid.omegas
-    integrand = f * np.conj(jsa.reflected()) * np.exp(2j * om * delay.tau)
-    num = np.trapezoid(integrand, dx=jsa.grid.step)
-    v = complex(num / norm)
-    return OverlapResult(v_int=v, magnitude=abs(v))
+def overlap_scan(
+    jsa: JointSpectralAmplitude, tau0: float, step: float, n: int
+) -> NDArray[np.complex128]:
+    """Normalized overlap V_int at the n delays tau0 + j*step, j = 0..n-1.
 
-
-def overlap_magnitudes(jsa: JointSpectralAmplitude, taus: NDArray[np.float64]) -> NDArray[np.float64]:
-    """|V_int(tau)| for an array of delays, vectorized in chunks."""
-    f = jsa.amplitude
-    norm = jsa.norm_sq()
-    if norm <= 0.0:
-        raise DegenerateDataError("joint spectral amplitude has zero norm")
-    base = f * np.conj(jsa.reflected())
-    om = jsa.grid.omegas
-    taus = np.asarray(taus, dtype=float)
-    out = np.empty(taus.shape, dtype=float)
-    chunk = 256
-    for start in range(0, taus.size, chunk):
-        t = taus[start : start + chunk, None]
-        ph = np.exp(2j * t * om[None, :])
-        vals = np.trapezoid(base[None, :] * ph, dx=jsa.grid.step, axis=1)
-        out[start : start + chunk] = np.abs(vals) / norm
-    return out
-
-
-def optimal_delay(
-    jsa: JointSpectralAmplitude,
-    tau_range: tuple[float, float] = (-200e-15, 200e-15),
-    scan_step: float = 0.1e-15,
-) -> DelaySetting:
-    """Delay maximizing |V_int|: uniform scan then parabolic refinement.
-
-    The scan step defaults to 0.1 fs; the vertex of a parabola through the
-    best three points is reported, rounded to 0.01 fs. Scanning tolerates
-    the ripples the sinc lobes put on |V_int|, which defeat derivative
-    methods.
+    Trapezoid quadrature on the JSA grid. With Omega_k = p*dOmega (p = k - h)
+    and tau_j = tau_c + q*step about the scan's mid-point tau_c, the delay
+    phase 2*Omega_k*tau_j is theta*p*q plus a term in p alone, with
+    theta = 2*dOmega*step. Writing pq = (p^2 + q^2 - (q - p)^2) / 2 turns the
+    sum over k into a convolution with a chirp, done by FFT in
+    O((N + n) log(N + n)) instead of the O(N n) direct sum: Bluestein's
+    chirp-z transform (Rabiner, Schafer & Rader, IEEE Trans. Audio
+    Electroacoust. 17, 1969). Counting p and q from the middle of their
+    ranges keeps the chirp phases, and with them the rounding, small.
     """
-    lo, hi = tau_range
-    if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-        raise ConfigurationError(f"empty delay range ({lo}, {hi})")
-    n = int(round((hi - lo) / scan_step)) + 1
-    taus = lo + scan_step * np.arange(n)
-    mags = overlap_magnitudes(jsa, taus)
+    f = jsa.amplitude
+    w = np.ones(f.size)
+    w[[0, -1]] = 0.5  # trapezoid weights; the grid step cancels in the ratio
+    norm = np.sum(w * np.abs(f) ** 2)
+    if norm <= 0.0:
+        raise DegenerateDataError("joint spectral amplitude has zero norm")
+    om = jsa.grid.omegas
+    c = 0.5 * (n - 1)
+    a = w * f * np.conj(jsa.reflected()) * np.exp(2j * om * (tau0 + c * step))
+    if n == 1:  # the chirp-z transform at a single point is the plain sum
+        return a.sum(keepdims=True) / norm
+    h, theta = (om.size - 1) // 2, 2.0 * jsa.grid.step * step
+    p, q = np.arange(om.size) - h, np.arange(n) - c
+    chirp = np.exp(-0.5j * theta * (np.arange(1 - om.size, n) + h - c) ** 2)  # at q - p
+    size = 1 << (om.size + n - 2).bit_length()  # >= N + n - 1: no wrap onto the outputs
+    fft = np.fft  # loaded on first use; import numpy does not load it
+    x = fft.fft(a * np.exp(0.5j * theta * p**2), size)
+    conv = fft.ifft(x * fft.fft(chirp, size))[om.size - 1 : om.size - 1 + n]
+    return np.exp(0.5j * theta * q**2) * conv / norm
+
+
+def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> DelaySetting:
+    """Delay maximizing |V_int| within DELAY_HALF_WIDTH of center.
+
+    center is the stationary-phase estimate delta*L/2. The window is scanned
+    on the DELAY_STEP lattice (multiples of 0.1 fs); the vertex of a parabola
+    through the best three points is reported, rounded to 0.01 fs. Scanning
+    tolerates the ripples the sinc lobes put on |V_int|, which defeat
+    derivative methods. An optimum on the window edge raises
+    DegenerateDataError rather than being reported.
+    """
+    if not np.isfinite(center):
+        raise ConfigurationError(f"delay window center must be finite, got {center}")
+    half = round(DELAY_HALF_WIDTH / DELAY_STEP)
+    first = round(center / DELAY_STEP) - half
+    mags = np.abs(overlap_scan(jsa, first * DELAY_STEP, DELAY_STEP, 2 * half + 1))
     i = int(np.argmax(mags))
-    if 0 < i < n - 1:
-        y0, y1, y2 = mags[i - 1], mags[i], mags[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom < 0.0:
-            tau_star = taus[i] + 0.5 * scan_step * (y0 - y2) / denom
-        else:
-            tau_star = taus[i]
-    else:
-        tau_star = taus[i]
-    tau_star = min(max(tau_star, lo), hi)
+    tau_star = (first + i) * DELAY_STEP
+    if i in (0, mags.size - 1):
+        raise DegenerateDataError(
+            f"|V_int| peaks at {tau_star * 1e15:.1f} fs, the edge of delta*L/2 +- 200 fs"
+        )
+    y0, y1, y2 = mags[i - 1 : i + 2]
+    denom = y0 - 2.0 * y1 + y2
+    if denom < 0.0:
+        tau_star += 0.5 * DELAY_STEP * (y0 - y2) / denom
     tau_star = round(tau_star / 1e-17) * 1e-17  # report to 0.01 fs
     return DelaySetting(tau=tau_star)
 

@@ -33,16 +33,6 @@ def ns(value: float) -> float:
     return value * 1e-9
 
 
-def mw(value: float) -> float:
-    """Milliwatts to watts."""
-    return value * 1e-3
-
-
-def d_ps_nm_km(value: float) -> float:
-    """Dispersion parameter D from ps/(nm km) to s/m^2."""
-    return value * 1e-6
-
-
 def deg_to_rad(value: float) -> float:
     return math.radians(value)
 
@@ -54,8 +44,3 @@ def rad_to_deg(value: float) -> float:
 def omega_from_lambda(lambda_m: float) -> float:
     """Vacuum wavelength (m) to angular frequency (rad/s)."""
     return TWO_PI * C_LIGHT / lambda_m
-
-
-def lambda_from_omega(omega: float) -> float:
-    """Angular frequency (rad/s) to vacuum wavelength (m)."""
-    return TWO_PI * C_LIGHT / omega

@@ -29,7 +29,7 @@ from spdcpol import (
     mean_counts,
     measure_accidentals,
     optimal_delay,
-    overlap_integral,
+    overlap_scan,
     post_selected_state,
     poisson_counts,
     psi_plus_state,
@@ -39,7 +39,6 @@ from spdcpol import (
 )
 from spdcpol.config import load_scenario
 from spdcpol.runners import run_delay_scan
-from spdcpol.state import DelaySetting
 
 DEG = np.pi / 180.0
 SQRT2 = np.sqrt(2.0)
@@ -181,12 +180,14 @@ def test_criterion_4_visibilities():
 
 def test_criterion_5_delay_compensation():
     filt = _filter()
+    disp = _paper_disp()
+    half_walkoff = disp.delta * disp.length_L / 2.0
     gvd_off = build_jsa(_paper_disp(gvd=0.0), filt, default_grid(filt))
-    tau_off = optimal_delay(gvd_off).tau * 1e15
+    tau_off = optimal_delay(gvd_off, half_walkoff).tau * 1e15
     off_ok = abs(tau_off - 22.25) <= 0.1
 
-    full = build_jsa(_paper_disp(), filt, default_grid(filt))
-    tau_full = optimal_delay(full).tau * 1e15
+    full = build_jsa(disp, filt, default_grid(filt))
+    tau_full = optimal_delay(full, half_walkoff).tau * 1e15
     full_ok = 20.0 <= tau_full <= 35.0
 
     record = run_delay_scan(load_scenario())
@@ -304,8 +305,8 @@ def test_criterion_8_property_suites():
             lambda_deg=1555.9e-9,
         )
         jsa = build_jsa(disp, filt, default_grid(filt, n_points=1025))
-        tau = DelaySetting(tau=rng.uniform(-300e-15, 300e-15))
-        ok &= overlap_integral(jsa, tau).magnitude <= 1.0 + 1e-10
+        tau = rng.uniform(-300e-15, 300e-15)
+        ok &= abs(overlap_scan(jsa, tau, 0.0, 1)[0]) <= 1.0 + 1e-10
     checks["overlap_bounded"] = ok
 
     # E in [-1, 1] over 1e6 random states and angle pairs

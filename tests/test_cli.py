@@ -130,6 +130,42 @@ def test_non_finite_config_value_exits_2(tmp_path, constant):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("value", [2.7, "abc", True])
+def test_non_integer_runs_exits_2(tmp_path, value):
+    cfg = tmp_path / "runs.json"
+    cfg.write_text(json.dumps({"run": {"runs": value}}))
+    out = tmp_path / "o"
+    result = run_cli("fringe", "--preset", "paper-ideal", "--config", str(cfg), "--out", str(out))
+    assert "run.runs" in _single_config_error(result)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, "7", False])
+def test_bad_seed_exits_2(tmp_path, value):
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"run": {"seed": value}}))
+    out = tmp_path / "o"
+    result = run_cli("chsh", "--preset", "paper-ideal", "--config", str(cfg), "--out", str(out))
+    assert "run.seed" in _single_config_error(result)
+
+
+@pytest.mark.parametrize("command", ["fringe", "delay-scan", "budget"])
+def test_scalar_fringe_theta1_exits_2(tmp_path, command):
+    cfg = tmp_path / "theta1.json"
+    cfg.write_text(json.dumps({"run": {"fringe_theta1_deg": 0.0}}))
+    result = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert "run.fringe_theta1_deg" in _single_config_error(result)
+
+
+def test_budget_zero_efficiency_exits_2(tmp_path):
+    cfg = tmp_path / "eff.json"
+    cfg.write_text(json.dumps({"detector": {"efficiency_1": 0.0}}))
+    out = tmp_path / "o"
+    result = run_cli("budget", "--config", str(cfg), "--out", str(out))
+    assert "efficienc" in _single_config_error(result)
+    assert not out.exists()
+
+
 def test_missing_config_exits_2(tmp_path):
     result = run_cli("budget", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path))
     assert result.returncode == 2

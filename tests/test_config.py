@@ -72,7 +72,9 @@ def test_invalid_values_fail_at_load(tmp_path):
     cases = [
         {"dispersion": {"length_mm": -1.0}},
         {"grid": {"omega_max_rad_s": 1e13, "n_points": 8192}},
+        {"grid": {"n_points": 8193.5}},
         {"state": {"tau_fs": "optimise"}},
+        {"state": {"tau_fs": None}},
         {"run": {"integration_time_s": 0.0}},
         {"state": {"coherence": 0.5, "visibility_z": 0.8, "visibility_d": 0.7}},
         {"filter": {"shape": "brick_wall"}},

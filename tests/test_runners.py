@@ -71,6 +71,24 @@ def test_delay_scan_curve_peak_matches_scalar():
     assert record.scalars["v_int_abs_at_star"] >= rows[:, 1].max() - 1e-9
 
 
+def test_long_guide_optimum_follows_walkoff(tmp_path):
+    # 12 mm: delta*L/2 = 222.47 fs, outside a fixed +-200 fs search window
+    path = tmp_path / "long.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dispersion": {"length_mm": 12.0},
+                "filter": {"shape": "top_hat", "center_nm": 1555.9, "fwhm_nm": 20.0},
+            }
+        )
+    )
+    cfg = load_scenario(config_path=path)
+    assert abs(run_delay_scan(cfg).scalars["tau_star_fs"] - 222.47) <= 0.05
+    _, info = cfg.resolve_state()
+    assert info["tau_source"] == "optimized"
+    assert abs(info["tau_fs"] - 222.47) <= 0.05
+
+
 def test_budget_runner_scalars():
     cfg = load_scenario(preset="raw-visibility")
     record = run_budget(cfg)

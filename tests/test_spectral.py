@@ -13,7 +13,6 @@ from spdcpol import (
     build_jsa,
     default_grid,
     filter_amplitude,
-    gvm_delta,
     phase_mismatch,
 )
 from spdcpol.units import omega_from_lambda
@@ -44,18 +43,18 @@ def test_beta2_rejects_nonpositive_wavelength():
         beta2_from_d(-7.9e-4, -1e-6)
 
 
-# --- gvm_delta ------------------------------------------------------------
+# --- WaveguideDispersion.delta ------------------------------------------------
 # 1/8.98e7 - 1/9.01e7 = 3.707833e-11 s/m, about 37.08 fs/mm
 
 
 def test_gvm_value(paper_disp):
-    assert_allclose(gvm_delta(paper_disp), 3.707833e-11, rtol=1e-6)
-    assert_allclose(gvm_delta(paper_disp) * 1e15 * 1e-3, 37.078, rtol=1e-4)  # fs/mm
+    assert_allclose(paper_disp.delta, 3.707833e-11, rtol=1e-6)
+    assert_allclose(paper_disp.delta * 1e15 * 1e-3, 37.078, rtol=1e-4)  # fs/mm
 
 
 def test_gvm_zero_for_equal_velocities():
     disp = WaveguideDispersion(length_L=1e-3, v_te=9e7, v_tm=9e7, gvd_D=0.0)
-    assert gvm_delta(disp) == 0.0
+    assert disp.delta == 0.0
 
 
 def test_gvm_antisymmetric_under_swap(paper_disp):
@@ -66,7 +65,7 @@ def test_gvm_antisymmetric_under_swap(paper_disp):
         gvd_D=paper_disp.gvd_D,
         lambda_deg=paper_disp.lambda_deg,
     )
-    assert gvm_delta(swapped) == -gvm_delta(paper_disp)
+    assert swapped.delta == -paper_disp.delta
 
 
 # --- phase_mismatch ---------------------------------------------------------
@@ -206,7 +205,7 @@ def test_jsa_phase_parity(paper_disp, top_hat_filter):
     rel = jsa.amplitude * np.conj(jsa.reflected())
     mask = np.abs(rel) > 1e-3
     dphase = np.angle(rel[mask])
-    expected = -gvm_delta(paper_disp) * om[mask] * paper_disp.length_L
+    expected = -paper_disp.delta * om[mask] * paper_disp.length_L
     assert np.max(np.abs(expected)) < np.pi  # no wrapping inside the band
     assert_allclose(dphase, expected, atol=1e-10)
 

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from spdcpol import (
     ConfigurationError,
     DegenerateDataError,
-    DelaySetting,
     JointSpectralAmplitude,
+    OverlapResult,
     SpectralFilter,
     SpectralGrid,
     TwoQubitState,
@@ -16,14 +16,12 @@ from spdcpol import (
     build_jsa,
     concurrence,
     default_grid,
-    gvm_delta,
     optimal_delay,
-    overlap_integral,
+    overlap_scan,
     post_selected_state,
     psi_plus_state,
     visibility_state,
 )
-from spdcpol.state import overlap_magnitudes
 
 
 def _paper_jsa(gvd=-7.9e-4, shape="top_hat"):
@@ -34,26 +32,39 @@ def _paper_jsa(gvd=-7.9e-4, shape="top_hat"):
     return disp, build_jsa(disp, filt, default_grid(filt))
 
 
-def _oracle_overlap_mag(jsa, tau):
-    """Independent trapezoid: explicit endpoint weights, no np.trapezoid."""
+def _half_walkoff(disp):
+    return disp.delta * disp.length_L / 2.0
+
+
+def _oracle_overlap(jsa, taus):
+    """Direct trapezoid sum over the grid for each delay, no FFT, no np.trapezoid."""
     om = jsa.grid.omegas
     w = np.full(om.size, jsa.grid.step)
     w[0] *= 0.5
     w[-1] *= 0.5
     f = jsa.amplitude
-    num = np.sum(w * f * np.conj(f[::-1]) * np.exp(2j * om * tau))
+    phase = np.exp(2j * np.asarray(taus, dtype=float)[:, None] * om[None, :])
+    num = phase @ (w * f * np.conj(f[::-1]))
     den = np.sum(w * np.abs(f) ** 2)
-    return abs(num) / den
+    return num / den
 
 
-# --- overlap_integral ---------------------------------------------------------
+def _oracle_overlap_mag(jsa, tau):
+    return abs(_oracle_overlap(jsa, [tau])[0])
+
+
+def _overlap_at(jsa, tau):
+    return OverlapResult(overlap_scan(jsa, tau, 0.0, 1)[0])
+
+
+# --- overlap_scan -------------------------------------------------------------
 
 
 def test_overlap_perfect_without_walkoff_or_gvd():
     disp = WaveguideDispersion(length_L=1.2e-3, v_te=9e7, v_tm=9e7, gvd_D=0.0, lambda_deg=1555.9e-9)
     filt = SpectralFilter(shape="top_hat", center_lambda=1550e-9, fwhm_lambda=45e-9)
     jsa = build_jsa(disp, filt, default_grid(filt))
-    ov = overlap_integral(jsa, DelaySetting(tau=0.0))
+    ov = _overlap_at(jsa, 0.0)
     assert ov.v_int == 1.0 + 0.0j
     assert ov.magnitude == 1.0
 
@@ -61,32 +72,35 @@ def test_overlap_perfect_without_walkoff_or_gvd():
 def test_overlap_agrees_with_independent_quadrature():
     _, jsa = _paper_jsa()
     for tau in (0.0, 10e-15, 22.25e-15, -37.5e-15):
-        ov = overlap_integral(jsa, DelaySetting(tau=tau))
+        ov = _overlap_at(jsa, tau)
         assert_allclose(ov.magnitude, _oracle_overlap_mag(jsa, tau), rtol=1e-12)
+    scan = overlap_scan(jsa, -200e-15, 4e-15, 101)
+    oracle = _oracle_overlap(jsa, -200e-15 + 4e-15 * np.arange(101))
+    assert_allclose(scan, oracle, rtol=0.0, atol=1e-12)
 
 
 def test_overlap_peak_at_half_walkoff_gvd_off():
     # phase of F(W)F*(-W) is exactly -delta W L; it cancels at tau = delta L / 2
     disp, jsa = _paper_jsa(gvd=0.0)
-    tau_star = gvm_delta(disp) * disp.length_L / 2.0
-    mags = overlap_magnitudes(jsa, np.linspace(-100e-15, 150e-15, 2001))
-    assert overlap_integral(jsa, DelaySetting(tau=tau_star)).magnitude >= mags.max() - 1e-12
+    tau_star = _half_walkoff(disp)
+    mags = np.abs(overlap_scan(jsa, -100e-15, 0.125e-15, 2001))
+    assert _overlap_at(jsa, tau_star).magnitude >= mags.max() - 1e-12
 
 
 def test_overlap_zero_norm_rejected():
     grid = SpectralGrid(omega_max=1e13, n_points=33)
     jsa = JointSpectralAmplitude(grid=grid, amplitude=np.zeros(33, dtype=complex))
     with pytest.raises(DegenerateDataError):
-        overlap_integral(jsa, DelaySetting(tau=0.0))
+        _overlap_at(jsa, 0.0)
 
 
 def test_overlap_reflection_symmetry():
     # |V(tau)| = |V(delta L - tau)| for symmetric product spectra
     disp, jsa = _paper_jsa()
-    pivot = gvm_delta(disp) * disp.length_L
+    pivot = disp.delta * disp.length_L
     for tau in (0.0, 5e-15, 17e-15, 40e-15):
-        a = overlap_integral(jsa, DelaySetting(tau=tau)).magnitude
-        b = overlap_integral(jsa, DelaySetting(tau=pivot - tau)).magnitude
+        a = _overlap_at(jsa, tau).magnitude
+        b = _overlap_at(jsa, pivot - tau).magnitude
         assert_allclose(a, b, atol=1e-9)
 
 
@@ -95,10 +109,29 @@ def test_overlap_magnitude_grid_refinement_stable():
         length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
     )
     filt = SpectralFilter(shape="gaussian", center_lambda=1550e-9, fwhm_lambda=45e-9)
-    tau = DelaySetting(tau=10e-15)
-    coarse = overlap_integral(build_jsa(disp, filt, default_grid(filt, n_points=4097)), tau)
-    fine = overlap_integral(build_jsa(disp, filt, default_grid(filt, n_points=8193)), tau)
+    coarse = _overlap_at(build_jsa(disp, filt, default_grid(filt, n_points=4097)), 10e-15)
+    fine = _overlap_at(build_jsa(disp, filt, default_grid(filt, n_points=8193)), 10e-15)
     assert abs(fine.magnitude - coarse.magnitude) < 1e-6
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    half=st.integers(1, 600),
+    omega_max=st.floats(1e12, 1e14),
+    tau0_fs=st.floats(-500.0, 500.0),
+    step_fs=st.floats(-2.0, 2.0),
+    n=st.integers(1, 400),
+)
+@settings(max_examples=60, deadline=None)
+def test_overlap_scan_matches_direct_sum(seed, half, omega_max, tau0_fs, step_fs, n):
+    rng = np.random.default_rng(seed)
+    grid = SpectralGrid(omega_max=omega_max, n_points=2 * half + 1)
+    amp = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
+    jsa = JointSpectralAmplitude(grid=grid, amplitude=amp)
+    tau0, step = tau0_fs * 1e-15, step_fs * 1e-15
+    got = overlap_scan(jsa, tau0, step, n)
+    assert got.shape == (n,)
+    assert_allclose(got, _oracle_overlap(jsa, tau0 + step * np.arange(n)), rtol=0.0, atol=1e-12)
 
 
 @given(
@@ -113,7 +146,7 @@ def test_overlap_bounded_by_one(tau_fs, gvd, v_tm):
     )
     filt = SpectralFilter(shape="top_hat", center_lambda=1550e-9, fwhm_lambda=45e-9)
     jsa = build_jsa(disp, filt, default_grid(filt, n_points=1025))
-    ov = overlap_integral(jsa, DelaySetting(tau=tau_fs * 1e-15))
+    ov = _overlap_at(jsa, tau_fs * 1e-15)
     assert ov.magnitude <= 1.0 + 1e-10
 
 
@@ -126,19 +159,19 @@ def test_optimal_delay_zero_without_walkoff():
     )
     filt = SpectralFilter(shape="top_hat", center_lambda=1550e-9, fwhm_lambda=45e-9)
     jsa = build_jsa(disp, filt, default_grid(filt))
-    assert optimal_delay(jsa).tau == 0.0
+    assert optimal_delay(jsa, 0.0).tau == 0.0
 
 
 def test_optimal_delay_half_walkoff_gvd_off():
     disp, jsa = _paper_jsa(gvd=0.0)
-    tau_star = optimal_delay(jsa).tau
-    assert abs(tau_star - gvm_delta(disp) * disp.length_L / 2.0) < 0.1e-15
+    tau_star = optimal_delay(jsa, _half_walkoff(disp)).tau
+    assert abs(tau_star - _half_walkoff(disp)) < 0.1e-15
     assert_allclose(tau_star * 1e15, 22.25, atol=0.1)
 
 
 def test_optimal_delay_full_parameters_against_dense_scan():
-    _, jsa = _paper_jsa()
-    tau_star = optimal_delay(jsa).tau
+    disp, jsa = _paper_jsa()
+    tau_star = optimal_delay(jsa, _half_walkoff(disp)).tau
     assert 20e-15 <= tau_star <= 35e-15
     # independent dense-scan oracle around the found, 0.02 fs resolution
     taus = np.arange(15e-15, 30e-15, 0.02e-15)
@@ -146,10 +179,33 @@ def test_optimal_delay_full_parameters_against_dense_scan():
     assert abs(tau_star - oracle) < 0.1e-15
 
 
-def test_optimal_delay_empty_range():
+def test_optimal_delay_nonfinite_center():
     _, jsa = _paper_jsa()
-    with pytest.raises(ConfigurationError):
-        optimal_delay(jsa, tau_range=(10e-15, 10e-15))
+    for center in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            optimal_delay(jsa, center)
+
+
+def _long_guide_jsa():
+    disp = WaveguideDispersion(
+        length_L=12e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
+    )
+    filt = SpectralFilter(shape="top_hat", center_lambda=1555.9e-9, fwhm_lambda=20e-9)
+    return disp, build_jsa(disp, filt, default_grid(filt))
+
+
+def test_optimal_delay_long_guide_follows_walkoff():
+    # delta*L/2 = 222.47 fs lies outside any fixed +-200 fs window
+    disp, jsa = _long_guide_jsa()
+    tau_star = optimal_delay(jsa, _half_walkoff(disp)).tau
+    assert abs(tau_star * 1e15 - 222.47) <= 0.05
+
+
+def test_optimal_delay_edge_optimum_raises():
+    # centered on 0 the window ends at 200 fs, where |V_int| is still rising
+    _, jsa = _long_guide_jsa()
+    with pytest.raises(DegenerateDataError, match="edge"):
+        optimal_delay(jsa, 0.0)
 
 
 # --- post_selected_state ---------------------------------------------------------
