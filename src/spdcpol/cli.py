@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .config import PRESETS, load_scenario
 from .errors import ConfigurationError, DegenerateDataError
 from .runners import run_budget, run_chsh, run_delay_scan, run_fringe, run_s_curve
@@ -66,16 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_scenario(
-            config_path=args.config, preset=args.preset, seed=args.seed, runs=args.runs
-        )
-        record = _RUNNERS[args.command](cfg)
-        written = record.write(args.out)
-    except ConfigurationError as exc:
-        print(f"CONFIG_ERROR: {exc}", file=sys.stderr)
+        with np.errstate(all="raise", under="ignore"):  # overflow and NaN: exit 3, not a warning
+            cfg = load_scenario(
+                config_path=args.config, preset=args.preset, seed=args.seed, runs=args.runs
+            )
+            record = _RUNNERS[args.command](cfg)
+            written = record.write(args.out)
+    except ConfigurationError as exc:  # messages may quote keys holding line breaks: join them
+        print("CONFIG_ERROR:", *str(exc).splitlines(), file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateDataError, FloatingPointError, ZeroDivisionError) as exc:
-        print(f"NUMERICAL_ERROR: {exc}", file=sys.stderr)
+    except (DegenerateDataError, ArithmeticError) as exc:  # FloatingPointError, OverflowError, ...
+        print("NUMERICAL_ERROR:", *str(exc).splitlines(), file=sys.stderr)
         return EXIT_NUMERICAL
     record.print_summary()
     for path in written:

@@ -2,21 +2,23 @@
 
 One JSON file describes one scenario. A "preset" key (or --preset on the
 command line) expands a named bundle first; explicit keys in the file then
-override it, and command-line --seed/--runs override both. Unknown keys are
-rejected by full path so typos die loudly instead of silently running the
-defaults.
+override it, and command-line --seed/--runs override both.
 
-All interface units are the quoted lab units (nm, fs, ns, mW, degrees,
-ps/(nm km)); conversion to SI happens exactly once, in the accessors here.
+SCHEMA declares every key once. load_scenario checks the assembled scenario
+against it, so an unknown key, a wrong type, an out-of-range value or a scan
+of more than MAX_POINTS points fails at load, naming the key's full path.
+Interface units are the quoted lab units (nm, fs, ns, mW, degrees,
+ps/(nm km)), named in the keys; conversion to SI happens once, here.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -24,66 +26,157 @@ from . import spectral, state as state_mod
 from .counting import DetectorModel
 from .errors import ConfigurationError
 from .polarimetry import ChshSettings
-from .units import deg_to_rad, fs, nm, ns, to_fs
+from .units import deg_to_rad, fs, rad_to_deg, to_fs
 
-__all__ = ["PRESETS", "ScenarioConfig", "load_scenario", "base_config_dict"]
+__all__ = ["PRESETS", "SCHEMA", "ScenarioConfig", "load_scenario", "base_config_dict"]
+
+MAX_POINTS = 2**20  # cap on grid.n_points and on the points of every scan
+
+Check = Callable[[Any, str], None]  # (value, key path); raises ConfigurationError
 
 
-_BASE: dict[str, Any] = {
+def _is_number(value: Any) -> bool:
+    """A finite JSON number: not true/false (type bool), NaN, +-inf or an int beyond float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _check_object(value: Any, checks: dict[str, Check], where: str) -> None:
+    """value must be a JSON object of no other keys than checks, each passing its check."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be an object, got {json.dumps(value)}")
+    for key in value:
+        if key not in checks:
+            raise ConfigurationError(f"unknown config key: {where}.{key}")
+    for key, check in checks.items():
+        check(value.get(key), f"{where}.{key}")
+
+
+def number(interval: str | None = "(-inf, inf)", *also: Any, integer: bool = False) -> Check:
+    """A number (an integer if integer) in interval, written like "[0, 1]", or one of also.
+
+    With interval None only the values in also are allowed.
+    """
+    kinds = [f"{'an integer' if integer else 'a number'} in {interval}"] if interval else []
+    kinds += map(json.dumps, also)
+
+    def check(value: Any, where: str) -> None:
+        if value in also:
+            return
+        if interval and _is_number(value) and (type(value) is int or not integer):
+            low, high = map(float, interval[1:-1].split(","))
+            if (low <= value if interval[0] == "[" else low < value) and (
+                value <= high if interval[-1] == "]" else value < high
+            ):
+                return
+        raise ConfigurationError(f"{where} must be {' or '.join(kinds)}, got {json.dumps(value)}")
+
+    return check
+
+
+def scan(value: Any, where: str) -> None:
+    """{start, stop, step} with stop > start, step > 0 and at most MAX_POINTS points."""
+    _check_object(value, dict.fromkeys(("start", "stop", "step"), number()), where)
+    start, stop, step = value["start"], value["stop"], value["step"]
+    if step <= 0 or stop <= start:
+        raise ConfigurationError(f"{where}: need step > 0 and stop > start")
+    # np.arange(start, stop + step / 2, step) has ceil of this many points; inf fails, too
+    if not (stop + 0.5 * step - start) / step <= MAX_POINTS:
+        raise ConfigurationError(f"{where} spans more than {MAX_POINTS} points")
+
+
+CHSH_ANGLES = ("theta1", "theta1p", "theta2", "theta2p")
+
+
+def chsh_angles(value: Any, where: str) -> None:
+    """null, or the four analyzer angles of a CHSH measurement."""
+    if value is not None:
+        _check_object(value, dict.fromkeys(CHSH_ANGLES, number()), where)
+
+
+def fringe_table_name(theta1: float) -> str:
+    """Name of the fringe table at arm-1 angle theta1 (radians)."""
+    return f"theta1_{rad_to_deg(theta1):g}"
+
+
+def fringe_angles(value: Any, where: str) -> None:
+    """A non-empty list of angles (degrees) whose fringe tables have distinct names."""
+    if not isinstance(value, list) or not value or not all(map(_is_number, value)):
+        raise ConfigurationError(
+            f"{where} must be a non-empty list of numbers, got {json.dumps(value)}"
+        )
+    names = [fringe_table_name(deg_to_rad(v)) for v in value]
+    if len(set(names)) < len(names):
+        raise ConfigurationError(f"{where}: two angles give one fringe table name in {names}")
+
+
+class Key(NamedTuple):
+    """One scenario key. A key that is one field of a domain object names that
+    field and the factor from its unit to SI (None: passed through as is)."""
+
+    default: Any
+    check: Check
+    field: str | None = None
+    si: float | None = 1.0
+
+
+NULL_OR_NUMBER = number("(-inf, inf)", None)
+SHAPES = [shape.value for shape in spectral.FilterShape]
+
+SCHEMA: dict[str, dict[str, Key]] = {
     "dispersion": {
-        "length_mm": 1.2,
-        "v_te_m_per_s": 8.98e7,
-        "v_tm_m_per_s": 9.01e7,
-        "gvd_D_ps_nm_km": -790.0,
-        "lambda_deg_nm": 1555.9,
-        "delta0_per_m": 0.0,
+        "length_mm": Key(1.2, number(), "length_L", 1e-3),
+        "v_te_m_per_s": Key(8.98e7, number(), "v_te"),
+        "v_tm_m_per_s": Key(9.01e7, number(), "v_tm"),
+        "gvd_D_ps_nm_km": Key(-790.0, number(), "gvd_D", 1e-6),  # ps/(nm km) -> s/m^2
+        "lambda_deg_nm": Key(1555.9, number(), "lambda_deg", 1e-9),
+        "delta0_per_m": Key(0.0, number(), "delta0"),
     },
     "filter": {
-        "shape": "top_hat",
-        "center_nm": 1550.0,
-        "fwhm_nm": 45.0,
+        "shape": Key("top_hat", number(None, *SHAPES), "shape", None),
+        "center_nm": Key(1550.0, number(), "center_lambda", 1e-9),
+        "fwhm_nm": Key(45.0, number(), "fwhm_lambda", 1e-9),
     },
     "grid": {
-        "omega_max_rad_s": None,  # null -> 3x the filter's angular half-width
-        "n_points": 8193,
+        "omega_max_rad_s": Key(None, NULL_OR_NUMBER),  # null -> 3x the filter's angular half-width
+        "n_points": Key(8193, number(f"[3, {MAX_POINTS}]", integer=True)),
     },
     "state": {
-        "tau_fs": "optimize",  # number, or "optimize"
-        "phi_bs_rad": 0.0,
-        "coherence": None,  # when set, bypass the spectral pipeline
-        "visibility_z": None,  # with visibility_d: two-visibility state
-        "visibility_d": None,
+        "tau_fs": Key("optimize", number("(-inf, inf)", "optimize")),
+        "phi_bs_rad": Key(0.0, number()),
+        "coherence": Key(None, NULL_OR_NUMBER),  # when set, bypass the spectral pipeline
+        "visibility_z": Key(None, NULL_OR_NUMBER),  # with visibility_d: two-visibility state
+        "visibility_d": Key(None, NULL_OR_NUMBER),
     },
     "detector": {
-        "trigger_rate_hz": 1.0e5,
-        "gate_width_ns": 100.0,
-        "coincidence_window_ns": 3.0,
-        "efficiency_1": 0.25,
-        "efficiency_2": 0.25,
-        "singles_rate_1_hz": 3550.0,
-        "singles_rate_2_hz": 6200.0,
-        "accidental_calibration": 1.0,
+        "trigger_rate_hz": Key(1.0e5, number(), "trigger_rate"),
+        "gate_width_ns": Key(100.0, number(), "gate_width", 1e-9),
+        "coincidence_window_ns": Key(3.0, number(), "coincidence_window", 1e-9),
+        "efficiency_1": Key(0.25, number(), "efficiency_1"),
+        "efficiency_2": Key(0.25, number(), "efficiency_2"),
+        "singles_rate_1_hz": Key(3550.0, number(), "singles_rate_1"),
+        "singles_rate_2_hz": Key(6200.0, number(), "singles_rate_2"),
+        "accidental_calibration": Key(1.0, number(), "accidental_calibration"),
     },
     "run": {
-        "pair_rate_hz": 6.0,
-        "integration_time_s": 60.0,
-        "seed": 12345,
-        "runs": 1,
-        "fringe_theta1_deg": [0.0, 45.0],
-        "fringe_theta2_deg": {"start": 0.0, "stop": 360.0, "step": 10.0},
-        "s_curve_theta_deg": {"start": -90.0, "stop": 90.0, "step": 2.5},
-        "chsh_theta_deg": 22.5,
-        "chsh_angles_deg": None,  # optional {theta1, theta1p, theta2, theta2p}
-        "delay_scan_fs": {"start": -200.0, "stop": 200.0, "step": 0.5},
+        "pair_rate_hz": Key(6.0, number("[0, inf)")),
+        "integration_time_s": Key(60.0, number("(0, inf)")),
+        "seed": Key(12345, number("[0, inf)", integer=True)),
+        "runs": Key(1, number("[1, inf)", integer=True)),
+        "fringe_theta1_deg": Key([0.0, 45.0], fringe_angles),
+        "fringe_theta2_deg": Key({"start": 0.0, "stop": 360.0, "step": 10.0}, scan),
+        "s_curve_theta_deg": Key({"start": -90.0, "stop": 90.0, "step": 2.5}, scan),
+        "chsh_theta_deg": Key(22.5, number()),
+        "chsh_angles_deg": Key(None, chsh_angles),
+        "delay_scan_fs": Key({"start": -200.0, "stop": 200.0, "step": 0.5}, scan),
     },
-    "budget": {
-        "pump_power_mw": 13.0,
-        "objective_transmission": 0.70,
-        "facet_transmission": 0.73,
-        "modal_overlap": 0.20,
-        "collection_transmission_per_arm": 0.10,
-        "measured_cc_rate_hz": 0.3,
-        "pump_lambda_nm": 777.95,
+    "budget": {  # budget_inputs: the keyword arguments of counting.efficiency_budget
+        "pump_power_mw": Key(13.0, number("[0, inf)"), "pump_power_in", 1e-3),
+        "objective_transmission": Key(0.70, number("[0, 1]"), "objective_T"),
+        "facet_transmission": Key(0.73, number("[0, 1]"), "facet_T"),
+        "modal_overlap": Key(0.20, number("[0, 1]"), "overlap"),
+        "collection_transmission_per_arm": Key(0.10, number("[0, 1]"), "collection_T_per_arm"),
+        "measured_cc_rate_hz": Key(0.3, number("[0, inf)"), "measured_cc_rate"),
+        "pump_lambda_nm": Key(777.95, number("(0, inf)"), "pump_lambda", 1e-9),
     },
 }
 
@@ -119,21 +212,11 @@ PRESETS: dict[str, dict[str, Any]] = {
 
 
 def base_config_dict() -> dict[str, Any]:
-    """Deep copy of the built-in default scenario."""
-    return copy.deepcopy(_BASE)
-
-
-def _reject_constant(name: str) -> None:
-    raise ConfigurationError(f"config values must be finite numbers, got {name}")
-
-
-def _check_unknown_keys(data: dict[str, Any], reference: dict[str, Any], path: str = "") -> None:
-    for key, value in data.items():
-        where = f"{path}.{key}" if path else key
-        if key not in reference:
-            raise ConfigurationError(f"unknown config key: {where}")
-        if isinstance(reference[key], dict) and reference[key] and isinstance(value, dict):
-            _check_unknown_keys(value, reference[key], where)
+    """The built-in default scenario, a fresh copy on each call."""
+    return {
+        block: {name: copy.deepcopy(key.default) for name, key in keys.items()}
+        for block, keys in SCHEMA.items()
+    }
 
 
 def _merge(base: dict[str, Any], override: dict[str, Any]) -> None:
@@ -144,20 +227,8 @@ def _merge(base: dict[str, Any], override: dict[str, Any]) -> None:
             base[key] = value
 
 
-def _integer(value: Any, where: str, minimum: int) -> int:
-    """A JSON integer (not a bool or a float) of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigurationError(f"{where} must be an integer of at least {minimum}, got {value!r}")
-    return value
-
-
-def _angle_grid(block: dict[str, Any], where: str) -> np.ndarray:
-    try:
-        start, stop, step = float(block["start"]), float(block["stop"]), float(block["step"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{where} must hold numeric start/stop/step: {exc}") from exc
-    if step <= 0 or stop <= start:
-        raise ConfigurationError(f"{where}: need step > 0 and stop > start")
+def _scan_values(block: dict[str, Any]) -> np.ndarray:
+    start, stop, step = float(block["start"]), float(block["stop"]), float(block["step"])
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -167,41 +238,26 @@ class ScenarioConfig:
 
     data: dict[str, Any]
 
+    def _si(self, block: str) -> dict[str, Any]:
+        """The block as the keyword arguments of its domain object, in SI units."""
+        values = self.data[block]
+        return {
+            key.field: values[name] if key.si is None else float(values[name]) * key.si
+            for name, key in SCHEMA[block].items()
+        }
+
     # -- spectral ------------------------------------------------------------
     def dispersion(self) -> spectral.WaveguideDispersion:
-        d = self.data["dispersion"]
-        try:
-            return spectral.WaveguideDispersion(
-                length_L=float(d["length_mm"]) * 1e-3,
-                v_te=float(d["v_te_m_per_s"]),
-                v_tm=float(d["v_tm_m_per_s"]),
-                gvd_D=float(d["gvd_D_ps_nm_km"]) * 1e-6,  # ps/(nm km) -> s/m^2
-                lambda_deg=nm(float(d["lambda_deg_nm"])),
-                delta0=float(d["delta0_per_m"]),
-            )
-        except ValueError as exc:
-            raise ConfigurationError(f"dispersion: {exc}") from exc
+        return spectral.WaveguideDispersion(**self._si("dispersion"))
 
     def spectral_filter(self) -> spectral.SpectralFilter:
-        f = self.data["filter"]
-        try:
-            return spectral.SpectralFilter(
-                shape=f["shape"],
-                center_lambda=nm(float(f["center_nm"])),
-                fwhm_lambda=nm(float(f["fwhm_nm"])),
-            )
-        except ValueError as exc:
-            raise ConfigurationError(f"filter: {exc}") from exc
+        return spectral.SpectralFilter(**self._si("filter"))
 
     def grid(self) -> spectral.SpectralGrid:
         g = self.data["grid"]
-        n_points = _integer(g["n_points"], "grid.n_points", 3)
-        try:
-            if g["omega_max_rad_s"] is None:
-                return spectral.default_grid(self.spectral_filter(), n_points=n_points)
-            return spectral.SpectralGrid(float(g["omega_max_rad_s"]), n_points)
-        except ValueError as exc:
-            raise ConfigurationError(f"grid: {exc}") from exc
+        if g["omega_max_rad_s"] is None:
+            return spectral.default_grid(self.spectral_filter(), n_points=g["n_points"])
+        return spectral.SpectralGrid(float(g["omega_max_rad_s"]), g["n_points"])
 
     def build_jsa(self) -> spectral.JointSpectralAmplitude:
         return spectral.build_jsa(self.dispersion(), self.spectral_filter(), self.grid())
@@ -210,69 +266,43 @@ class ScenarioConfig:
     def phi_bs(self) -> float:
         return float(self.data["state"]["phi_bs_rad"])
 
-    def configured_delay(self) -> float | None:
-        """state.tau_fs in seconds, or None for "optimize"."""
-        tau = self.data["state"]["tau_fs"]
-        if tau == "optimize":
-            return None
-        if isinstance(tau, bool) or not isinstance(tau, (int, float)):
-            raise ConfigurationError(f'state.tau_fs must be a number or "optimize", got {tau!r}')
-        return fs(float(tau))
+    def _override_state(self) -> tuple[state_mod.TwoQubitState, dict[str, Any]] | None:
+        """The state set directly by the visibility pair or the coherence, if either is."""
+        s = self.data["state"]
+        if s["visibility_z"] is not None:
+            v_z, v_d = float(s["visibility_z"]), float(s["visibility_d"])
+            info = {"state_source": "visibility_override", "visibility_z": v_z, "visibility_d": v_d}
+            return state_mod.visibility_state(v_z, v_d, self.phi_bs()), info
+        if s["coherence"] is not None:
+            c = float(s["coherence"])
+            info = {"state_source": "coherence_override", "coherence": c}
+            return state_mod.post_selected_state(c, self.phi_bs()), info
+        return None
 
     def resolve_state(self) -> tuple[state_mod.TwoQubitState, dict[str, Any]]:
         """Two-qubit state plus a scalar report of how it was obtained."""
-        s = self.data["state"]
-        info: dict[str, Any] = {}
-        try:
-            if s["visibility_z"] is not None or s["visibility_d"] is not None:
-                if s["visibility_z"] is None or s["visibility_d"] is None:
-                    raise ConfigurationError(
-                        "state: visibility_z and visibility_d must be set together"
-                    )
-                v_z, v_d = float(s["visibility_z"]), float(s["visibility_d"])
-                info["state_source"] = "visibility_override"
-                info["visibility_z"] = v_z
-                info["visibility_d"] = v_d
-                return state_mod.visibility_state(v_z, v_d, self.phi_bs()), info
-            if s["coherence"] is not None:
-                c = float(s["coherence"])
-                info["state_source"] = "coherence_override"
-                info["coherence"] = c
-                return state_mod.post_selected_state(c, self.phi_bs()), info
-        except ValueError as exc:
-            raise ConfigurationError(f"state: {exc}") from exc
-
+        override = self._override_state()
+        if override is not None:
+            return override
         disp = self.dispersion()
         jsa = self.build_jsa()
-        tau = self.configured_delay()
-        if tau is None:
+        tau = self.data["state"]["tau_fs"]
+        if tau == "optimize":
             delay = state_mod.optimal_delay(jsa, disp.delta * disp.length_L / 2)
-            info["tau_source"] = "optimized"
         else:
-            delay = state_mod.DelaySetting(tau=tau)
-            info["tau_source"] = "configured"
+            delay = state_mod.DelaySetting(tau=fs(float(tau)))
         overlap = state_mod.OverlapResult(state_mod.overlap_scan(jsa, delay.tau, 0.0, 1)[0])
-        info["state_source"] = "spectral_model"
-        info["tau_fs"] = to_fs(delay.tau)
-        info["v_int_abs"] = overlap.magnitude
+        info = {
+            "tau_source": "optimized" if tau == "optimize" else "configured",
+            "state_source": "spectral_model",
+            "tau_fs": to_fs(delay.tau),
+            "v_int_abs": overlap.magnitude,
+        }
         return state_mod.post_selected_state(overlap, self.phi_bs()), info
 
     # -- detector / run --------------------------------------------------------
     def detector(self) -> DetectorModel:
-        d = self.data["detector"]
-        try:
-            return DetectorModel(
-                trigger_rate=float(d["trigger_rate_hz"]),
-                gate_width=ns(float(d["gate_width_ns"])),
-                coincidence_window=ns(float(d["coincidence_window_ns"])),
-                efficiency_1=float(d["efficiency_1"]),
-                efficiency_2=float(d["efficiency_2"]),
-                singles_rate_1=float(d["singles_rate_1_hz"]),
-                singles_rate_2=float(d["singles_rate_2_hz"]),
-                accidental_calibration=float(d["accidental_calibration"]),
-            )
-        except ValueError as exc:
-            raise ConfigurationError(f"detector: {exc}") from exc
+        return DetectorModel(**self._si("detector"))
 
     def pair_rate(self) -> float:
         return float(self.data["run"]["pair_rate_hz"])
@@ -281,88 +311,59 @@ class ScenarioConfig:
         return float(self.data["run"]["integration_time_s"])
 
     def seed(self) -> int:
-        return _integer(self.data["run"]["seed"], "run.seed", 0)
+        return self.data["run"]["seed"]
 
     def runs(self) -> int:
-        return _integer(self.data["run"]["runs"], "run.runs", 1)
+        return self.data["run"]["runs"]
 
     def fringe_theta1(self) -> list[float]:
-        angles = self.data["run"]["fringe_theta1_deg"]
-        if not isinstance(angles, list):
-            raise ConfigurationError(f"run.fringe_theta1_deg must be a list, got {angles!r}")
-        try:
-            return [deg_to_rad(float(t)) for t in angles]
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"run.fringe_theta1_deg: {exc}") from exc
+        return [deg_to_rad(float(t)) for t in self.data["run"]["fringe_theta1_deg"]]
 
     def fringe_theta2_grid(self) -> np.ndarray:
-        grid_deg = _angle_grid(self.data["run"]["fringe_theta2_deg"], "run.fringe_theta2_deg")
-        return np.radians(grid_deg)
+        return np.radians(_scan_values(self.data["run"]["fringe_theta2_deg"]))
 
     def s_curve_grid(self) -> np.ndarray:
-        grid_deg = _angle_grid(self.data["run"]["s_curve_theta_deg"], "run.s_curve_theta_deg")
-        return np.radians(grid_deg)
+        return np.radians(_scan_values(self.data["run"]["s_curve_theta_deg"]))
 
     def delay_scan_grid_s(self) -> tuple[np.ndarray, float]:
         """Configured delays (s) and their step (s)."""
         block = self.data["run"]["delay_scan_fs"]
-        return fs(1.0) * _angle_grid(block, "run.delay_scan_fs"), fs(float(block["step"]))
+        return fs(1.0) * _scan_values(block), fs(float(block["step"]))
 
     def chsh_settings(self) -> ChshSettings:
         angles = self.data["run"]["chsh_angles_deg"]
         if angles is None:
             return ChshSettings.canonical(deg_to_rad(float(self.data["run"]["chsh_theta_deg"])))
-        try:
-            return ChshSettings(
-                theta1=deg_to_rad(float(angles["theta1"])),
-                theta1p=deg_to_rad(float(angles["theta1p"])),
-                theta2=deg_to_rad(float(angles["theta2"])),
-                theta2p=deg_to_rad(float(angles["theta2p"])),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"run.chsh_angles_deg: {exc}") from exc
+        return ChshSettings(**{name: deg_to_rad(float(deg)) for name, deg in angles.items()})
 
     # -- budget ----------------------------------------------------------------
     def budget_inputs(self) -> dict[str, float]:
-        b = self.data["budget"]
-        return {
-            "pump_power_in": float(b["pump_power_mw"]) * 1e-3,
-            "objective_T": float(b["objective_transmission"]),
-            "facet_T": float(b["facet_transmission"]),
-            "overlap": float(b["modal_overlap"]),
-            "collection_T_per_arm": float(b["collection_transmission_per_arm"]),
-            "measured_cc_rate": float(b["measured_cc_rate_hz"]),
-            "pump_lambda": nm(float(b["pump_lambda_nm"])),
-        }
+        return self._si("budget")
 
     def to_dict(self) -> dict[str, Any]:
         """Fully resolved echo, suitable for byte-identical re-runs."""
         return copy.deepcopy(self.data)
 
     def validate(self) -> None:
-        """Construct every domain object once so bad values fail at load."""
-        self.dispersion()
-        self.spectral_filter()
-        self.grid()
-        self.detector()
-        self.fringe_theta1()
-        self.fringe_theta2_grid()
-        self.s_curve_grid()
-        self.delay_scan_grid_s()
-        self.chsh_settings()
-        self.budget_inputs()
-        if self.pair_rate() < 0:
-            raise ConfigurationError("run.pair_rate_hz must be nonnegative")
-        if self.integration_time() <= 0:
-            raise ConfigurationError("run.integration_time_s must be positive")
-        self.seed()
-        self.runs()
+        """Rules that span keys; then each domain object, built once, checks its own ranges."""
         s = self.data["state"]
+        if (s["visibility_z"] is None) != (s["visibility_d"] is None):
+            raise ConfigurationError("state.visibility_z and visibility_d must be set together")
         if s["coherence"] is not None and s["visibility_z"] is not None:
             raise ConfigurationError(
                 "state: coherence and visibility_z/visibility_d are mutually exclusive"
             )
-        self.configured_delay()
+        for block, build in (
+            ("dispersion", self.dispersion),
+            ("filter", self.spectral_filter),
+            ("grid", self.grid),
+            ("detector", self.detector),
+            ("state", self._override_state),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigurationError(f"{block}: {exc}") from exc
 
 
 def load_scenario(
@@ -380,29 +381,30 @@ def load_scenario(
         if not path.is_file():
             raise ConfigurationError(f"config file not found: {path}")
         try:
-            file_dict = json.loads(path.read_text(), parse_constant=_reject_constant)
+            file_dict = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_dict, dict):
             raise ConfigurationError(f"config file {path} must hold a JSON object")
 
-    preset_name = preset if preset is not None else file_dict.pop("preset", None)
-    if preset is not None and "preset" in file_dict:
-        file_dict.pop("preset")
+    file_preset = file_dict.pop("preset", None)
+    preset_name = preset if preset is not None else file_preset
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             raise ConfigurationError(
                 f"unknown preset {preset_name!r}; available: {', '.join(sorted(PRESETS))}"
             )
         _merge(data, copy.deepcopy(PRESETS[preset_name]))
 
-    _check_unknown_keys(file_dict, _BASE)
     _merge(data, file_dict)
-
-    if seed is not None:
-        data["run"]["seed"] = int(seed)
-    if runs is not None:
-        data["run"]["runs"] = int(runs)
+    for block in data:
+        if block not in SCHEMA:
+            raise ConfigurationError(f"unknown config key: {block}")
+        _check_object(data[block], {name: key.check for name, key in SCHEMA[block].items()}, block)
+    for key, value in (("seed", seed), ("runs", runs)):
+        if value is not None:
+            SCHEMA["run"][key].check(int(value), f"run.{key}")
+            data["run"][key] = int(value)
 
     cfg = ScenarioConfig(data=data)
     cfg.validate()

@@ -110,7 +110,10 @@ def mean_counts(
 
 def poisson_counts(means: ArrayLike, seed: int) -> NDArray[np.int64]:
     """Independent Poisson draws, one per mean. Same seed, same output."""
-    return np.random.default_rng(seed).poisson(means)
+    try:
+        return np.random.default_rng(seed).poisson(means)
+    except ValueError as exc:  # a mean that is negative, NaN or beyond about 9.2e18
+        raise DegenerateDataError(f"cannot draw Poisson counts: {exc}") from exc
 
 
 def measure_accidentals(

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, fringe_table_name
 from .counting import (
     accidental_rate,
     chsh_from_counts,
@@ -174,19 +174,18 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
                 first_counts = (raw, acc_counts, sub)
         assert first_counts is not None
         raw0, acc0, sub0 = first_counts
-        theta1_deg = rad_to_deg(theta1)
         rows = [
             [grid_deg[k], fringe.probabilities[k], int(raw0[k]), int(acc0[k]), sub0[k]]
             for k in range(grid.size)
         ]
         record.add_table(
-            f"theta1_{theta1_deg:g}",
+            fringe_table_name(theta1),
             ["theta2_deg", "prob_model", "counts_raw", "counts_acc", "counts_sub"],
             rows,
         )
         bases.append(
             {
-                "theta1_deg": theta1_deg,
+                "theta1_deg": rad_to_deg(theta1),
                 "visibility_model": fringe.visibility,
                 "visibility_raw_fit_mean": float(np.mean(vis_raw)),
                 "visibility_raw_fit_std": float(np.std(vis_raw)),

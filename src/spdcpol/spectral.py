@@ -144,6 +144,8 @@ class SpectralFilter:
             raise ValueError(f"fwhm_lambda must be positive, got {self.fwhm_lambda}")
         if self.center_lambda <= 0:
             raise ValueError(f"center_lambda must be positive, got {self.center_lambda}")
+        if self.fwhm_lambda >= 2.0 * self.center_lambda:
+            raise ValueError("filter band extends to non-positive wavelengths")
 
     def band_edges_lambda(self) -> tuple[float, float]:
         """Half-maximum band edges in wavelength (m), (low, high)."""
@@ -153,8 +155,6 @@ class SpectralFilter:
     def band_edges_omega(self) -> tuple[float, float]:
         """Half-maximum band edges in angular frequency (rad/s), (low, high)."""
         lam_lo, lam_hi = self.band_edges_lambda()
-        if lam_lo <= 0:
-            raise ValueError("filter band extends to non-positive wavelengths")
         return omega_from_lambda(lam_hi), omega_from_lambda(lam_lo)
 
 

@@ -150,8 +150,8 @@ def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> DelaySetting:
     derivative methods. An optimum on the window edge raises
     DegenerateDataError rather than being reported.
     """
-    if not np.isfinite(center):
-        raise ConfigurationError(f"delay window center must be finite, got {center}")
+    if not np.isfinite(center / DELAY_STEP):  # the window must be countable in steps
+        raise ConfigurationError(f"delay window center {center} s is beyond 0.1 fs steps")
     half = round(DELAY_HALF_WIDTH / DELAY_STEP)
     first = round(center / DELAY_STEP) - half
     mags = np.abs(overlap_scan(jsa, first * DELAY_STEP, DELAY_STEP, 2 * half + 1))
@@ -225,16 +225,14 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 def concurrence(state: TwoQubitState) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
-    Eigenvalues of rho * (sy x sy) * rho^* * (sy x sy), square-rooted and
-    sorted descending; C = max(0, l1 - l2 - l3 - l4).
+    C = max(0, l1 - l2 - l3 - l4) over the descending singular values of
+    sqrt(rho) (sy x sy) sqrt(rho)^*, rho's eigenvalues clipped at 0 (Wootters,
+    PRL 80, 2245, 1998): full precision near pure states, unlike square roots
+    of the roundoff-sized eigenvalues of rho (sy x sy) rho^* (sy x sy).
     """
-    rho = state.rho
-    eigs = np.linalg.eigvalsh(rho)
+    eigs, vecs = np.linalg.eigh(state.rho)
     if eigs.min() < PSD_EIG_FLOOR:
         raise ValueError(f"state is not positive semidefinite: min eigenvalue {eigs.min():.3e}")
-    r = rho @ _YY @ rho.conj() @ _YY
-    lam = np.linalg.eigvals(r)
-    # tiny negative excursions come from roundoff only
-    lam = np.sqrt(np.abs(np.real(lam)))
-    lam.sort()
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+    sqrt_rho = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
+    lam = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

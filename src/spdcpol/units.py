@@ -3,7 +3,8 @@
 The physics modules work in SI throughout (meters, seconds, rad/s, watts).
 Interfaces accept the units experimentalists quote: nm, fs, ns, mW,
 ps/(nm km) for the dispersion parameter, and degrees for analyzer angles.
-Conversions happen once, here, at the boundary.
+Conversions happen once, at the boundary: here and in the SI factors of
+the scenario schema (spdcpol.config.SCHEMA).
 """
 
 import math
@@ -11,11 +12,6 @@ import math
 C_LIGHT = 299_792_458.0  # vacuum speed of light, m/s
 HBAR = 1.054_571_817e-34  # reduced Planck constant, J s
 TWO_PI = 2.0 * math.pi
-
-
-def nm(value: float) -> float:
-    """Nanometers to meters."""
-    return value * 1e-9
 
 
 def fs(value: float) -> float:
@@ -26,11 +22,6 @@ def fs(value: float) -> float:
 def to_fs(seconds: float) -> float:
     """Seconds to femtoseconds."""
     return seconds * 1e15
-
-
-def ns(value: float) -> float:
-    """Nanoseconds to seconds."""
-    return value * 1e-9
 
 
 def deg_to_rad(value: float) -> float:

@@ -1,9 +1,15 @@
+import copy
 import csv
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spdcpol import cli
+from spdcpol.config import base_config_dict
 
 
 def run_cli(*args, cwd=None):
@@ -226,3 +232,64 @@ def test_all_subcommands_exist(command):
     result = run_cli(command, "--help")
     assert result.returncode == 0
     assert "--config" in result.stdout and "--preset" in result.stdout
+
+
+# --- random scenarios, in process -------------------------------------------------
+
+_SCALARS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.integers(max_value=-1),
+    st.floats(min_value=1e15),  # huge, up to Infinity
+    st.floats(max_value=-1e15),
+    st.floats(min_value=-1e-15, max_value=1e-15),  # tiny, subnormals and zeros
+    st.just(float("nan")),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    for key, value in node.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _paths(value, (*prefix, key))
+
+
+_BASE = base_config_dict()
+_BASE["grid"]["n_points"] = 1025  # keeps each spectral-state run at a few ms
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["fringe", "delay-scan", "chsh", "s-curve", "budget"]),
+    edits=st.lists(st.tuples(st.sampled_from(list(_paths(_BASE))), _JSON), min_size=1, max_size=3),
+)
+def test_random_scenarios_exit_0_2_or_3(tmp_path, capsys, command, edits):
+    # 1-3 leaves or whole blocks of the defaults replaced by random JSON; the
+    # strategy draws no positive integers, so runs stays 1 and point counts small
+    scenario = copy.deepcopy(_BASE)
+    for path, value in edits:
+        node = scenario
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node[path[-1]] = value
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario))
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("CONFIG_ERROR:" if code == 2 else "NUMERICAL_ERROR:")

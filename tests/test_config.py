@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -69,20 +70,57 @@ def test_cli_overrides_take_precedence(tmp_path):
 
 
 def test_invalid_values_fail_at_load(tmp_path):
+    # (scenario file, the key path the error names)
+    angles = {"theta1": 0, "theta1p": -45, "theta2": 22.5, "theta2p": 67.5}
     cases = [
-        {"dispersion": {"length_mm": -1.0}},
-        {"grid": {"omega_max_rad_s": 1e13, "n_points": 8192}},
-        {"grid": {"n_points": 8193.5}},
-        {"state": {"tau_fs": "optimise"}},
-        {"state": {"tau_fs": None}},
-        {"run": {"integration_time_s": 0.0}},
-        {"state": {"coherence": 0.5, "visibility_z": 0.8, "visibility_d": 0.7}},
-        {"filter": {"shape": "brick_wall"}},
+        ({"dispersion": {"length_mm": -1.0}}, "dispersion"),
+        ({"grid": {"omega_max_rad_s": 1e13, "n_points": 8192}}, "grid"),
+        ({"grid": {"n_points": 8193.5}}, "grid.n_points"),
+        ({"state": {"tau_fs": "optimise"}}, "state.tau_fs"),
+        ({"state": {"tau_fs": None}}, "state.tau_fs"),
+        ({"run": {"integration_time_s": 0.0}}, "run.integration_time_s"),
+        ({"state": {"coherence": 0.5, "visibility_z": 0.8, "visibility_d": 0.7}}, "state"),
+        ({"filter": {"shape": "brick_wall"}}, "filter.shape"),
+        # non-numeric values, wrong containers and whole blocks of the wrong type
+        ({"run": {"pair_rate_hz": "x"}}, "run.pair_rate_hz"),
+        ({"run": {"integration_time_s": "x"}}, "run.integration_time_s"),
+        ({"budget": {"pump_power_mw": "x"}}, "budget.pump_power_mw"),
+        ({"state": {"phi_bs_rad": "x"}}, "state.phi_bs_rad"),
+        ({"run": {"chsh_theta_deg": "x"}}, "run.chsh_theta_deg"),
+        ({"filter": {"center_nm": [1]}}, "filter.center_nm"),
+        ({"detector": "abc"}, "detector"),
+        ({"run": None}, "run"),
+        # JSON true/false are not numbers
+        ({"dispersion": {"length_mm": True}}, "dispersion.length_mm"),
+        ({"run": {"fringe_theta1_deg": [True]}}, "run.fringe_theta1_deg"),
+        # scans and grids beyond MAX_POINTS points
+        ({"run": {"delay_scan_fs": {"step": 1e-12}}}, "run.delay_scan_fs"),
+        ({"grid": {"n_points": 2000000001}}, "grid.n_points"),
+        ({"run": {"s_curve_theta_deg": {"start": 0, "stop": 1e300, "step": 1e-300}}},
+         "run.s_curve_theta_deg"),
+        ({"run": {"fringe_theta2_deg": {"start": 0, "stop": 360, "stp": 10}}},
+         "run.fringe_theta2_deg.stp"),
+        # ranges no domain object enforces
+        ({"budget": {"pump_lambda_nm": 0}}, "budget.pump_lambda_nm"),
+        ({"budget": {"objective_transmission": 1.4}}, "budget.objective_transmission"),
+        ({"filter": {"fwhm_nm": 3200.0}, "grid": {"omega_max_rad_s": 1e14}}, "filter"),
+        # the state block under every subcommand
+        ({"state": {"visibility_z": 0.8}}, "state.visibility_z"),
+        ({"state": {"visibility_z": 0.2, "visibility_d": 0.9}}, "state"),
+        ({"state": {"coherence": 1.5}}, "state"),
+        # explicit CHSH angles: exactly the four keys
+        ({"run": {"chsh_angles_deg": {**angles, "theta3": 1.0}}}, "run.chsh_angles_deg.theta3"),
+        ({"run": {"chsh_angles_deg": {"theta1": 0}}}, "run.chsh_angles_deg.theta1p"),
+        # one fringe table per angle, each with its own name
+        ({"run": {"fringe_theta1_deg": []}}, "run.fringe_theta1_deg"),
+        ({"run": {"fringe_theta1_deg": [0, 0]}}, "run.fringe_theta1_deg"),
+        ({"run": {"fringe_theta1_deg": [45, 45.0000001]}}, "run.fringe_theta1_deg"),
+        ({"preset": ["paper-ideal"]}, "preset"),
     ]
-    for case in cases:
+    for case, where in cases:
         path = tmp_path / "case.json"
         path.write_text(json.dumps(case))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=re.escape(where)):
             load_scenario(config_path=path)
 
 
@@ -100,9 +138,8 @@ def test_state_tau_string_only_optimize(tmp_path):
 def test_visibility_override_needs_both(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"state": {"visibility_z": 0.8}}))
-    cfg = load_scenario(config_path=path)
     with pytest.raises(ConfigurationError, match="together"):
-        cfg.resolve_state()
+        load_scenario(config_path=path)
 
 
 def test_angle_grids_resolved_in_radians():

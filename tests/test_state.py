@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -233,10 +233,15 @@ def test_splitter_phase_rotates_coherence():
 
 
 @given(st.complex_numbers(max_magnitude=1.0, allow_infinity=False, allow_nan=False))
+@example(0.5)
+@example(0.9)
+@example(0.99999)
+@example(0.99999998)
+@example(1.0)
 @settings(max_examples=200, deadline=None)
 def test_post_selected_state_valid_and_concurrence_matches(v):
     state = post_selected_state(v)  # constructor enforces Hermitian/trace/PSD
-    assert_allclose(concurrence(state), abs(v), atol=1e-9)
+    assert_allclose(concurrence(state), abs(v), rtol=0.0, atol=1e-14)
 
 
 def test_state_validation_rejects_bad_matrices():
@@ -278,6 +283,24 @@ def _oracle_concurrence(rho):
     lam = np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None))
     lam.sort()
     return max(0.0, lam[3] - lam[2] - lam[1] - lam[0])
+
+
+def _x_state_concurrence(rho):
+    """Closed form for X-states: 2 max(0, |rho_HV,VH| - sqrt(rho_HH rho_VV),
+    |rho_HH,VV| - sqrt(rho_HV rho_VH))."""
+    p = np.diag(rho).real
+    return 2.0 * max(
+        0.0, abs(rho[1, 2]) - np.sqrt(p[0] * p[3]), abs(rho[0, 3]) - np.sqrt(p[1] * p[2])
+    )
+
+
+def test_concurrence_matches_x_state_closed_form():
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        v_z = rng.uniform(-1, 1)
+        v_d = rng.uniform(0, 0.5 * (1 + v_z))
+        state = visibility_state(v_z, v_d, phi_bs=rng.uniform(0, 2 * np.pi))
+        assert_allclose(concurrence(state), _x_state_concurrence(state.rho), rtol=0.0, atol=1e-14)
 
 
 def test_concurrence_maximally_entangled():
