@@ -108,8 +108,13 @@ def mean_counts(
     return (pair_rate * np.asarray(probs, dtype=float) + accidental_rate(model)) * integration_time
 
 
-def poisson_counts(means: ArrayLike, seed: int) -> NDArray[np.int64]:
-    """Independent Poisson draws, one per mean. Same seed, same output."""
+def poisson_counts(means: ArrayLike, seed: int | np.random.Generator) -> NDArray[np.int64]:
+    """Independent Poisson draws, one per mean. Same seed, same output.
+
+    A Generator is drawn from in place, so consecutive calls continue one
+    stream: drawing rows in blocks gives the same counts as drawing them
+    all at once.
+    """
     try:
         return np.random.default_rng(seed).poisson(means)
     except ValueError as exc:  # a mean that is negative, NaN or beyond about 9.2e18
@@ -117,9 +122,12 @@ def poisson_counts(means: ArrayLike, seed: int) -> NDArray[np.int64]:
 
 
 def measure_accidentals(
-    model: DetectorModel, integration_time: float, seed: int, n_settings: int = 1
+    model: DetectorModel,
+    integration_time: float,
+    seed: int | np.random.Generator,
+    n_settings: int | tuple[int, ...] = 1,
 ) -> NDArray[np.int64]:
-    """Accidental-only Poisson draws, one per setting.
+    """Accidental-only Poisson draws, one per setting (`n_settings` may be a shape).
 
     Simulated analogue of delaying the second detector's trigger out of the
     first detector's window: the same singles, no correlated pairs.
@@ -141,14 +149,11 @@ def subtract_accidentals(raw, accidentals) -> NDArray[np.float64]:
 # --- CHSH count tables ------------------------------------------------------
 
 # Row/column order of a 4x4 count table: arm-1 settings (t1, t1+90, t1', t1'+90)
-# by arm-2 settings (t2, t2+90, t2', t2'+90).
-_BLOCKS = (
-    ((0, 0), (1, 1), (1, 0), (0, 1)),  # E(t1, t2)
-    ((0, 2), (1, 3), (1, 2), (0, 3)),  # E(t1, t2')
-    ((2, 0), (3, 1), (3, 0), (2, 1)),  # E(t1', t2)
-    ((2, 2), (3, 3), (3, 2), (2, 3)),  # E(t1', t2')
-)
-_BLOCK_SIGNS = (1.0, -1.0, 1.0, 1.0)
+# by arm-2 settings (t2, t2+90, t2', t2'+90). Row k of these holds the cells
+# (row, column) of the counts C1..C4 of block k: E(t1, t2), E(t1, t2'),
+# E(t1', t2), E(t1', t2').
+_BLOCK_ROWS = np.array([[0, 1, 1, 0], [0, 1, 1, 0], [2, 3, 3, 2], [2, 3, 3, 2]])
+_BLOCK_COLS = np.array([[0, 1, 0, 1], [2, 3, 2, 3], [0, 1, 0, 1], [2, 3, 2, 3]])
 
 
 @dataclass(frozen=True)
@@ -215,34 +220,40 @@ def simulate_count_table(expected: CountTable, seed: int) -> CountTable:
     )
 
 
-def _e_block(counts: NDArray[np.float64], block) -> tuple[float, float]:
-    """(E, var_E) for one correlation block with Poisson count variances."""
-    c1, c2, c3, c4 = (counts[idx] for idx in block)
-    plus = c1 + c2
-    minus = c3 + c4
-    denom = plus + minus
-    if denom <= 0:
-        raise DegenerateDataError("coincidence block has an all-zero denominator")
-    e = (plus - minus) / denom
-    var = ((1.0 - e) ** 2 * plus + (1.0 + e) ** 2 * minus) / denom**2
-    return e, var
-
-
-def chsh_from_counts(table: CountTable, signed: bool = False) -> tuple[float, float]:
+def chsh_from_counts(
+    counts: CountTable | ArrayLike, signed: bool = False
+) -> tuple[float, float] | tuple[NDArray[np.float64], NDArray[np.float64]]:
     """CHSH parameter and its propagated standard deviation from raw counts.
 
+    `counts` is one table (a CountTable or a 4x4 array; floats returned)
+    or a batch of shape (..., 4, 4) (arrays of the leading shape returned).
     Each correlation fraction E comes with variance
     [(1-E)^2 (C1+C2) + (1+E)^2 (C3+C4)] / D^2 assuming independent Poisson
     counts; sigma_S adds the four block variances in quadrature.
     """
-    s_signed = 0.0
-    var_s = 0.0
-    for sign, block in zip(_BLOCK_SIGNS, _BLOCKS):
-        e, var = _e_block(table.counts, block)
-        s_signed += sign * e
-        var_s += var
-    s = s_signed if signed else abs(s_signed)
-    return float(s), float(np.sqrt(var_s))
+    c = np.asarray(counts.counts if isinstance(counts, CountTable) else counts, dtype=float)
+    if c.shape[-2:] != (4, 4):
+        raise ValueError(f"counts must be 4x4 tables, got shape {c.shape}")
+    # (4 entries, ..., 4 blocks)
+    c1, c2, c3, c4 = np.moveaxis(c[..., _BLOCK_ROWS, _BLOCK_COLS], -1, 0)
+    plus = c1 + c2
+    minus = c3 + c4
+    denom = plus + minus
+    if np.any(denom <= 0):
+        raise DegenerateDataError("coincidence block has an all-zero denominator")
+    e = (plus - minus) / denom
+    # float_power calls libm pow per element, as scalar `x ** 2` does; the array
+    # `** 2` squares instead and would move the last bit of some sigma_S
+    var = (
+        np.float_power(1.0 - e, 2) * plus + np.float_power(1.0 + e, 2) * minus
+    ) / np.float_power(denom, 2)
+    e11, e12, e21, e22 = np.moveaxis(e, -1, 0)
+    v11, v12, v21, v22 = np.moveaxis(var, -1, 0)
+    s = e11 - e12 + e21 + e22
+    if not signed:
+        s = np.abs(s)
+    sigma = np.sqrt(v11 + v12 + v21 + v22)
+    return (float(s), float(sigma)) if s.ndim == 0 else (s, sigma)
 
 
 def inferred_pair_rate(model: DetectorModel, measured_cc_rate: float) -> float:

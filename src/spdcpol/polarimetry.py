@@ -94,16 +94,25 @@ def coincidence_probs(
 
 
 class FringeFit(NamedTuple):
-    """Least-squares fit of y = offset + amplitude * cos(2 theta + phase)."""
+    """Least-squares fit of y = offset + amplitude * cos(2 theta + phase).
 
-    offset: float
-    amplitude: float
-    phase: float
-    visibility: float
+    Floats for one fringe; arrays of the leading shape for a batch.
+    """
+
+    offset: float | NDArray[np.float64]
+    amplitude: float | NDArray[np.float64]
+    phase: float | NDArray[np.float64]
+    visibility: float | NDArray[np.float64]
 
 
 def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> FringeFit:
-    """Fit a + b cos(2 theta + phi) by linear least squares.
+    """Fit a + b cos(2 theta + phi) by linear least squares along the last axis.
+
+    `values` holds one fringe over the angles `theta` (shape (n,)) or a
+    batch of them (shape (..., n)); every fringe is fitted by one product
+    with the fixed pseudo-inverse of the [1, cos 2theta, sin 2theta]
+    design. The einsum, unlike a BLAS matmul whose kernel follows the
+    batch shape, gives a fringe the same fit whatever batch it is in.
 
     Returns visibility = b / a unclamped, so count-level noise propagates
     into the estimate without bias. Expects at least 4 samples spanning a
@@ -111,17 +120,20 @@ def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> Fring
     """
     theta = np.asarray(theta, dtype=float)
     values = np.asarray(values, dtype=float)
-    if theta.shape != values.shape:
+    if theta.ndim != 1 or values.shape[-1:] != theta.shape:
         raise ConfigurationError(
             f"angle and value arrays differ in shape: {theta.shape} vs {values.shape}"
         )
     design = np.column_stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
-    (a, p, q), *_ = np.linalg.lstsq(design, values, rcond=None)
-    amplitude = float(np.hypot(p, q))
-    if a <= 0.0:
-        raise DegenerateDataError(f"fringe offset {a:.3e} is not positive; nothing to normalize by")
-    phase = float(np.arctan2(-q, p))
-    return FringeFit(offset=float(a), amplitude=amplitude, phase=phase, visibility=amplitude / float(a))
+    coef = np.einsum("...n,kn->...k", values, np.linalg.pinv(design))
+    a, p, q = np.moveaxis(coef, -1, 0)
+    if np.any(a <= 0.0):
+        raise DegenerateDataError(
+            f"fringe offset {np.min(a):.3e} is not positive; nothing to normalize by"
+        )
+    amplitude = np.hypot(p, q)
+    fit = FringeFit(a, amplitude, np.arctan2(-q, p), amplitude / a)
+    return FringeFit(*map(float, fit)) if a.ndim == 0 else fit
 
 
 def visibility_max_min(values: Sequence[float]) -> float:

@@ -15,9 +15,10 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .config import ScenarioConfig, fringe_table_name
 from .counting import (
@@ -31,7 +32,6 @@ from .counting import (
     mean_counts,
     measure_accidentals,
     poisson_counts,
-    simulate_count_table,
     subtract_accidentals,
 )
 from .errors import ConfigurationError
@@ -141,6 +141,44 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# --- Monte-Carlo runs ----------------------------------------------------------
+
+# Runs drawn, fitted and scored together. Each stream draws its runs as
+# consecutive rows, so the counts do not depend on this size; it only
+# bounds memory, which stays fixed whatever run.runs is.
+MC_BLOCK_RUNS = 256
+
+
+def _blocks(runs: int) -> Iterator[int]:
+    """Sizes of the consecutive blocks that cover `runs` runs."""
+    for start in range(0, runs, MC_BLOCK_RUNS):
+        yield min(MC_BLOCK_RUNS, runs - start)
+
+
+class _RunMoments:
+    """Mean and population std over runs, merged block by block.
+
+    Pairwise update of Chan, Golub & LeVeque (1979). One block gives
+    exactly np.mean and np.std of its values.
+    """
+
+    def __init__(self) -> None:
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add(self, values: NDArray[np.float64]) -> None:
+        mean = float(np.mean(values))
+        m2 = float(np.sum(np.square(values - mean)))
+        n = self.n + values.size
+        delta = mean - self.mean
+        self.mean += delta * (values.size / n)
+        self.m2 += m2 + delta**2 * (self.n * values.size / n)
+        self.n = n
+
+    @property
+    def std(self) -> float:
+        return float(np.sqrt(self.m2 / self.n))
+
+
 # --- runners -----------------------------------------------------------------
 
 
@@ -161,19 +199,18 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
     for i, theta1 in enumerate(cfg.fringe_theta1()):
         fringe = fringe_scan(state, theta1, grid)
         means = mean_counts(fringe.probabilities, model, pair_rate, t_int)
-        vis_raw: list[float] = []
-        vis_sub: list[float] = []
-        first_counts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        for r in range(runs):
-            raw = poisson_counts(means, derive_seed(seed, 0, i, r))
-            acc_counts = measure_accidentals(model, t_int, derive_seed(seed, 1, i, r), grid.size)
+        raw_stream = np.random.default_rng(derive_seed(seed, 0, i, 0))
+        acc_stream = np.random.default_rng(derive_seed(seed, 1, i, 0))
+        vis_raw, vis_sub = _RunMoments(), _RunMoments()
+        for b, n in enumerate(_blocks(runs)):
+            raw = poisson_counts(np.broadcast_to(means, (n, grid.size)), raw_stream)
+            acc_counts = measure_accidentals(model, t_int, acc_stream, (n, grid.size))
             sub = subtract_accidentals(raw, acc_counts)
-            vis_raw.append(fit_fringe(grid, raw).visibility)
-            vis_sub.append(fit_fringe(grid, sub).visibility)
-            if first_counts is None:
-                first_counts = (raw, acc_counts, sub)
-        assert first_counts is not None
-        raw0, acc0, sub0 = first_counts
+            vis_raw.add(fit_fringe(grid, raw).visibility)
+            vis_sub.add(fit_fringe(grid, sub).visibility)
+            if b == 0:
+                # copies: a view would keep the whole block alive
+                raw0, acc0, sub0 = raw[0].copy(), acc_counts[0].copy(), sub[0].copy()
         rows = [
             [grid_deg[k], fringe.probabilities[k], int(raw0[k]), int(acc0[k]), sub0[k]]
             for k in range(grid.size)
@@ -187,10 +224,10 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
             {
                 "theta1_deg": rad_to_deg(theta1),
                 "visibility_model": fringe.visibility,
-                "visibility_raw_fit_mean": float(np.mean(vis_raw)),
-                "visibility_raw_fit_std": float(np.std(vis_raw)),
-                "visibility_subtracted_fit_mean": float(np.mean(vis_sub)),
-                "visibility_subtracted_fit_std": float(np.std(vis_sub)),
+                "visibility_raw_fit_mean": vis_raw.mean,
+                "visibility_raw_fit_std": vis_raw.std,
+                "visibility_subtracted_fit_mean": vis_sub.mean,
+                "visibility_subtracted_fit_std": vis_sub.std,
             }
         )
     record.scalars = {
@@ -243,17 +280,16 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
 
     s_model = chsh_S(state, settings)
     expected = expected_count_table(state, settings, model, pair_rate, t_int)
-    s_values: list[float] = []
-    sigma_values: list[float] = []
-    first_table = None
-    for r in range(runs):
-        table = simulate_count_table(expected, derive_seed(seed, 2, r))
-        s_r, sigma_r = chsh_from_counts(table)
-        s_values.append(s_r)
-        sigma_values.append(sigma_r)
-        if first_table is None:
-            first_table = table
-    assert first_table is not None
+    stream = np.random.default_rng(derive_seed(seed, 2, 0))
+    s_runs, sigma_runs = _RunMoments(), _RunMoments()
+    for b, n in enumerate(_blocks(runs)):
+        counts = poisson_counts(np.broadcast_to(expected.counts, (n, 4, 4)), stream)
+        s_block, sigma_block = chsh_from_counts(counts)
+        s_runs.add(s_block)
+        sigma_runs.add(sigma_block)
+        if b == 0:
+            first_counts = counts[0].copy()
+            s_first, sigma_first = float(s_block[0]), float(sigma_block[0])
 
     a_angles, b_angles = chsh_table_angles(settings)
     rows = []
@@ -265,7 +301,7 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
                     ib,
                     rad_to_deg(a_angles[ia]),
                     rad_to_deg(b_angles[ib]),
-                    int(first_table.counts[ia, ib]),
+                    int(first_counts[ia, ib]),
                 ]
             )
     record = ResultRecord(command="chsh", config=cfg.to_dict(), scalars={})
@@ -281,14 +317,14 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
             "theta2p": rad_to_deg(settings.theta2p),
         },
         "s_model": s_model,
-        "s_counts": s_values[0],
-        "sigma_s": sigma_values[0],
+        "s_counts": s_first,
+        "sigma_s": sigma_first,
         "runs": runs,
     }
     if runs > 1:
-        scalars["s_counts_mean"] = float(np.mean(s_values))
-        scalars["s_counts_std"] = float(np.std(s_values))
-        scalars["sigma_s_mean"] = float(np.mean(sigma_values))
+        scalars["s_counts_mean"] = s_runs.mean
+        scalars["s_counts_std"] = s_runs.std
+        scalars["sigma_s_mean"] = sigma_runs.mean
     record.scalars = scalars
     return record
 
@@ -306,11 +342,14 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     expected = expected_count_tables(
         state, [ChshSettings.canonical(theta) for theta in thetas], model, pair_rate, t_int
     )
-    rows = []
-    for k, theta in enumerate(thetas):
-        table = simulate_count_table(expected[k], derive_seed(seed, 3, k))
-        s_sim, sigma = chsh_from_counts(table, signed=True)
-        rows.append([rad_to_deg(theta), model_curve[k], s_sim, sigma])
+    counts = np.stack(
+        [poisson_counts(table.counts, derive_seed(seed, 3, k)) for k, table in enumerate(expected)]
+    )
+    s_sim, sigma = chsh_from_counts(counts, signed=True)
+    rows = [
+        [rad_to_deg(theta), m, s, sg]
+        for theta, m, s, sg in zip(thetas, model_curve, s_sim.tolist(), sigma.tolist())
+    ]
 
     record = ResultRecord(command="s-curve", config=cfg.to_dict(), scalars={})
     record.add_table("curve", ["theta_deg", "s_model", "s_sim", "sigma_s"], rows)

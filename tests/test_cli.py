@@ -196,6 +196,21 @@ def test_degenerate_spectrum_exits_3(tmp_path):
     assert err_lines[0].startswith("NUMERICAL_ERROR:")
 
 
+@pytest.mark.parametrize("command", ["fringe", "chsh"])
+def test_undrawable_means_over_many_blocks_exit_3(tmp_path, command):
+    # Poisson means far beyond what numpy can draw, with more runs than one
+    # Monte-Carlo block: every draw must keep the exit-3 mapping
+    cfg = tmp_path / "rate.json"
+    cfg.write_text(json.dumps({"run": {"pair_rate_hz": 1e30}}))
+    out = tmp_path / "o"
+    result = run_cli(command, "--config", str(cfg), "--runs", "600", "--out", str(out))
+    assert result.returncode == 3
+    err_lines = [l for l in result.stderr.strip().splitlines() if l]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("NUMERICAL_ERROR:")
+    assert not out.exists()
+
+
 def test_same_seed_reproduces_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spdcpol import (
@@ -272,6 +274,70 @@ def test_zero_denominator_block_rejected():
     table = CountTable(settings=ChshSettings.canonical(22.5 * DEG), counts=counts, integration_time=1.0)
     with pytest.raises(DegenerateDataError):
         chsh_from_counts(table)
+
+
+_ORACLE_BLOCKS = (
+    (1.0, ((0, 0), (1, 1), (1, 0), (0, 1))),  # +E(t1, t2)
+    (-1.0, ((0, 2), (1, 3), (1, 2), (0, 3))),  # -E(t1, t2')
+    (1.0, ((2, 0), (3, 1), (3, 0), (2, 1))),  # +E(t1', t2)
+    (1.0, ((2, 2), (3, 3), (3, 2), (2, 3))),  # +E(t1', t2')
+)
+
+
+def _oracle_chsh(counts, signed):
+    """Per-table scalar reference: the four E-blocks one at a time, in Python floats."""
+    s_signed = 0.0
+    var_s = 0.0
+    for sign, block in _ORACLE_BLOCKS:
+        c1, c2, c3, c4 = (float(counts[idx]) for idx in block)
+        plus, minus = c1 + c2, c3 + c4
+        denom = plus + minus
+        if denom <= 0:
+            raise DegenerateDataError("zero denominator")
+        e = (plus - minus) / denom
+        s_signed += sign * e
+        var_s += ((1.0 - e) ** 2 * plus + (1.0 + e) ** 2 * minus) / denom**2
+    return (s_signed if signed else abs(s_signed)), float(np.sqrt(var_s))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.lists(st.integers(1, 6), max_size=3),
+    signed=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_chsh_equals_per_table_loop(seed, lead, signed):
+    rng = np.random.default_rng(seed)
+    # low means now and then leave a block with no counts at all
+    counts = rng.poisson(rng.uniform(0.0, 10.0 ** rng.uniform(-1, 4), size=(*lead, 4, 4)))
+    try:
+        want = [_oracle_chsh(counts[idx], signed) for idx in np.ndindex(*lead)]
+    except DegenerateDataError:
+        with pytest.raises(DegenerateDataError):
+            chsh_from_counts(counts, signed=signed)
+        return
+    s, sigma = chsh_from_counts(counts, signed=signed)
+    assert np.shape(s) == np.shape(sigma) == tuple(lead)
+    s, sigma = np.asarray(s), np.asarray(sigma)
+    assert [(float(s[idx]), float(sigma[idx])) for idx in np.ndindex(*lead)] == want
+
+
+def test_single_table_returns_floats_equal_to_the_batch():
+    table = _noiseless_table(post_selected_state(0.91))
+    s, sigma = chsh_from_counts(table)
+    assert type(s) is float and type(sigma) is float
+    batch_s, batch_sigma = chsh_from_counts(table.counts[None])
+    assert batch_s.tolist() == [s] and batch_sigma.tolist() == [sigma]
+
+
+@pytest.mark.parametrize("bad", [0, 4, 9])
+def test_zero_denominator_anywhere_in_a_batch_rejected(bad):
+    counts = np.full((10, 4, 4), 5.0)
+    counts[bad, 2, 2] = counts[bad, 3, 3] = counts[bad, 3, 2] = counts[bad, 2, 3] = 0.0
+    with pytest.raises(DegenerateDataError):
+        chsh_from_counts(counts)
+    with pytest.raises(DegenerateDataError):
+        chsh_from_counts(counts.reshape(2, 5, 4, 4), signed=True)
 
 
 def test_sigma_scale_covariance():

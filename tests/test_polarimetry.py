@@ -8,6 +8,7 @@ from conftest import random_density_matrix
 from spdcpol import (
     ChshSettings,
     ConfigurationError,
+    DegenerateDataError,
     PolarizerPair,
     TwoQubitState,
     chsh_S,
@@ -155,6 +156,60 @@ def test_fit_fringe_recovers_planted_sinusoid():
     fit = fit_fringe(theta, y)
     assert_allclose([fit.offset, fit.amplitude, fit.phase], [3.0, 1.2, 0.4], atol=1e-10)
     assert_allclose(fit.visibility, 0.4, atol=1e-10)
+    assert all(isinstance(v, float) for v in fit)  # one fringe: plain floats
+
+
+def _oracle_fit(theta, row):
+    """Per-row reference: (offset, visibility) from np.linalg.lstsq on the design."""
+    design = np.column_stack([np.ones_like(theta), np.cos(2 * theta), np.sin(2 * theta)])
+    (a, p, q), *_ = np.linalg.lstsq(design, row, rcond=None)
+    return a, np.hypot(p, q) / a
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.lists(st.integers(1, 5), max_size=3),
+    n=st.integers(4, 73),
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_fit_matches_per_row_lstsq(seed, lead, n):
+    rng = np.random.default_rng(seed)
+    theta = np.linspace(0.0, 2 * np.pi, n)
+    counts = rng.integers(0, rng.integers(5, 10_000), size=(*lead, n))
+    fit = fit_fringe(theta, counts)
+    assert np.shape(fit.visibility) == tuple(lead)
+    for idx in np.ndindex(*lead):
+        a, vis = _oracle_fit(theta, counts[idx].astype(float))
+        assert abs(np.asarray(fit.offset)[idx] - a) <= 1e-9 * a
+        assert abs(np.asarray(fit.visibility)[idx] - vis) <= 1e-12
+
+
+def test_batched_fit_rows_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(8)
+    theta = _full_turn(step_deg=10.0)
+    counts = rng.poisson(300 * (1 + 0.8 * np.cos(2 * theta)), size=(300, theta.size))
+    whole = fit_fringe(theta, counts).visibility
+    for size in (1, 7, 256):
+        parts = [fit_fringe(theta, counts[i : i + size]).visibility for i in range(0, 300, size)]
+        assert np.array_equal(np.concatenate(parts), whole)
+    assert all(fit_fringe(theta, row).visibility == v for row, v in zip(counts, whole))
+
+
+@pytest.mark.parametrize("bad_row", [0, 5, 11])
+def test_batched_fit_rejects_a_degenerate_row_anywhere(bad_row):
+    theta = _full_turn(step_deg=10.0)
+    rows = np.tile(100.0 * (1 + 0.5 * np.cos(2 * theta)), (12, 1))
+    rows[bad_row] = 0.0  # offset 0
+    with pytest.raises(DegenerateDataError):
+        fit_fringe(theta, rows)
+    rows[bad_row] = -1.0 - 0.5 * np.cos(2 * theta)  # negative offset
+    with pytest.raises(DegenerateDataError):
+        fit_fringe(theta, rows.reshape(3, 4, -1))
+
+
+def test_fit_rejects_mismatched_angles():
+    with pytest.raises(ConfigurationError):
+        fit_fringe(_full_turn(step_deg=10.0), np.ones((4, 5)))
 
 
 # --- correlation_E -----------------------------------------------------------------

@@ -1,9 +1,19 @@
 import json
+import tracemalloc
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
-from spdcpol import ChshSettings, CountTable, chsh_from_counts, coincidence_probs
+from spdcpol import (
+    ChshSettings,
+    CountTable,
+    chsh_from_counts,
+    cli,
+    coincidence_probs,
+    fit_fringe,
+    runners,
+)
 from spdcpol.config import load_scenario
 from spdcpol.counting import accidental_rate, chsh_table_angles, derive_seed
 from spdcpol.runners import run_budget, run_chsh, run_delay_scan, run_fringe, run_s_curve
@@ -149,3 +159,110 @@ def test_first_run_counts_follow_the_seed_tree():
         drawn = _draw(seed, _means(cfg, state, a[:, None], b[None, :]), 3, k)
         table = CountTable(settings=settings, counts=drawn, integration_time=t_int)
         assert rows[k][2:] == list(chsh_from_counts(table, signed=True))
+
+
+# --- Monte-Carlo streams: one run-0 child per (tag, basis), runs are its rows -------
+
+
+def _spy(monkeypatch, name, arg):
+    """Record positional argument `arg` of every call the runners make to `name`."""
+    calls = []
+    real = getattr(runners, name)
+
+    def spy(*args, **kwargs):
+        calls.append(np.array(args[arg]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runners, name, spy)
+    return calls
+
+
+def test_runs_are_consecutive_rows_of_the_run_0_stream(monkeypatch):
+    runs = 600  # three blocks of the default 256 runs
+    cfg = load_scenario(preset="paper-calibrated", seed=23, runs=runs)
+    state, _ = cfg.resolve_state()
+    seed, grid = cfg.seed(), cfg.fringe_theta2_grid()
+    acc_mean = accidental_rate(cfg.detector()) * cfg.integration_time()
+
+    fits = _spy(monkeypatch, "fit_fringe", 1)
+    record = run_fringe(cfg)
+    # per block and basis: raw counts, then raw - accidentals
+    per_basis = len(fits) // len(record.scalars["bases"])
+    for i, (theta1, basis) in enumerate(zip(cfg.fringe_theta1(), record.scalars["bases"])):
+        mine = fits[i * per_basis : (i + 1) * per_basis]
+        means = np.broadcast_to(_means(cfg, state, theta1, grid), (runs, grid.size))
+        raw = _draw(seed, means, 0, i, 0)
+        acc = _draw(seed, np.full((runs, grid.size), acc_mean), 1, i, 0)
+        assert np.array_equal(np.concatenate(mine[0::2]), raw)
+        assert np.array_equal(np.concatenate(mine[1::2]), raw - acc)
+        vis = [fit_fringe(grid, row).visibility for row in raw]
+        assert_allclose(basis["visibility_raw_fit_mean"], np.mean(vis), rtol=0, atol=1e-12)
+        assert_allclose(basis["visibility_raw_fit_std"], np.std(vis), rtol=0, atol=1e-12)
+
+    tables = _spy(monkeypatch, "chsh_from_counts", 0)
+    record = run_chsh(cfg)
+    a, b = chsh_table_angles(cfg.chsh_settings())
+    means = _means(cfg, state, a[:, None], b[None, :])
+    counts = _draw(seed, np.broadcast_to(means, (runs, 4, 4)), 2, 0)
+    assert np.array_equal(np.concatenate(tables), counts)
+    s = [chsh_from_counts(table)[0] for table in counts]
+    assert_allclose(record.scalars["s_counts_mean"], np.mean(s), rtol=0, atol=1e-12)
+    assert_allclose(record.scalars["s_counts_std"], np.std(s), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_block_size_changes_no_result(monkeypatch, block):
+    runs = 300
+    cfg = load_scenario(preset="paper-calibrated", seed=29, runs=runs)
+    results = {}
+    for size in (runs, block):  # one block covering every run, then `block`
+        monkeypatch.setattr(runners, "MC_BLOCK_RUNS", size)
+        fits = _spy(monkeypatch, "fit_fringe", 1)
+        tables = _spy(monkeypatch, "chsh_from_counts", 0)
+        fringe, chsh = run_fringe(cfg), run_chsh(cfg)
+        monkeypatch.undo()
+        # raw and subtracted fits alternate block by block
+        counts = [np.concatenate(fits[0::2]), np.concatenate(fits[1::2]), np.concatenate(tables)]
+        results[size] = (fringe, chsh, counts)
+    (f0, c0, counts0), (f1, c1, counts1) = results[runs], results[block]
+    assert all(np.array_equal(x, y) for x, y in zip(counts0, counts1))
+    assert f0.tables == f1.tables and c0.tables == c1.tables
+    for s0, s1 in ((f0.scalars, f1.scalars), (c0.scalars, c1.scalars)):
+        assert s0.keys() == s1.keys()
+        assert_allclose(list(_numbers(s1)), list(_numbers(s0)), rtol=0, atol=1e-12)
+
+
+def _numbers(obj):
+    """Every number in a scalars record, depth first."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _numbers(item)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield obj
+
+
+@pytest.mark.parametrize("command", ["fringe", "chsh"])
+def test_one_run_and_many_blocks_write_the_same_tables(tmp_path, command):
+    for runs in ("1", "600"):
+        argv = [command, "--seed", "31", "--runs", runs, "--out", str(tmp_path / runs)]
+        assert cli.main(argv) == 0
+    one = {p.name: p.read_bytes() for p in (tmp_path / "1").glob("*.csv")}
+    many = {p.name: p.read_bytes() for p in (tmp_path / "600").glob("*.csv")}
+    assert one and one == many
+
+
+@pytest.mark.parametrize("runner", [run_fringe, run_chsh])
+def test_memory_does_not_grow_with_runs(runner):
+    def peak(runs):
+        cfg = load_scenario(preset="paper-calibrated", runs=runs)
+        tracemalloc.start()
+        try:
+            runner(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(runners.MC_BLOCK_RUNS)  # warm caches and lazy imports first
+    assert peak(20_000) - peak(runners.MC_BLOCK_RUNS) <= 256 * 1024
