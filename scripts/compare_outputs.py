@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Run the CLI matrix against two source trees and list every output that differs.
+
+Usage: python3 scripts/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are repository roots (holding src/spdcpol) or
+directories that hold the spdcpol package itself. Every case runs
+`python -m spdcpol.cli` in a fresh process with the tree first on
+PYTHONPATH, in a working directory of its own, writing to ./out; the
+process's stdout, stderr and exit code are kept next to its outputs, so
+they are compared too. Prints each file that differs or exists on one side
+only, and exits 1 if there is any, else 0.
+
+The matrix:
+  - each configs/*.json of this repository with each of the five commands
+  - the defaults with each of the five commands
+  - each preset with fringe, chsh, s-curve and delay-scan at --runs 300
+  - delay-scan, fringe and chsh on a 16385-point grid and on a 12 mm guide
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("fringe", "delay-scan", "chsh", "s-curve", "budget")
+SPECTRAL_COMMANDS = ("delay-scan", "fringe", "chsh")
+GENERATED = {
+    "grid16385": {"grid": {"n_points": 16385}},
+    "guide12mm": {"dispersion": {"length_mm": 12.0}},
+}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def package_root(tree: Path) -> Path:
+    """The directory to put on PYTHONPATH for `tree`."""
+    for root in (tree / "src", tree):
+        if (root / "spdcpol" / "__init__.py").is_file():
+            return root
+    raise SystemExit(f"no spdcpol package under {tree}")
+
+
+def presets(root: Path) -> list[str]:
+    code = "from spdcpol.config import PRESETS; print(' '.join(sorted(PRESETS)))"
+    result = _python(root, ["-c", code], cwd=None)
+    if result.returncode != 0:
+        raise SystemExit(f"cannot list the presets of {root}:\n{result.stderr}")
+    return result.stdout.split()
+
+
+def cases(config_dir: Path, preset_names: list[str]) -> dict[str, list[str]]:
+    """Case name -> CLI arguments (without --out)."""
+    matrix: dict[str, list[str]] = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        for command in COMMANDS:
+            matrix[f"{path.stem}-{command}"] = [command, "--config", str(path)]
+    for command in COMMANDS:
+        matrix[f"defaults-{command}"] = [command]
+    for name in preset_names:
+        for command in ("fringe", "chsh", "s-curve", "delay-scan"):
+            matrix[f"{name}-{command}"] = [command, "--preset", name, "--runs", "300"]
+    for stem, scenario in GENERATED.items():
+        path = config_dir / f"{stem}.json"
+        path.write_text(json.dumps(scenario))
+        for command in SPECTRAL_COMMANDS:
+            matrix[f"{stem}-{command}"] = [command, "--config", str(path)]
+    return matrix
+
+
+def _python(root: Path, args: list[str], cwd: Path | None) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(root), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, check=False
+    )
+
+
+def run_case(root: Path, argv: list[str], workdir: Path) -> None:
+    workdir.mkdir(parents=True)
+    result = _python(root, ["-m", "spdcpol.cli", *argv, "--out", "out"], cwd=workdir)
+    (workdir / "stdout.txt").write_text(result.stdout)
+    (workdir / "stderr.txt").write_text(result.stderr)
+    (workdir / "exit_code.txt").write_text(f"{result.returncode}\n")
+
+
+def files_under(directory: Path) -> set[Path]:
+    return {p.relative_to(directory) for p in directory.rglob("*") if p.is_file()}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path, help="source tree of the reference outputs")
+    parser.add_argument("new", type=Path, help="source tree to compare against it")
+    args = parser.parse_args()
+    roots = {"old": package_root(args.old.resolve()), "new": package_root(args.new.resolve())}
+
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        base = Path(tmp)
+        (base / "configs").mkdir()
+        matrix = cases(base / "configs", presets(roots["new"]))
+        for name, argv in matrix.items():
+            for side, root in roots.items():
+                run_case(root, argv, base / side / name)
+        old_files, new_files = files_under(base / "old"), files_under(base / "new")
+        differing = sorted(
+            str(rel)
+            for rel in old_files | new_files
+            if rel not in old_files
+            or rel not in new_files
+            or (base / "old" / rel).read_bytes() != (base / "new" / rel).read_bytes()
+        )
+    for rel in differing:
+        print(f"differs: {rel}")
+    print(f"{len(matrix)} cases, {len(old_files | new_files)} files, {len(differing)} differing")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

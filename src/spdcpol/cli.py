@@ -33,7 +33,18 @@ _RUNNERS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after.
+
+    parse_args leaves a parser unchanged, so one parser serves every main()
+    call of a process; each call gets a fresh namespace of defaults.
+    """
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="spdcpol",
         description=(
@@ -62,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="named scenario bundle applied before the config file",
         )
+    _parser = parser
     return parser
 
 

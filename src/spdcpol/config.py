@@ -14,6 +14,7 @@ ps/(nm km)), named in the keys; conversion to SI happens once, here.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -119,47 +120,48 @@ class Key(NamedTuple):
     si: float | None = 1.0
 
 
-NULL_OR_NUMBER = number("(-inf, inf)", None)
+POSITIVE = number("(0, inf)")
+NONNEGATIVE = number("[0, inf)")
 SHAPES = [shape.value for shape in spectral.FilterShape]
 
 SCHEMA: dict[str, dict[str, Key]] = {
     "dispersion": {
-        "length_mm": Key(1.2, number(), "length_L", 1e-3),
-        "v_te_m_per_s": Key(8.98e7, number(), "v_te"),
-        "v_tm_m_per_s": Key(9.01e7, number(), "v_tm"),
+        "length_mm": Key(1.2, POSITIVE, "length_L", 1e-3),
+        "v_te_m_per_s": Key(8.98e7, POSITIVE, "v_te"),
+        "v_tm_m_per_s": Key(9.01e7, POSITIVE, "v_tm"),
         "gvd_D_ps_nm_km": Key(-790.0, number(), "gvd_D", 1e-6),  # ps/(nm km) -> s/m^2
-        "lambda_deg_nm": Key(1555.9, number(), "lambda_deg", 1e-9),
+        "lambda_deg_nm": Key(1555.9, POSITIVE, "lambda_deg", 1e-9),
         "delta0_per_m": Key(0.0, number(), "delta0"),
     },
     "filter": {
         "shape": Key("top_hat", number(None, *SHAPES), "shape", None),
-        "center_nm": Key(1550.0, number(), "center_lambda", 1e-9),
-        "fwhm_nm": Key(45.0, number(), "fwhm_lambda", 1e-9),
+        "center_nm": Key(1550.0, POSITIVE, "center_lambda", 1e-9),
+        "fwhm_nm": Key(45.0, POSITIVE, "fwhm_lambda", 1e-9),
     },
     "grid": {
-        "omega_max_rad_s": Key(None, NULL_OR_NUMBER),  # null -> 3x the filter's angular half-width
+        "omega_max_rad_s": Key(None, number("(0, inf)", None)),  # null: 3x the filter's half-width
         "n_points": Key(8193, number(f"[3, {MAX_POINTS}]", integer=True)),
     },
     "state": {
         "tau_fs": Key("optimize", number("(-inf, inf)", "optimize")),
         "phi_bs_rad": Key(0.0, number()),
-        "coherence": Key(None, NULL_OR_NUMBER),  # when set, bypass the spectral pipeline
-        "visibility_z": Key(None, NULL_OR_NUMBER),  # with visibility_d: two-visibility state
-        "visibility_d": Key(None, NULL_OR_NUMBER),
+        "coherence": Key(None, number("[-1, 1]", None)),  # when set, bypass the spectral pipeline
+        "visibility_z": Key(None, number("[-1, 1]", None)),  # with visibility_d: two visibilities
+        "visibility_d": Key(None, number("[0, 1]", None)),
     },
     "detector": {
-        "trigger_rate_hz": Key(1.0e5, number(), "trigger_rate"),
-        "gate_width_ns": Key(100.0, number(), "gate_width", 1e-9),
-        "coincidence_window_ns": Key(3.0, number(), "coincidence_window", 1e-9),
-        "efficiency_1": Key(0.25, number(), "efficiency_1"),
-        "efficiency_2": Key(0.25, number(), "efficiency_2"),
-        "singles_rate_1_hz": Key(3550.0, number(), "singles_rate_1"),
-        "singles_rate_2_hz": Key(6200.0, number(), "singles_rate_2"),
-        "accidental_calibration": Key(1.0, number(), "accidental_calibration"),
+        "trigger_rate_hz": Key(1.0e5, POSITIVE, "trigger_rate"),
+        "gate_width_ns": Key(100.0, POSITIVE, "gate_width", 1e-9),
+        "coincidence_window_ns": Key(3.0, POSITIVE, "coincidence_window", 1e-9),
+        "efficiency_1": Key(0.25, number("[0, 1]"), "efficiency_1"),
+        "efficiency_2": Key(0.25, number("[0, 1]"), "efficiency_2"),
+        "singles_rate_1_hz": Key(3550.0, NONNEGATIVE, "singles_rate_1"),
+        "singles_rate_2_hz": Key(6200.0, NONNEGATIVE, "singles_rate_2"),
+        "accidental_calibration": Key(1.0, NONNEGATIVE, "accidental_calibration"),
     },
     "run": {
-        "pair_rate_hz": Key(6.0, number("[0, inf)")),
-        "integration_time_s": Key(60.0, number("(0, inf)")),
+        "pair_rate_hz": Key(6.0, NONNEGATIVE),
+        "integration_time_s": Key(60.0, POSITIVE),
         "seed": Key(12345, number("[0, inf)", integer=True)),
         "runs": Key(1, number("[1, inf)", integer=True)),
         "fringe_theta1_deg": Key([0.0, 45.0], fringe_angles),
@@ -170,13 +172,13 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "delay_scan_fs": Key({"start": -200.0, "stop": 200.0, "step": 0.5}, scan),
     },
     "budget": {  # budget_inputs: the keyword arguments of counting.efficiency_budget
-        "pump_power_mw": Key(13.0, number("[0, inf)"), "pump_power_in", 1e-3),
+        "pump_power_mw": Key(13.0, NONNEGATIVE, "pump_power_in", 1e-3),
         "objective_transmission": Key(0.70, number("[0, 1]"), "objective_T"),
         "facet_transmission": Key(0.73, number("[0, 1]"), "facet_T"),
         "modal_overlap": Key(0.20, number("[0, 1]"), "overlap"),
         "collection_transmission_per_arm": Key(0.10, number("[0, 1]"), "collection_T_per_arm"),
-        "measured_cc_rate_hz": Key(0.3, number("[0, inf)"), "measured_cc_rate"),
-        "pump_lambda_nm": Key(777.95, number("(0, inf)"), "pump_lambda", 1e-9),
+        "measured_cc_rate_hz": Key(0.3, NONNEGATIVE, "measured_cc_rate"),
+        "pump_lambda_nm": Key(777.95, POSITIVE, "pump_lambda", 1e-9),
     },
 }
 
@@ -227,6 +229,11 @@ def _merge(base: dict[str, Any], override: dict[str, Any]) -> None:
             base[key] = value
 
 
+# The last delay search of this process: (its key, its result). One entry and
+# no arrays, so it holds one spectrum at most and a few hundred bytes.
+_last_delay_search: tuple[tuple[Any, ...], state_mod.DelaySetting] | None = None
+
+
 def _scan_values(block: dict[str, Any]) -> np.ndarray:
     start, stop, step = float(block["start"]), float(block["stop"]), float(block["step"])
     return np.arange(start, stop + 0.5 * step, step)
@@ -262,6 +269,29 @@ class ScenarioConfig:
     def build_jsa(self) -> spectral.JointSpectralAmplitude:
         return spectral.build_jsa(self.dispersion(), self.spectral_filter(), self.grid())
 
+    def optimal_delay(self, jsa: spectral.JointSpectralAmplitude) -> state_mod.DelaySetting:
+        """state.optimal_delay of jsa, which must be this scenario's build_jsa(),
+        about the stationary-phase centre delta*L/2.
+
+        The dispersion, filter and grid determine jsa, so the commands of one
+        process that share a spectrum share one search: the last result is
+        kept, keyed bitwise on those three and the centre. A search that
+        raises is not kept, so it raises again when repeated.
+        """
+        global _last_delay_search
+        disp = self.dispersion()
+        center = disp.delta * disp.length_L / 2
+        fields = (
+            *dataclasses.astuple(disp),
+            *dataclasses.astuple(self.spectral_filter()),
+            *dataclasses.astuple(self.grid()),
+            center,
+        )
+        key = tuple(v.hex() if isinstance(v, float) else v for v in fields)  # 0.0 != -0.0 here
+        if _last_delay_search is None or _last_delay_search[0] != key:
+            _last_delay_search = (key, state_mod.optimal_delay(jsa, center))
+        return _last_delay_search[1]
+
     # -- state ---------------------------------------------------------------
     def phi_bs(self) -> float:
         return float(self.data["state"]["phi_bs_rad"])
@@ -284,11 +314,10 @@ class ScenarioConfig:
         override = self._override_state()
         if override is not None:
             return override
-        disp = self.dispersion()
         jsa = self.build_jsa()
         tau = self.data["state"]["tau_fs"]
         if tau == "optimize":
-            delay = state_mod.optimal_delay(jsa, disp.delta * disp.length_L / 2)
+            delay = self.optimal_delay(jsa)
         else:
             delay = state_mod.DelaySetting(tau=fs(float(tau)))
         overlap = state_mod.OverlapResult(state_mod.overlap_scan(jsa, delay.tau, 0.0, 1)[0])
@@ -345,7 +374,9 @@ class ScenarioConfig:
         return copy.deepcopy(self.data)
 
     def validate(self) -> None:
-        """Rules that span keys; then each domain object, built once, checks its own ranges."""
+        """Rules that span keys; then each domain object is built once, and its
+        own checks catch the ranges that span keys (the filter band, an odd
+        n_points, visibility_d against visibility_z)."""
         s = self.data["state"]
         if (s["visibility_z"] is None) != (s["visibility_d"] is None):
             raise ConfigurationError("state.visibility_z and visibility_d must be set together")

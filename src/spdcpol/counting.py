@@ -40,6 +40,7 @@ __all__ = [
     "measure_accidentals",
     "subtract_accidentals",
     "chsh_table_angles",
+    "expected_count_array",
     "expected_count_tables",
     "expected_count_table",
     "simulate_count_table",
@@ -183,6 +184,20 @@ def chsh_table_angles(settings: ChshSettings) -> tuple[NDArray[np.float64], NDAr
     return a, b
 
 
+def expected_count_array(
+    state: TwoQubitState,
+    settings: Sequence[ChshSettings],
+    model: DetectorModel,
+    pair_rate: float,
+    integration_time: float,
+) -> NDArray[np.float64]:
+    """Expected counts (floats), accidentals included, as one (K, 4, 4) array for K settings."""
+    # (K, 4) arm-1 and arm-2 angles; the kernel broadcasts them to (K, 4, 4)
+    a_angles, b_angles = map(np.array, zip(*map(chsh_table_angles, settings)))
+    probs = coincidence_probs(state, a_angles[:, :, None], b_angles[:, None, :])
+    return mean_counts(probs, model, pair_rate, integration_time)
+
+
 def expected_count_tables(
     state: TwoQubitState,
     settings: Sequence[ChshSettings],
@@ -191,10 +206,7 @@ def expected_count_tables(
     integration_time: float,
 ) -> list[CountTable]:
     """Noiseless tables of expected counts (floats), accidentals included, one per settings."""
-    # (K, 4) arm-1 and arm-2 angles; the kernel broadcasts them to (K, 4, 4)
-    a_angles, b_angles = map(np.array, zip(*map(chsh_table_angles, settings)))
-    probs = coincidence_probs(state, a_angles[:, :, None], b_angles[:, None, :])
-    means = mean_counts(probs, model, pair_rate, integration_time)
+    means = expected_count_array(state, settings, model, pair_rate, integration_time)
     return [
         CountTable(settings=s, counts=m, integration_time=integration_time)
         for s, m in zip(settings, means)

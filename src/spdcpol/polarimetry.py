@@ -105,14 +105,32 @@ class FringeFit(NamedTuple):
     visibility: float | NDArray[np.float64]
 
 
+# The last fit's angles (their bytes) and the pseudo-inverse of their design.
+# A runner fits every fringe on one grid, so one SVD serves all of its fits.
+_last_pinv: tuple[bytes, NDArray[np.float64]] | None = None
+
+
+def _design_pinv(theta: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Pseudo-inverse of the [1, cos 2theta, sin 2theta] design, shape (3, n)."""
+    global _last_pinv
+    key = theta.tobytes()
+    if _last_pinv is None or _last_pinv[0] != key:
+        design = np.column_stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
+        pinv = np.linalg.pinv(design)
+        pinv.flags.writeable = False  # shared by every later fit on these angles
+        _last_pinv = (key, pinv)
+    return _last_pinv[1]
+
+
 def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> FringeFit:
     """Fit a + b cos(2 theta + phi) by linear least squares along the last axis.
 
     `values` holds one fringe over the angles `theta` (shape (n,)) or a
     batch of them (shape (..., n)); every fringe is fitted by one product
     with the fixed pseudo-inverse of the [1, cos 2theta, sin 2theta]
-    design. The einsum, unlike a BLAS matmul whose kernel follows the
-    batch shape, gives a fringe the same fit whatever batch it is in.
+    design, computed once for consecutive fits on one grid. The einsum,
+    unlike a BLAS matmul whose kernel follows the batch shape, gives a
+    fringe the same fit whatever batch it is in.
 
     Returns visibility = b / a unclamped, so count-level noise propagates
     into the estimate without bias. Expects at least 4 samples spanning a
@@ -124,8 +142,7 @@ def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> Fring
         raise ConfigurationError(
             f"angle and value arrays differ in shape: {theta.shape} vs {values.shape}"
         )
-    design = np.column_stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
-    coef = np.einsum("...n,kn->...k", values, np.linalg.pinv(design))
+    coef = np.einsum("...n,kn->...k", values, _design_pinv(theta))
     a, p, q = np.moveaxis(coef, -1, 0)
     if np.any(a <= 0.0):
         raise DegenerateDataError(

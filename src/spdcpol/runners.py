@@ -15,10 +15,10 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .config import ScenarioConfig, fringe_table_name
 from .counting import (
@@ -27,8 +27,7 @@ from .counting import (
     chsh_table_angles,
     derive_seed,
     efficiency_budget,
-    expected_count_table,
-    expected_count_tables,
+    expected_count_array,
     mean_counts,
     measure_accidentals,
     poisson_counts,
@@ -36,7 +35,7 @@ from .counting import (
 )
 from .errors import ConfigurationError
 from .polarimetry import ChshSettings, chsh_S, fit_fringe, fringe_scan, s_curve
-from .state import OverlapResult, concurrence, optimal_delay, overlap_scan, post_selected_state
+from .state import OverlapResult, concurrence, overlap_scan, post_selected_state
 from .units import rad_to_deg, to_fs
 
 __all__ = [
@@ -74,8 +73,14 @@ class ResultRecord:
     scalars: dict[str, Any]
     tables: dict[str, dict[str, Any]] = field(default_factory=dict)
 
-    def add_table(self, name: str, columns: list[str], rows: list[list[Any]]) -> None:
-        self.tables[name] = {"columns": columns, "rows": rows}
+    def add_table(self, name: str, columns: dict[str, ArrayLike]) -> None:
+        """Add a table given column by column: name -> values, all of one length.
+
+        The table keeps the values row by row, arrays as Python scalars.
+        """
+        data = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+        rows = zip(*data, strict=True)
+        self.tables[name] = {"columns": list(columns), "rows": list(map(list, rows))}
 
     def write(self, out_dir: str | Path) -> list[Path]:
         """Write <command>.json plus one CSV per table, atomically."""
@@ -118,13 +123,37 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+# Rows of a CSV formatted together. Holding the cells of a whole 801-row delay
+# curve at once raised the peak RSS of a run of delay-scans by about 0.25 MB.
+CSV_BLOCK_ROWS = 64
+
+
 def _csv_text(columns: list[str], rows: list[list[Any]]) -> str:
+    """CSV of a header and rows: the bytes csv.writer gives the rows of _cell(value).
+
+    Each block of CSV_BLOCK_ROWS rows is formatted a column at a time.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start : start + CSV_BLOCK_ROWS]
+        writer.writerows(zip(*map(_column, zip(*block))))
     return buf.getvalue()
+
+
+def _column(values: Sequence[Any]) -> list[str]:
+    """The cells of one column, each as _cell writes it.
+
+    A column of Python floats only, or of Python ints only (what .tolist()
+    makes of a float or integer array), skips _cell's per-value dispatch.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    return list(map(_cell, values))
 
 
 def _cell(value: Any) -> str:
@@ -211,14 +240,15 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
             if b == 0:
                 # copies: a view would keep the whole block alive
                 raw0, acc0, sub0 = raw[0].copy(), acc_counts[0].copy(), sub[0].copy()
-        rows = [
-            [grid_deg[k], fringe.probabilities[k], int(raw0[k]), int(acc0[k]), sub0[k]]
-            for k in range(grid.size)
-        ]
         record.add_table(
             fringe_table_name(theta1),
-            ["theta2_deg", "prob_model", "counts_raw", "counts_acc", "counts_sub"],
-            rows,
+            {
+                "theta2_deg": grid_deg,
+                "prob_model": fringe.probabilities,
+                "counts_raw": raw0,
+                "counts_acc": acc0,
+                "counts_sub": sub0,
+            },
         )
         bases.append(
             {
@@ -243,20 +273,15 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
 
 def run_delay_scan(cfg: ScenarioConfig) -> ResultRecord:
     """|V_int(tau)| over the configured window plus the located optimum."""
-    disp = cfg.dispersion()
     jsa = cfg.build_jsa()
     taus, step = cfg.delay_scan_grid_s()
     mags = np.abs(overlap_scan(jsa, taus[0], step, taus.size))
-    best = optimal_delay(jsa, disp.delta * disp.length_L / 2)
+    best = cfg.optimal_delay(jsa)
     overlap_star = OverlapResult(overlap_scan(jsa, best.tau, 0.0, 1)[0])
     state_star = post_selected_state(overlap_star, cfg.phi_bs())
 
     record = ResultRecord(command="delay-scan", config=cfg.to_dict(), scalars={})
-    record.add_table(
-        "curve",
-        ["tau_fs", "v_int_abs"],
-        [[to_fs(t), m] for t, m in zip(taus, mags)],
-    )
+    record.add_table("curve", {"tau_fs": to_fs(taus), "v_int_abs": mags})
     record.scalars = {
         "tau_star_fs": to_fs(best.tau),
         "v_int_abs_at_star": overlap_star.magnitude,
@@ -279,11 +304,11 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
     runs = cfg.runs()
 
     s_model = chsh_S(state, settings)
-    expected = expected_count_table(state, settings, model, pair_rate, t_int)
+    expected = expected_count_array(state, [settings], model, pair_rate, t_int)[0]
     stream = np.random.default_rng(derive_seed(seed, 2, 0))
     s_runs, sigma_runs = _RunMoments(), _RunMoments()
     for b, n in enumerate(_blocks(runs)):
-        counts = poisson_counts(np.broadcast_to(expected.counts, (n, 4, 4)), stream)
+        counts = poisson_counts(np.broadcast_to(expected, (n, 4, 4)), stream)
         s_block, sigma_block = chsh_from_counts(counts)
         s_runs.add(s_block)
         sigma_runs.add(sigma_block)
@@ -292,21 +317,16 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
             s_first, sigma_first = float(s_block[0]), float(sigma_block[0])
 
     a_angles, b_angles = chsh_table_angles(settings)
-    rows = []
-    for ia in range(4):
-        for ib in range(4):
-            rows.append(
-                [
-                    ia,
-                    ib,
-                    rad_to_deg(a_angles[ia]),
-                    rad_to_deg(b_angles[ib]),
-                    int(first_counts[ia, ib]),
-                ]
-            )
     record = ResultRecord(command="chsh", config=cfg.to_dict(), scalars={})
     record.add_table(
-        "counts", ["arm1_index", "arm2_index", "angle1_deg", "angle2_deg", "counts"], rows
+        "counts",
+        {  # row 4 * ia + ib: arm-1 setting ia, arm-2 setting ib
+            "arm1_index": np.repeat(np.arange(4), 4),
+            "arm2_index": np.tile(np.arange(4), 4),
+            "angle1_deg": np.repeat([rad_to_deg(t) for t in a_angles], 4),
+            "angle2_deg": np.tile([rad_to_deg(t) for t in b_angles], 4),
+            "counts": first_counts.ravel(),
+        },
     )
     scalars: dict[str, Any] = {
         **info,
@@ -339,20 +359,24 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     thetas = cfg.s_curve_grid()
 
     model_curve = s_curve(state, thetas)
-    expected = expected_count_tables(
+    expected = expected_count_array(
         state, [ChshSettings.canonical(theta) for theta in thetas], model, pair_rate, t_int
     )
     counts = np.stack(
-        [poisson_counts(table.counts, derive_seed(seed, 3, k)) for k, table in enumerate(expected)]
+        [poisson_counts(means, derive_seed(seed, 3, k)) for k, means in enumerate(expected)]
     )
     s_sim, sigma = chsh_from_counts(counts, signed=True)
-    rows = [
-        [rad_to_deg(theta), m, s, sg]
-        for theta, m, s, sg in zip(thetas, model_curve, s_sim.tolist(), sigma.tolist())
-    ]
 
     record = ResultRecord(command="s-curve", config=cfg.to_dict(), scalars={})
-    record.add_table("curve", ["theta_deg", "s_model", "s_sim", "sigma_s"], rows)
+    record.add_table(
+        "curve",
+        {
+            "theta_deg": [rad_to_deg(theta) for theta in thetas],
+            "s_model": model_curve,
+            "s_sim": s_sim,
+            "sigma_s": sigma,
+        },
+    )
     imax = int(np.argmax(model_curve))
     record.scalars = {
         **info,

@@ -135,6 +135,7 @@ def overlap_scan(
     chirp = np.exp(-0.5j * theta * (np.arange(1 - om.size, n) + h - c) ** 2)  # at q - p
     size = 1 << (om.size + n - 2).bit_length()  # >= N + n - 1: no wrap onto the outputs
     fft = np.fft  # loaded on first use; import numpy does not load it
+    # inline exp: from 256 KiB numpy computes this as exp * a, bitwise unlike a * exp
     x = fft.fft(a * np.exp(0.5j * theta * p**2), size)
     conv = fft.ifft(x * fft.fft(chirp, size))[om.size - 1 : om.size - 1 + n]
     return np.exp(0.5j * theta * q**2) * conv / norm
@@ -147,14 +148,17 @@ def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> DelaySetting:
     on the DELAY_STEP lattice (multiples of 0.1 fs); the vertex of a parabola
     through the best three points is reported, rounded to 0.01 fs. Scanning
     tolerates the ripples the sinc lobes put on |V_int|, which defeat
-    derivative methods. An optimum on the window edge raises
-    DegenerateDataError rather than being reported.
+    derivative methods. An optimum on the window edge, or a non-finite
+    |V_int| anywhere in it, raises DegenerateDataError rather than being
+    reported.
     """
     if not np.isfinite(center / DELAY_STEP):  # the window must be countable in steps
         raise ConfigurationError(f"delay window center {center} s is beyond 0.1 fs steps")
     half = round(DELAY_HALF_WIDTH / DELAY_STEP)
     first = round(center / DELAY_STEP) - half
     mags = np.abs(overlap_scan(jsa, first * DELAY_STEP, DELAY_STEP, 2 * half + 1))
+    if not np.all(np.isfinite(mags)):
+        raise DegenerateDataError("|V_int| is not finite on the delay search window")
     i = int(np.argmax(mags))
     tau_star = (first + i) * DELAY_STEP
     if i in (0, mags.size - 1):

@@ -3,27 +3,52 @@ import csv
 import json
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spdcpol import cli
+from spdcpol import state as state_mod
 from spdcpol.config import base_config_dict
 
 
-def run_cli(*args, cwd=None):
+class Result(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_process(*args):
+    """The CLI through `python -m spdcpol.cli` in a fresh interpreter."""
     return subprocess.run(
-        [sys.executable, "-m", "spdcpol.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
+        [sys.executable, "-m", "spdcpol.cli", *args], capture_output=True, text=True
     )
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """The CLI through cli.main in this process: exit code and captured output."""
+
+    def run(*args):
+        capsys.readouterr()
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # --help
+            code = exc.code
+        out, err = capsys.readouterr()
+        return Result(code, out, err)
+
+    return run
+
+
+# --- in a real process: the entry point, the exit status, one stderr line ----------
 
 
 def test_budget_runs_clean(tmp_path):
     out = tmp_path / "out"
-    result = run_cli("budget", "--out", str(out))
+    result = run_process("budget", "--out", str(out))
     assert result.returncode == 0, result.stderr
     payload = json.loads((out / "budget.json").read_text())
     assert payload["command"] == "budget"
@@ -31,7 +56,40 @@ def test_budget_runs_clean(tmp_path):
     assert abs(payload["scalars"]["power_in_guide_mw"] - 1.3286) < 1e-6
 
 
-def test_fringe_csv_layout(tmp_path):
+def test_unknown_key_exits_2(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"detector": {"gate_widht_ns": 100}}))
+    result = run_process("fringe", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert result.returncode == 2
+    err_lines = [l for l in result.stderr.strip().splitlines() if l]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("CONFIG_ERROR:")
+    assert "detector.gate_widht_ns" in err_lines[0]
+
+
+def test_degenerate_spectrum_exits_3(tmp_path):
+    # filter band entirely off-degeneracy: the pair spectrum has empty support
+    cfg = tmp_path / "degenerate.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "filter": {"shape": "top_hat", "center_nm": 1540.0, "fwhm_nm": 2.0},
+                "grid": {"omega_max_rad_s": 3.0e13, "n_points": 2049},
+            }
+        )
+    )
+    result = run_process("delay-scan", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert result.returncode == 3
+    err_lines = [l for l in result.stderr.strip().splitlines() if l]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("NUMERICAL_ERROR:")
+    assert "Traceback" not in result.stderr
+
+
+# --- in this process ---------------------------------------------------------------
+
+
+def test_fringe_csv_layout(tmp_path, run_cli):
     out = tmp_path / "out"
     result = run_cli("fringe", "--preset", "paper-calibrated", "--out", str(out), "--seed", "4")
     assert result.returncode == 0, result.stderr
@@ -47,7 +105,7 @@ def test_fringe_csv_layout(tmp_path):
     }
 
 
-def test_delay_scan_csv_layout(tmp_path):
+def test_delay_scan_csv_layout(tmp_path, run_cli):
     out = tmp_path / "out"
     result = run_cli("delay-scan", "--preset", "gvd-off", "--out", str(out))
     assert result.returncode == 0, result.stderr
@@ -61,7 +119,7 @@ def test_delay_scan_csv_layout(tmp_path):
     assert "note" in " ".join(payload["scalars"]) or payload["scalars"]["delay_model_note"]
 
 
-def test_s_curve_csv_layout(tmp_path):
+def test_s_curve_csv_layout(tmp_path, run_cli):
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -80,7 +138,7 @@ def test_s_curve_csv_layout(tmp_path):
     assert len(rows) == 8  # header + 7 angles
 
 
-def test_chsh_counts_table(tmp_path):
+def test_chsh_counts_table(tmp_path, run_cli):
     out = tmp_path / "out"
     result = run_cli("chsh", "--preset", "raw-visibility", "--out", str(out), "--seed", "2")
     assert result.returncode == 0, result.stderr
@@ -92,17 +150,6 @@ def test_chsh_counts_table(tmp_path):
     assert abs(payload["scalars"]["s_model"] - 2.2203) < 1e-3
 
 
-def test_unknown_key_exits_2(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"detector": {"gate_widht_ns": 100}}))
-    result = run_cli("fringe", "--config", str(cfg), "--out", str(tmp_path / "o"))
-    assert result.returncode == 2
-    err_lines = [l for l in result.stderr.strip().splitlines() if l]
-    assert len(err_lines) == 1
-    assert err_lines[0].startswith("CONFIG_ERROR:")
-    assert "detector.gate_widht_ns" in err_lines[0]
-
-
 def _single_config_error(result):
     assert result.returncode == 2
     err_lines = [l for l in result.stderr.strip().splitlines() if l]
@@ -111,7 +158,7 @@ def _single_config_error(result):
     return err_lines[0]
 
 
-def test_negative_runs_in_config_exits_2(tmp_path):
+def test_negative_runs_in_config_exits_2(tmp_path, run_cli):
     cfg = tmp_path / "runs.json"
     cfg.write_text(json.dumps({"run": {"runs": -5}}))
     out = tmp_path / "o"
@@ -120,7 +167,7 @@ def test_negative_runs_in_config_exits_2(tmp_path):
     assert not out.exists()
 
 
-def test_zero_runs_flag_exits_2(tmp_path):
+def test_zero_runs_flag_exits_2(tmp_path, run_cli):
     out = tmp_path / "o"
     result = run_cli("chsh", "--preset", "paper-ideal", "--runs", "0", "--out", str(out))
     assert "run.runs" in _single_config_error(result)
@@ -128,7 +175,7 @@ def test_zero_runs_flag_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
-def test_non_finite_config_value_exits_2(tmp_path, constant):
+def test_non_finite_config_value_exits_2(tmp_path, constant, run_cli):
     cfg = tmp_path / "nan.json"
     cfg.write_text('{"run": {"pair_rate_hz": %s}}' % constant)
     result = run_cli("chsh", "--config", str(cfg), "--out", str(tmp_path / "o"))
@@ -137,7 +184,7 @@ def test_non_finite_config_value_exits_2(tmp_path, constant):
 
 
 @pytest.mark.parametrize("value", [2.7, "abc", True])
-def test_non_integer_runs_exits_2(tmp_path, value):
+def test_non_integer_runs_exits_2(tmp_path, value, run_cli):
     cfg = tmp_path / "runs.json"
     cfg.write_text(json.dumps({"run": {"runs": value}}))
     out = tmp_path / "o"
@@ -147,7 +194,7 @@ def test_non_integer_runs_exits_2(tmp_path, value):
 
 
 @pytest.mark.parametrize("value", [-1, 1.5, "7", False])
-def test_bad_seed_exits_2(tmp_path, value):
+def test_bad_seed_exits_2(tmp_path, value, run_cli):
     cfg = tmp_path / "seed.json"
     cfg.write_text(json.dumps({"run": {"seed": value}}))
     out = tmp_path / "o"
@@ -156,14 +203,14 @@ def test_bad_seed_exits_2(tmp_path, value):
 
 
 @pytest.mark.parametrize("command", ["fringe", "delay-scan", "budget"])
-def test_scalar_fringe_theta1_exits_2(tmp_path, command):
+def test_scalar_fringe_theta1_exits_2(tmp_path, command, run_cli):
     cfg = tmp_path / "theta1.json"
     cfg.write_text(json.dumps({"run": {"fringe_theta1_deg": 0.0}}))
     result = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert "run.fringe_theta1_deg" in _single_config_error(result)
 
 
-def test_budget_zero_efficiency_exits_2(tmp_path):
+def test_budget_zero_efficiency_exits_2(tmp_path, run_cli):
     cfg = tmp_path / "eff.json"
     cfg.write_text(json.dumps({"detector": {"efficiency_1": 0.0}}))
     out = tmp_path / "o"
@@ -172,32 +219,14 @@ def test_budget_zero_efficiency_exits_2(tmp_path):
     assert not out.exists()
 
 
-def test_missing_config_exits_2(tmp_path):
+def test_missing_config_exits_2(tmp_path, run_cli):
     result = run_cli("budget", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path))
     assert result.returncode == 2
     assert result.stderr.startswith("CONFIG_ERROR:")
 
 
-def test_degenerate_spectrum_exits_3(tmp_path):
-    # filter band entirely off-degeneracy: the pair spectrum has empty support
-    cfg = tmp_path / "degenerate.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "filter": {"shape": "top_hat", "center_nm": 1540.0, "fwhm_nm": 2.0},
-                "grid": {"omega_max_rad_s": 3.0e13, "n_points": 2049},
-            }
-        )
-    )
-    result = run_cli("delay-scan", "--config", str(cfg), "--out", str(tmp_path / "o"))
-    assert result.returncode == 3
-    err_lines = [l for l in result.stderr.strip().splitlines() if l]
-    assert len(err_lines) == 1
-    assert err_lines[0].startswith("NUMERICAL_ERROR:")
-
-
 @pytest.mark.parametrize("command", ["fringe", "chsh"])
-def test_undrawable_means_over_many_blocks_exit_3(tmp_path, command):
+def test_undrawable_means_over_many_blocks_exit_3(tmp_path, command, run_cli):
     # Poisson means far beyond what numpy can draw, with more runs than one
     # Monte-Carlo block: every draw must keep the exit-3 mapping
     cfg = tmp_path / "rate.json"
@@ -211,7 +240,7 @@ def test_undrawable_means_over_many_blocks_exit_3(tmp_path, command):
     assert not out.exists()
 
 
-def test_same_seed_reproduces_bytes(tmp_path):
+def test_same_seed_reproduces_bytes(tmp_path, run_cli):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         result = run_cli("chsh", "--preset", "paper-calibrated", "--out", str(out), "--seed", "8")
@@ -220,7 +249,7 @@ def test_same_seed_reproduces_bytes(tmp_path):
     assert (a / "chsh_counts.csv").read_bytes() == (b / "chsh_counts.csv").read_bytes()
 
 
-def test_round_trip_from_config_echo(tmp_path):
+def test_round_trip_from_config_echo(tmp_path, run_cli):
     first = tmp_path / "first"
     result = run_cli("chsh", "--preset", "raw-visibility", "--out", str(first), "--seed", "21")
     assert result.returncode == 0, result.stderr
@@ -235,7 +264,7 @@ def test_round_trip_from_config_echo(tmp_path):
     assert (first / "chsh_counts.csv").read_bytes() == (second / "chsh_counts.csv").read_bytes()
 
 
-def test_seed_flag_changes_counts(tmp_path):
+def test_seed_flag_changes_counts(tmp_path, run_cli):
     a, b = tmp_path / "a", tmp_path / "b"
     run_cli("chsh", "--preset", "paper-calibrated", "--out", str(a), "--seed", "1")
     run_cli("chsh", "--preset", "paper-calibrated", "--out", str(b), "--seed", "2")
@@ -243,10 +272,83 @@ def test_seed_flag_changes_counts(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["fringe", "delay-scan", "chsh", "s-curve", "budget"])
-def test_all_subcommands_exist(command):
+def test_all_subcommands_exist(command, run_cli):
     result = run_cli(command, "--help")
     assert result.returncode == 0
     assert "--config" in result.stdout and "--preset" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"dispersion": {"length_mm": -1}}, "dispersion.length_mm must be a number in (0, inf)"),
+        ({"filter": {"fwhm_nm": -3}}, "filter.fwhm_nm must be a number in (0, inf)"),
+        ({"detector": {"gate_width_ns": 0}}, "detector.gate_width_ns must be a number in (0, inf)"),
+        ({"state": {"coherence": 1.5}}, "state.coherence must be a number in [-1, 1] or null"),
+    ],
+)
+def test_range_error_names_the_key_and_value_as_written(tmp_path, run_cli, scenario, message):
+    cfg = tmp_path / "range.json"
+    cfg.write_text(json.dumps(scenario))
+    result = run_cli("chsh", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    written = json.dumps(next(iter(next(iter(scenario.values())).values())))
+    assert _single_config_error(result) == f"CONFIG_ERROR: {message}, got {written}"
+
+
+# --- state kept between cli.main calls of one process ------------------------------
+
+def test_commands_sharing_a_spectrum_write_what_fresh_processes_write(
+    tmp_path, run_cli, monkeypatch
+):
+    # a spectrum no other test uses, so the first command's search is a miss
+    cfg = tmp_path / "spectrum.json"
+    cfg.write_text(json.dumps({"dispersion": {"length_mm": 1.37}, "grid": {"n_points": 2049}}))
+    searches = []
+    search = state_mod.optimal_delay
+    monkeypatch.setattr(state_mod, "optimal_delay", lambda *a: searches.append(a) or search(*a))
+    for command in ("delay-scan", "fringe", "chsh"):
+        out = tmp_path / "in_process" / command
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)).returncode == 0
+        fresh = tmp_path / "fresh" / command
+        result = run_process(command, "--config", str(cfg), "--out", str(fresh))
+        assert result.returncode == 0, result.stderr
+    assert len(searches) == 1
+    files = sorted(p.relative_to(tmp_path / "fresh") for p in (tmp_path / "fresh").rglob("*.*"))
+    assert len(files) == 2 + 3 + 2  # delay-scan, fringe and chsh: their JSON and CSV files
+    for rel in files:
+        in_process, fresh = tmp_path / "in_process" / rel, tmp_path / "fresh" / rel
+        assert in_process.read_bytes() == fresh.read_bytes()
+
+
+def test_failed_search_fails_again_in_the_same_process(tmp_path, run_cli):
+    # a phase mismatch whose |V_int| peaks beyond delta*L/2 +- 200 fs
+    cfg = tmp_path / "edge.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "dispersion": {"length_mm": 4.0, "delta0_per_m": 3.0e4},
+                "filter": {"center_nm": 1555.9, "fwhm_nm": 20.0},
+                "grid": {"n_points": 1025},
+            }
+        )
+    )
+    for command in ("fringe", "fringe", "delay-scan", "chsh"):
+        result = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert result.returncode == 3
+        assert result.stderr.startswith("NUMERICAL_ERROR: |V_int| peaks at 274.2 fs, the edge")
+        assert len(result.stderr.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_flag_does_not_carry_over_to_the_next_call(tmp_path, run_cli):
+    flagged, default, explicit = tmp_path / "flagged", tmp_path / "default", tmp_path / "explicit"
+    default_seed = str(base_config_dict()["run"]["seed"])
+    run_cli("chsh", "--preset", "paper-calibrated", "--seed", "7", "--out", str(flagged))
+    run_cli("chsh", "--preset", "paper-calibrated", "--out", str(default))
+    run_cli("chsh", "--preset", "paper-calibrated", "--seed", default_seed, "--out", str(explicit))
+    for name in ("chsh.json", "chsh_counts.csv"):
+        assert (default / name).read_bytes() == (explicit / name).read_bytes()
+        assert (default / name).read_bytes() != (flagged / name).read_bytes()
 
 
 # --- random scenarios, in process -------------------------------------------------

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spdcpol import ConfigurationError
-from spdcpol.config import PRESETS, base_config_dict, load_scenario
+from spdcpol import ConfigurationError, DegenerateDataError, config
+from spdcpol import state as state_mod
+from spdcpol.config import PRESETS, ScenarioConfig, base_config_dict, load_scenario
 
 
 def test_defaults_load_and_validate():
@@ -187,3 +188,69 @@ def test_presets_do_not_mutate_base():
     load_scenario(preset="raw-visibility")
     assert base_config_dict() == before
     assert set(PRESETS) == {"paper-ideal", "paper-calibrated", "gvd-off", "raw-visibility"}
+
+
+# --- the delay search: once per spectrum and process ------------------------------
+
+
+def _spectrum(**edits):
+    """A 1025-point spectral scenario with some keys changed, as {block: {key: value}}."""
+    data = base_config_dict()
+    data["grid"]["n_points"] = 1025
+    for block, values in edits.items():
+        data[block].update(values)
+    return ScenarioConfig(data=data)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Arguments of each delay search run from here on, starting from an empty memo."""
+    calls = []
+    search = state_mod.optimal_delay
+    monkeypatch.setattr(state_mod, "optimal_delay", lambda *a: calls.append(a) or search(*a))
+    monkeypatch.setattr(config, "_last_delay_search", None)
+    return calls
+
+
+def test_delay_search_runs_once_for_one_spectrum(searches):
+    first, second = _spectrum(), _spectrum(run={"seed": 3})
+    jsa = first.build_jsa()
+    delay = first.optimal_delay(jsa)
+    assert second.optimal_delay(second.build_jsa()) is delay
+    assert second.resolve_state()[1]["tau_fs"] == first.resolve_state()[1]["tau_fs"]
+    assert len(searches) == 1
+    disp = first.dispersion()
+    assert delay == state_mod.optimal_delay(jsa, disp.delta * disp.length_L / 2)
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"dispersion": {"length_mm": float(np.nextafter(1.2, 2.0))}},
+        {"dispersion": {"delta0_per_m": -0.0}},  # equal to 0.0, but not bit for bit
+        {"dispersion": {"gvd_D_ps_nm_km": -800.0}},
+        {"filter": {"shape": "gaussian"}},
+        {"filter": {"fwhm_nm": 44.0}},
+        {"grid": {"n_points": 1027}},
+        {"grid": {"omega_max_rad_s": 6.0e13}},
+    ],
+)
+def test_another_spectrum_misses_and_replaces_the_kept_search(searches, edits):
+    base, other = _spectrum(), _spectrum(**edits)
+    for cfg in (base, other, base):  # the memo holds one spectrum: base is searched twice
+        cfg.optimal_delay(cfg.build_jsa())
+    assert len(searches) == 3
+
+
+def test_search_that_raises_is_not_kept(searches, monkeypatch):
+    cfg = _spectrum()
+    jsa = cfg.build_jsa()
+    scan = state_mod.overlap_scan
+    monkeypatch.setattr(state_mod, "overlap_scan", lambda *args: scan(*args) * np.nan)
+    for _ in range(2):
+        with pytest.raises(DegenerateDataError, match="not finite"):
+            cfg.optimal_delay(jsa)
+    assert config._last_delay_search is None
+    monkeypatch.setattr(state_mod, "overlap_scan", scan)
+    cfg.optimal_delay(jsa)
+    assert len(searches) == 3

@@ -195,6 +195,20 @@ def test_batched_fit_rows_do_not_depend_on_the_batch():
     assert all(fit_fringe(theta, row).visibility == v for row, v in zip(counts, whole))
 
 
+def test_kept_design_inverse_gives_each_row_the_fit_of_a_fresh_inverse():
+    # alternating grids: each fit after the first on a grid reuses or replaces the kept inverse
+    rng = np.random.default_rng(21)
+    grids = [_full_turn(step_deg=10.0), _full_turn(step_deg=7.5), np.linspace(-np.pi, np.pi, 37)]
+    for theta in [*grids, *grids, grids[0]]:
+        counts = rng.poisson(200 * (1 + 0.7 * np.cos(2 * theta + 0.3)), size=(5, theta.size))
+        design = np.column_stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
+        a, p, q = np.moveaxis(np.einsum("...n,kn->...k", counts, np.linalg.pinv(design)), -1, 0)
+        fit = fit_fringe(theta, counts)
+        assert np.array_equal(fit.offset, a)
+        assert np.array_equal(fit.phase, np.arctan2(-q, p))
+        assert np.array_equal(fit.visibility, np.hypot(p, q) / a)
+
+
 @pytest.mark.parametrize("bad_row", [0, 5, 11])
 def test_batched_fit_rejects_a_degenerate_row_anywhere(bad_row):
     theta = _full_turn(step_deg=10.0)

@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spdcpol import (
@@ -266,3 +270,47 @@ def test_memory_does_not_grow_with_runs(runner):
 
     peak(runners.MC_BLOCK_RUNS)  # warm caches and lazy imports first
     assert peak(20_000) - peak(runners.MC_BLOCK_RUNS) <= 256 * 1024
+
+
+# --- CSV text: formatted a column at a time -------------------------------------------
+
+_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.2250738585072014e-308]
+)
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_COLUMNS = st.one_of(
+    st.lists(_FLOATS).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(_INT64).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(_FLOATS),
+    st.lists(st.integers()),
+    st.lists(
+        st.one_of(
+            _FLOATS,
+            st.integers(),
+            _FLOATS.map(np.float64),
+            _INT64.map(np.int64),
+        )
+    ),
+)
+
+
+@given(columns=st.lists(_COLUMNS, min_size=1, max_size=4), block=st.integers(1, 70))
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_column_formatting_writes_the_bytes_of_cell_by_cell_formatting(
+    monkeypatch, columns, block
+):
+    monkeypatch.setattr(runners, "CSV_BLOCK_ROWS", block)
+    size = min(len(c) for c in columns)
+    columns = {f"c{i}": c[:size] for i, c in enumerate(columns)}
+    record = runners.ResultRecord(command="t", config={}, scalars={})
+    record.add_table("t", columns)
+    table = record.tables["t"]
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(list(columns))
+    for k in range(size):
+        writer.writerow([runners._cell(c[k]) for c in columns.values()])
+    assert runners._csv_text(table["columns"], table["rows"]) == reference.getvalue()
+    assert len(table["rows"]) == size
