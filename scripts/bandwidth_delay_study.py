@@ -13,7 +13,6 @@ import csv
 import numpy as np
 
 from spdcpol import (
-    OverlapResult,
     SpectralFilter,
     WaveguideDispersion,
     build_jsa,
@@ -25,13 +24,13 @@ from spdcpol import (
 )
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="bandwidth_delay.csv")
     parser.add_argument("--shape", choices=["top_hat", "gaussian"], default="top_hat")
     # centered on degeneracy so narrow bands still pass both pair photons
     parser.add_argument("--center-nm", type=float, default=1555.9)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     disp = WaveguideDispersion(
         length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
@@ -44,13 +43,13 @@ def main() -> None:
             shape=args.shape, center_lambda=args.center_nm * 1e-9, fwhm_lambda=fwhm_nm * 1e-9
         )
         jsa = build_jsa(disp, filt, default_grid(filt))
-        delay = optimal_delay(jsa, half_walkoff)
-        overlap = OverlapResult(overlap_scan(jsa, delay.tau, 0.0, 1)[0])
-        c = concurrence(post_selected_state(overlap))
-        rows.append([fwhm_nm, delay.tau * 1e15, overlap.magnitude, c])
+        tau_star = optimal_delay(jsa, half_walkoff)
+        v_int = overlap_scan(jsa, tau_star, 0.0, 1)[0]
+        c = concurrence(post_selected_state(v_int))
+        rows.append([fwhm_nm, tau_star * 1e15, abs(v_int), c])
         print(
-            f"fwhm={fwhm_nm:6.1f} nm  tau*={delay.tau * 1e15:7.2f} fs  "
-            f"|V|={overlap.magnitude:.6f}  C={c:.6f}"
+            f"fwhm={fwhm_nm:6.1f} nm  tau*={tau_star * 1e15:7.2f} fs  "
+            f"|V|={abs(v_int):.6f}  C={c:.6f}"
         )
     print(f"(delta*L/2 = {half_walkoff * 1e15:.2f} fs)")
 

@@ -5,17 +5,19 @@ Usage: python3 scripts/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are repository roots (holding src/spdcpol) or
 directories that hold the spdcpol package itself. Every case runs
-`python -m spdcpol.cli` in a fresh process with the tree first on
-PYTHONPATH, in a working directory of its own, writing to ./out; the
-process's stdout, stderr and exit code are kept next to its outputs, so
-they are compared too. Prints each file that differs or exists on one side
-only, and exits 1 if there is any, else 0.
+`python -m spdcpol.cli`, or a script of the tree, in a fresh process with
+the tree's package first on PYTHONPATH, in a working directory of its own,
+writing to ./out; the process's stdout, stderr and exit code are kept next
+to its outputs, so they are compared too. Prints each file that differs or
+exists on one side only, and exits 1 if there is any, else 0.
 
 The matrix:
   - each configs/*.json of this repository with each of the five commands
   - the defaults with each of the five commands
   - each preset with fringe, chsh, s-curve and delay-scan at --runs 300
   - delay-scan, fringe and chsh on a 16385-point grid and on a 12 mm guide
+  - when both trees are repository roots, each tree's own
+    scripts/bandwidth_delay_study.py and scripts/reproduce_results.py
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ GENERATED = {
     "grid16385": {"grid": {"n_points": 16385}},
     "guide12mm": {"dispersion": {"length_mm": 12.0}},
 }
+SCRIPTS = ("bandwidth_delay_study.py", "reproduce_results.py")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -53,8 +56,9 @@ def presets(root: Path) -> list[str]:
     return result.stdout.split()
 
 
-def cases(config_dir: Path, preset_names: list[str]) -> dict[str, list[str]]:
-    """Case name -> CLI arguments (without --out)."""
+def cases(config_dir: Path, preset_names: list[str], scripts: bool) -> dict[str, list[str]]:
+    """Case name -> CLI arguments (without --out); a script case's first argument is
+    the script, named relative to the tree's scripts/ directory."""
     matrix: dict[str, list[str]] = {}
     for path in sorted(CONFIGS.glob("*.json")):
         for command in COMMANDS:
@@ -69,6 +73,9 @@ def cases(config_dir: Path, preset_names: list[str]) -> dict[str, list[str]]:
         path.write_text(json.dumps(scenario))
         for command in SPECTRAL_COMMANDS:
             matrix[f"{stem}-{command}"] = [command, "--config", str(path)]
+    if scripts:
+        for script in SCRIPTS:
+            matrix[f"script-{Path(script).stem}"] = [script]
     return matrix
 
 
@@ -81,8 +88,13 @@ def _python(root: Path, args: list[str], cwd: Path | None) -> subprocess.Complet
 
 
 def run_case(root: Path, argv: list[str], workdir: Path) -> None:
+    """One case in workdir; a script case runs the script of the tree that holds root."""
     workdir.mkdir(parents=True)
-    result = _python(root, ["-m", "spdcpol.cli", *argv, "--out", "out"], cwd=workdir)
+    if argv[0] in SCRIPTS:
+        program = [str(root.parent / "scripts" / argv[0]), *argv[1:]]
+    else:
+        program = ["-m", "spdcpol.cli", *argv]
+    result = _python(root, [*program, "--out", "out"], cwd=workdir)
     (workdir / "stdout.txt").write_text(result.stdout)
     (workdir / "stderr.txt").write_text(result.stderr)
     (workdir / "exit_code.txt").write_text(f"{result.returncode}\n")
@@ -97,12 +109,14 @@ def main() -> int:
     parser.add_argument("old", type=Path, help="source tree of the reference outputs")
     parser.add_argument("new", type=Path, help="source tree to compare against it")
     args = parser.parse_args()
-    roots = {"old": package_root(args.old.resolve()), "new": package_root(args.new.resolve())}
+    trees = {"old": args.old.resolve(), "new": args.new.resolve()}
+    roots = {side: package_root(tree) for side, tree in trees.items()}
 
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         base = Path(tmp)
         (base / "configs").mkdir()
-        matrix = cases(base / "configs", presets(roots["new"]))
+        scripts = all(roots[side] == tree / "src" for side, tree in trees.items())
+        matrix = cases(base / "configs", presets(roots["new"]), scripts)
         for name, argv in matrix.items():
             for side, root in roots.items():
                 run_case(root, argv, base / side / name)

@@ -14,11 +14,11 @@ from spdcpol.config import load_scenario
 from spdcpol.runners import run_budget, run_chsh, run_delay_scan, run_fringe, run_s_curve
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=2024)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     jobs = [
         ("fringes_calibrated", run_fringe, dict(preset="paper-calibrated", runs=50)),

@@ -7,24 +7,20 @@ with accidental subtraction.
 """
 
 from .counting import (
-    CountTable,
     DetectorModel,
     accidental_rate,
     chsh_from_counts,
     efficiency_budget,
-    expected_count_table,
-    expected_count_tables,
+    expected_count_array,
     mean_counts,
     measure_accidentals,
     poisson_counts,
-    simulate_count_table,
     subtract_accidentals,
 )
 from .errors import ConfigurationError, DegenerateDataError
 from .polarimetry import (
     ChshSettings,
     FringeResult,
-    PolarizerPair,
     chsh_S,
     chsh_signed,
     coincidence_probs,
@@ -47,8 +43,6 @@ from .spectral import (
     phase_mismatch,
 )
 from .state import (
-    DelaySetting,
-    OverlapResult,
     TwoQubitState,
     concurrence,
     optimal_delay,

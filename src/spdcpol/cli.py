@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -33,6 +34,14 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one CONFIG_ERROR line, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        print("CONFIG_ERROR:", *message.splitlines(), file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
+
+
 _parser: argparse.ArgumentParser | None = None
 
 
@@ -45,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     global _parser
     if _parser is not None:
         return _parser
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spdcpol",
         description=(
             "Simulate and analyze polarization-entangled photon pairs from a "

@@ -231,7 +231,7 @@ def _merge(base: dict[str, Any], override: dict[str, Any]) -> None:
 
 # The last delay search of this process: (its key, its result). One entry and
 # no arrays, so it holds one spectrum at most and a few hundred bytes.
-_last_delay_search: tuple[tuple[Any, ...], state_mod.DelaySetting] | None = None
+_last_delay_search: tuple[tuple[Any, ...], float] | None = None
 
 
 def _scan_values(block: dict[str, Any]) -> np.ndarray:
@@ -269,7 +269,7 @@ class ScenarioConfig:
     def build_jsa(self) -> spectral.JointSpectralAmplitude:
         return spectral.build_jsa(self.dispersion(), self.spectral_filter(), self.grid())
 
-    def optimal_delay(self, jsa: spectral.JointSpectralAmplitude) -> state_mod.DelaySetting:
+    def optimal_delay(self, jsa: spectral.JointSpectralAmplitude) -> float:
         """state.optimal_delay of jsa, which must be this scenario's build_jsa(),
         about the stationary-phase centre delta*L/2.
 
@@ -316,18 +316,15 @@ class ScenarioConfig:
             return override
         jsa = self.build_jsa()
         tau = self.data["state"]["tau_fs"]
-        if tau == "optimize":
-            delay = self.optimal_delay(jsa)
-        else:
-            delay = state_mod.DelaySetting(tau=fs(float(tau)))
-        overlap = state_mod.OverlapResult(state_mod.overlap_scan(jsa, delay.tau, 0.0, 1)[0])
+        delay = self.optimal_delay(jsa) if tau == "optimize" else fs(float(tau))
+        v_int = state_mod.overlap_scan(jsa, delay, 0.0, 1)[0]
         info = {
             "tau_source": "optimized" if tau == "optimize" else "configured",
             "state_source": "spectral_model",
-            "tau_fs": to_fs(delay.tau),
-            "v_int_abs": overlap.magnitude,
+            "tau_fs": to_fs(delay),
+            "v_int_abs": abs(v_int),
         }
-        return state_mod.post_selected_state(overlap, self.phi_bs()), info
+        return state_mod.post_selected_state(v_int, self.phi_bs()), info
 
     # -- detector / run --------------------------------------------------------
     def detector(self) -> DetectorModel:

@@ -32,7 +32,6 @@ from .units import HBAR, omega_from_lambda
 
 __all__ = [
     "DetectorModel",
-    "CountTable",
     "derive_seed",
     "accidental_rate",
     "mean_counts",
@@ -41,9 +40,6 @@ __all__ = [
     "subtract_accidentals",
     "chsh_table_angles",
     "expected_count_array",
-    "expected_count_tables",
-    "expected_count_table",
-    "simulate_count_table",
     "chsh_from_counts",
     "inferred_pair_rate",
     "efficiency_budget",
@@ -157,25 +153,6 @@ _BLOCK_ROWS = np.array([[0, 1, 1, 0], [0, 1, 1, 0], [2, 3, 3, 2], [2, 3, 3, 2]])
 _BLOCK_COLS = np.array([[0, 1, 0, 1], [2, 3, 2, 3], [0, 1, 0, 1], [2, 3, 2, 3]])
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """16 coincidence counts covering the four CHSH correlation blocks."""
-
-    settings: ChshSettings
-    counts: NDArray[np.float64]  # (4, 4), ints from simulation, floats allowed
-    integration_time: float  # s
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=float)
-        if counts.shape != (4, 4):
-            raise ValueError(f"counts must be a 4x4 table, got shape {counts.shape}")
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
-        if self.integration_time <= 0:
-            raise ValueError(f"integration_time must be positive, got {self.integration_time}")
-        object.__setattr__(self, "counts", counts)
-
-
 def chsh_table_angles(settings: ChshSettings) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Arm-1 and arm-2 analyzer angles indexing the 4x4 table (radians)."""
     q = 0.5 * np.pi
@@ -198,54 +175,22 @@ def expected_count_array(
     return mean_counts(probs, model, pair_rate, integration_time)
 
 
-def expected_count_tables(
-    state: TwoQubitState,
-    settings: Sequence[ChshSettings],
-    model: DetectorModel,
-    pair_rate: float,
-    integration_time: float,
-) -> list[CountTable]:
-    """Noiseless tables of expected counts (floats), accidentals included, one per settings."""
-    means = expected_count_array(state, settings, model, pair_rate, integration_time)
-    return [
-        CountTable(settings=s, counts=m, integration_time=integration_time)
-        for s, m in zip(settings, means)
-    ]
-
-
-def expected_count_table(
-    state: TwoQubitState,
-    settings: ChshSettings,
-    model: DetectorModel,
-    pair_rate: float,
-    integration_time: float,
-) -> CountTable:
-    """Noiseless table of expected counts for one set of CHSH settings."""
-    return expected_count_tables(state, [settings], model, pair_rate, integration_time)[0]
-
-
-def simulate_count_table(expected: CountTable, seed: int) -> CountTable:
-    """Poisson-sampled 16-count table, deterministic for a given seed."""
-    counts = poisson_counts(expected.counts, seed).astype(float)
-    return CountTable(
-        settings=expected.settings, counts=counts, integration_time=expected.integration_time
-    )
-
-
 def chsh_from_counts(
-    counts: CountTable | ArrayLike, signed: bool = False
+    counts: ArrayLike, signed: bool = False
 ) -> tuple[float, float] | tuple[NDArray[np.float64], NDArray[np.float64]]:
     """CHSH parameter and its propagated standard deviation from raw counts.
 
-    `counts` is one table (a CountTable or a 4x4 array; floats returned)
-    or a batch of shape (..., 4, 4) (arrays of the leading shape returned).
+    `counts` is one 4x4 table (floats returned) or a batch of shape
+    (..., 4, 4) (arrays of the leading shape returned), none negative.
     Each correlation fraction E comes with variance
     [(1-E)^2 (C1+C2) + (1+E)^2 (C3+C4)] / D^2 assuming independent Poisson
     counts; sigma_S adds the four block variances in quadrature.
     """
-    c = np.asarray(counts.counts if isinstance(counts, CountTable) else counts, dtype=float)
+    c = np.asarray(counts, dtype=float)
     if c.shape[-2:] != (4, 4):
         raise ValueError(f"counts must be 4x4 tables, got shape {c.shape}")
+    if np.any(c < 0):
+        raise ValueError("counts must be nonnegative")
     # (4 entries, ..., 4 blocks)
     c1, c2, c3, c4 = np.moveaxis(c[..., _BLOCK_ROWS, _BLOCK_COLS], -1, 0)
     plus = c1 + c2

@@ -33,7 +33,6 @@ from .errors import ConfigurationError, DegenerateDataError
 from .state import TwoQubitState
 
 __all__ = [
-    "PolarizerPair",
     "ChshSettings",
     "FringeResult",
     "FringeFit",
@@ -48,18 +47,6 @@ __all__ = [
 ]
 
 _QUARTER_TURN = 0.5 * np.pi
-
-
-@dataclass(frozen=True)
-class PolarizerPair:
-    """Analyzer angles for arm 1 and arm 2, radians."""
-
-    theta1: float
-    theta2: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.theta1) and np.isfinite(self.theta2)):
-            raise ValueError("analyzer angles must be finite")
 
 
 @dataclass(frozen=True)
@@ -223,9 +210,12 @@ def _chsh_signed(
     return e11 - e12 + e21 + e22
 
 
-def correlation_E(state: TwoQubitState, pair: PolarizerPair) -> float:
-    """Correlation fraction E built from the four +/-90-degree projections."""
-    return float(_correlations(state, pair.theta1, pair.theta2))
+def correlation_E(state: TwoQubitState, theta1: float, theta2: float) -> float:
+    """Correlation fraction E at analyzer angles (theta1, theta2), radians,
+    built from the four +/-90-degree projections."""
+    if not (np.isfinite(theta1) and np.isfinite(theta2)):
+        raise ValueError("analyzer angles must be finite")
+    return float(_correlations(state, theta1, theta2))
 
 
 def chsh_signed(state: TwoQubitState, settings: ChshSettings) -> float:

@@ -35,7 +35,7 @@ from .counting import (
 )
 from .errors import ConfigurationError
 from .polarimetry import ChshSettings, chsh_S, fit_fringe, fringe_scan, s_curve
-from .state import OverlapResult, concurrence, overlap_scan, post_selected_state
+from .state import concurrence, overlap_scan, post_selected_state
 from .units import rad_to_deg, to_fs
 
 __all__ = [
@@ -276,15 +276,15 @@ def run_delay_scan(cfg: ScenarioConfig) -> ResultRecord:
     jsa = cfg.build_jsa()
     taus, step = cfg.delay_scan_grid_s()
     mags = np.abs(overlap_scan(jsa, taus[0], step, taus.size))
-    best = cfg.optimal_delay(jsa)
-    overlap_star = OverlapResult(overlap_scan(jsa, best.tau, 0.0, 1)[0])
-    state_star = post_selected_state(overlap_star, cfg.phi_bs())
+    tau_star = cfg.optimal_delay(jsa)
+    v_star = overlap_scan(jsa, tau_star, 0.0, 1)[0]
+    state_star = post_selected_state(v_star, cfg.phi_bs())
 
     record = ResultRecord(command="delay-scan", config=cfg.to_dict(), scalars={})
     record.add_table("curve", {"tau_fs": to_fs(taus), "v_int_abs": mags})
     record.scalars = {
-        "tau_star_fs": to_fs(best.tau),
-        "v_int_abs_at_star": overlap_star.magnitude,
+        "tau_star_fs": to_fs(tau_star),
+        "v_int_abs_at_star": abs(v_star),
         "concurrence_at_star": concurrence(state_star),
         "reference_delay_experiment_fs": REFERENCE_DELAY_EXPERIMENT_FS,
         "reference_delay_calculated_fs": REFERENCE_DELAY_CALCULATED_FS,

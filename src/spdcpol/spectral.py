@@ -8,7 +8,7 @@ collinear phase mismatch to second order in the detuning,
     dk(Omega) = delta0 - delta * Omega - beta_plus * Omega**2,
 
 with delta = 1/v_te - 1/v_tm the group-velocity mismatch and beta_plus the
-mean of the two group-velocity-dispersion coefficients.  Integrating the
+group-velocity dispersion, one coefficient for both modes.  Integrating the
 nonlinear interaction over the guide length L gives the sampled amplitude
 
     F(Omega) = sinc(phi) * exp(i * phi) * g(omega0 + Omega) * g(omega0 - Omega),
@@ -58,9 +58,8 @@ class WaveguideDispersion:
     """Guided-mode dispersion data of the pair source.
 
     Group velocities are for the two cross-polarized down-converted modes
-    (TE carries H, TM carries V). A single D applies to both polarizations
-    unless overridden per mode; delta0 is a residual phase mismatch at
-    degeneracy (1/m).
+    (TE carries H, TM carries V). A single D applies to both polarizations;
+    delta0 is a residual phase mismatch at degeneracy (1/m).
     """
 
     length_L: float  # m
@@ -69,8 +68,6 @@ class WaveguideDispersion:
     gvd_D: float  # s/m^2 (D convention, negative = normal at telecom here)
     lambda_deg: float = 1555.9e-9  # m, degenerate pair wavelength
     delta0: float = 0.0  # 1/m
-    gvd_D_te: float | None = None  # optional per-polarization override
-    gvd_D_tm: float | None = None
 
     def __post_init__(self) -> None:
         if self.length_L <= 0:
@@ -93,19 +90,9 @@ class WaveguideDispersion:
         return omega_from_lambda(self.lambda_deg)
 
     @property
-    def beta2_te(self) -> float:
-        d = self.gvd_D if self.gvd_D_te is None else self.gvd_D_te
-        return beta2_from_d(d, self.lambda_deg)
-
-    @property
-    def beta2_tm(self) -> float:
-        d = self.gvd_D if self.gvd_D_tm is None else self.gvd_D_tm
-        return beta2_from_d(d, self.lambda_deg)
-
-    @property
-    def beta2_mean(self) -> float:
-        """beta_plus, the polarization-averaged GVD coefficient (s^2/m)."""
-        return 0.5 * (self.beta2_te + self.beta2_tm)
+    def beta2(self) -> float:
+        """beta_plus, the GVD coefficient both polarizations share (s^2/m)."""
+        return beta2_from_d(self.gvd_D, self.lambda_deg)
 
 
 def phase_mismatch(omega, disp: WaveguideDispersion):
@@ -115,7 +102,7 @@ def phase_mismatch(omega, disp: WaveguideDispersion):
     dk = delta0 - delta*Omega - beta_plus*Omega**2. Accepts scalars or arrays.
     """
     omega = np.asarray(omega, dtype=float)
-    dk = disp.delta0 - disp.delta * omega - disp.beta2_mean * omega**2
+    dk = disp.delta0 - disp.delta * omega - disp.beta2 * omega**2
     phi = dk * (disp.length_L / 2.0)
     return phi if phi.ndim else float(phi)
 
@@ -147,15 +134,10 @@ class SpectralFilter:
         if self.fwhm_lambda >= 2.0 * self.center_lambda:
             raise ValueError("filter band extends to non-positive wavelengths")
 
-    def band_edges_lambda(self) -> tuple[float, float]:
-        """Half-maximum band edges in wavelength (m), (low, high)."""
-        half = 0.5 * self.fwhm_lambda
-        return self.center_lambda - half, self.center_lambda + half
-
     def band_edges_omega(self) -> tuple[float, float]:
         """Half-maximum band edges in angular frequency (rad/s), (low, high)."""
-        lam_lo, lam_hi = self.band_edges_lambda()
-        return omega_from_lambda(lam_hi), omega_from_lambda(lam_lo)
+        half = 0.5 * self.fwhm_lambda
+        return omega_from_lambda(self.center_lambda + half), omega_from_lambda(self.center_lambda - half)
 
 
 def filter_amplitude(omega_abs, filt: SpectralFilter):
@@ -234,15 +216,15 @@ class JointSpectralAmplitude:
         return float(np.trapezoid(np.abs(self.amplitude) ** 2, dx=self.grid.step))
 
 
-def default_grid(filt: SpectralFilter, n_points: int = 8193, width_factor: float = 3.0) -> SpectralGrid:
-    """Grid spanning width_factor times the filter's angular half-width.
+def default_grid(filt: SpectralFilter, n_points: int = 8193) -> SpectralGrid:
+    """Grid spanning 3 times the filter's angular half-width.
 
-    The default (3x, 8193 points) resolves the sinc oscillations of a
+    At the default 8193 points it resolves the sinc oscillations of a
     mm-scale guide at well below 0.05 rad of phase per step.
     """
     w_lo, w_hi = filt.band_edges_omega()
     half_width = 0.5 * (w_hi - w_lo)
-    return SpectralGrid(width_factor * half_width, n_points)
+    return SpectralGrid(3.0 * half_width, n_points)
 
 
 def _check_band_inside_grid(disp: WaveguideDispersion, filt: SpectralFilter, grid: SpectralGrid) -> None:

@@ -28,8 +28,6 @@ from .spectral import JointSpectralAmplitude
 
 __all__ = [
     "BASIS_LABELS",
-    "DelaySetting",
-    "OverlapResult",
     "TwoQubitState",
     "overlap_scan",
     "optimal_delay",
@@ -48,35 +46,6 @@ PSD_EIG_FLOOR = -1e-10
 
 DELAY_HALF_WIDTH = 200e-15  # s, optimal_delay search window about delta*L/2
 DELAY_STEP = 0.1e-15  # s, optimal_delay scan lattice
-
-
-@dataclass(frozen=True)
-class DelaySetting:
-    """Relative delay applied to the V (TM) photon before the beam splitter.
-
-    Positive tau delays V.
-    """
-
-    tau: float  # s
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau}")
-
-
-@dataclass(frozen=True)
-class OverlapResult:
-    """Normalized spectral overlap V_int at one delay, checked |V_int| <= 1."""
-
-    v_int: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.v_int)
-
-    def __post_init__(self) -> None:
-        if self.magnitude > 1.0 + 1e-10:
-            raise ValueError(f"|v_int| = {self.magnitude} exceeds 1")
 
 
 @dataclass(frozen=True)
@@ -141,8 +110,8 @@ def overlap_scan(
     return np.exp(0.5j * theta * q**2) * conv / norm
 
 
-def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> DelaySetting:
-    """Delay maximizing |V_int| within DELAY_HALF_WIDTH of center.
+def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> float:
+    """Delay (s; positive delays V) maximizing |V_int| within DELAY_HALF_WIDTH of center.
 
     center is the stationary-phase estimate delta*L/2. The window is scanned
     on the DELAY_STEP lattice (multiples of 0.1 fs); the vertex of a parabola
@@ -169,22 +138,20 @@ def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> DelaySetting:
     denom = y0 - 2.0 * y1 + y2
     if denom < 0.0:
         tau_star += 0.5 * DELAY_STEP * (y0 - y2) / denom
-    tau_star = round(tau_star / 1e-17) * 1e-17  # report to 0.01 fs
-    return DelaySetting(tau=tau_star)
+    return round(tau_star / 1e-17) * 1e-17  # report to 0.01 fs
 
 
-def post_selected_state(overlap: OverlapResult | complex, phi_bs: float = 0.0) -> TwoQubitState:
-    """X-state of the post-selected pair for a given spectral overlap.
+def post_selected_state(v_int: complex, phi_bs: float = 0.0) -> TwoQubitState:
+    """X-state of the post-selected pair for a given spectral overlap, |v_int| <= 1.
 
     Populations 1/2 on HV and VH; coherence v_int * exp(i phi_bs) / 2
     between them. phi_bs is the fixed relative phase the splitter and path
     optics put between the two terms; 0 makes v_int = 1 the pure
     (|HV> + |VH>)/sqrt(2) pair.
     """
-    v = overlap.v_int if isinstance(overlap, OverlapResult) else complex(overlap)
-    if abs(v) > 1.0 + 1e-10:
-        raise ValueError(f"|v_int| = {abs(v)} exceeds 1")
-    kappa = 0.5 * v * np.exp(1j * phi_bs)
+    if abs(v_int) > 1.0 + 1e-10:
+        raise ValueError(f"|v_int| = {abs(v_int)} exceeds 1")
+    kappa = 0.5 * v_int * np.exp(1j * phi_bs)
     rho = np.zeros((4, 4), dtype=np.complex128)
     rho[_HV, _HV] = 0.5
     rho[_VH, _VH] = 0.5

@@ -12,7 +12,6 @@ from conftest import random_density_batch
 from spdcpol import (
     ChshSettings,
     DetectorModel,
-    PolarizerPair,
     SpectralFilter,
     WaveguideDispersion,
     build_jsa,
@@ -23,7 +22,7 @@ from spdcpol import (
     correlation_E,
     default_grid,
     efficiency_budget,
-    expected_count_table,
+    expected_count_array,
     fit_fringe,
     fringe_scan,
     mean_counts,
@@ -34,7 +33,6 @@ from spdcpol import (
     poisson_counts,
     psi_plus_state,
     s_curve,
-    simulate_count_table,
     visibility_state,
 )
 from spdcpol.config import load_scenario
@@ -133,7 +131,7 @@ def test_criterion_3_x_state_closed_forms():
         state = post_selected_state(c)
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
         e_closed = np.cos(2 * t1) * np.cos(2 * t2) - c * np.sin(2 * t1) * np.sin(2 * t2)
-        worst_e = max(worst_e, abs(correlation_E(state, PolarizerPair(t1, t2)) - e_closed))
+        worst_e = max(worst_e, abs(correlation_E(state, t1, t2) - e_closed))
         worst_s = max(worst_s, abs(chsh_S(state, settings) - SQRT2 * (1.0 + c)))
     _verdict(
         3,
@@ -183,11 +181,11 @@ def test_criterion_5_delay_compensation():
     disp = _paper_disp()
     half_walkoff = disp.delta * disp.length_L / 2.0
     gvd_off = build_jsa(_paper_disp(gvd=0.0), filt, default_grid(filt))
-    tau_off = optimal_delay(gvd_off, half_walkoff).tau * 1e15
+    tau_off = optimal_delay(gvd_off, half_walkoff) * 1e15
     off_ok = abs(tau_off - 22.25) <= 0.1
 
     full = build_jsa(disp, filt, default_grid(filt))
-    tau_full = optimal_delay(full, half_walkoff).tau * 1e15
+    tau_full = optimal_delay(full, half_walkoff) * 1e15
     full_ok = 20.0 <= tau_full <= 35.0
 
     record = run_delay_scan(load_scenario())
@@ -209,6 +207,10 @@ def test_criterion_5_delay_compensation():
 # --- criterion 6: CHSH from counts ---------------------------------------------------
 
 
+def _expected_table(state, settings, model, pair_rate, t_int):
+    return expected_count_array(state, [settings], model, pair_rate, t_int)[0]
+
+
 def test_criterion_6_chsh_from_counts():
     settings = ChshSettings.canonical(22.5 * DEG)
     model_clean = _detector(accidental_calibration=0.0)
@@ -216,31 +218,29 @@ def test_criterion_6_chsh_from_counts():
     # noiseless tables reproduce the model S for assorted states
     worst = 0.0
     for state in (psi_plus_state(), post_selected_state(0.91), visibility_state(0.8, 0.77)):
-        table = expected_count_table(state, settings, model_clean, 6.0, 60.0)
+        table = _expected_table(state, settings, model_clean, 6.0, 60.0)
         s_counts, _ = chsh_from_counts(table)
         worst = max(worst, abs(s_counts - chsh_S(state, settings)))
     noiseless_ok = worst < 1e-9
 
     # raw-visibility working point: between 2 and the uncorrected lab value
     raw_state = visibility_state(0.80, 0.77)
-    s_raw, _ = chsh_from_counts(expected_count_table(raw_state, settings, model_clean, 6.0, 60.0))
+    s_raw, _ = chsh_from_counts(_expected_table(raw_state, settings, model_clean, 6.0, 60.0))
     raw_ok = abs(s_raw - 2.22) < 0.01 and 2.0 < s_raw < 2.61
 
     # propagation versus Monte-Carlo spread at fringe-scale totals
     model_cal = _detector(accidental_calibration=0.026)
     state = post_selected_state(0.91)
-    expected = expected_count_table(state, settings, model_cal, 6.0, 60.0)
+    expected = _expected_table(state, settings, model_cal, 6.0, 60.0)
     _, sigma_prop = chsh_from_counts(expected)
-    draws = np.array(
-        [chsh_from_counts(simulate_count_table(expected, seed=s))[0] for s in range(1000)]
-    )
+    draws = np.array([chsh_from_counts(poisson_counts(expected, seed=s))[0] for s in range(1000)])
     spread_ok = abs(draws.std() - sigma_prop) / sigma_prop < 0.20
 
     # 0.3 pairs/s peak rate, minutes of integration: sigma_S brackets 0.16
     model_20ns = _detector(
         accidental_calibration=0.0, gate_width=20e-9, singles_rate_1=600.0, singles_rate_2=500.0
     )
-    _, sigma_low = chsh_from_counts(expected_count_table(raw_state, settings, model_20ns, 0.6, 120.0))
+    _, sigma_low = chsh_from_counts(_expected_table(raw_state, settings, model_20ns, 0.6, 120.0))
     low_rate_ok = 0.1 <= sigma_low <= 0.3
 
     _verdict(
@@ -333,13 +333,13 @@ def test_criterion_8_property_suites():
     state = post_selected_state(0.91)
     model = _detector(accidental_calibration=0.026)
     settings = ChshSettings.canonical(22.5 * DEG)
-    expected = expected_count_table(state, settings, model, 6.0, 60.0)
-    t_a = simulate_count_table(expected, seed=5)
-    t_b = simulate_count_table(expected, seed=5)
+    expected = _expected_table(state, settings, model, 6.0, 60.0)
+    t_a = poisson_counts(expected, seed=5)
+    t_b = poisson_counts(expected, seed=5)
     acc_a = measure_accidentals(model, 60.0, seed=6, n_settings=37)
     acc_b = measure_accidentals(model, 60.0, seed=6, n_settings=37)
     checks["seed_determinism"] = bool(
-        np.array_equal(t_a.counts, t_b.counts) and np.array_equal(acc_a, acc_b)
+        np.array_equal(t_a, t_b) and np.array_equal(acc_a, acc_b)
     )
 
     # quadrature doubling convergence on the smooth filter profile

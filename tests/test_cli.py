@@ -35,7 +35,7 @@ def run_cli(capsys):
         capsys.readouterr()
         try:
             code = cli.main(list(args))
-        except SystemExit as exc:  # --help
+        except SystemExit as exc:  # --help and command-line errors
             code = exc.code
         out, err = capsys.readouterr()
         return Result(code, out, err)
@@ -276,6 +276,22 @@ def test_all_subcommands_exist(command, run_cli):
     result = run_cli(command, "--help")
     assert result.returncode == 0
     assert "--config" in result.stdout and "--preset" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fringe", "--runs", "abc"],
+        ["fringe", "--preset", "nope"],
+        ["nosuch"],
+        [],
+        ["fringe", "--bogus", "1"],
+    ],
+)
+def test_command_line_error_is_one_config_error_line(argv, run_cli):
+    result = run_cli(*argv)
+    _single_config_error(result)
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from spdcpol import (
     ChshSettings,
     ConfigurationError,
-    CountTable,
     DegenerateDataError,
     DetectorModel,
     accidental_rate,
@@ -15,15 +14,13 @@ from spdcpol import (
     chsh_from_counts,
     coincidence_probs,
     efficiency_budget,
-    expected_count_table,
-    expected_count_tables,
+    expected_count_array,
     fit_fringe,
     mean_counts,
     measure_accidentals,
     poisson_counts,
     post_selected_state,
     psi_plus_state,
-    simulate_count_table,
     subtract_accidentals,
     visibility_state,
 )
@@ -230,7 +227,7 @@ def test_subtraction_then_fit_unbiased_over_ensemble():
 
 def _noiseless_table(state, theta=22.5 * DEG, pair_rate=6.0, t_int=60.0, alpha=0.0):
     model = _fringe_model(accidental_calibration=alpha)
-    return expected_count_table(state, ChshSettings.canonical(theta), model, pair_rate, t_int)
+    return expected_count_array(state, [ChshSettings.canonical(theta)], model, pair_rate, t_int)[0]
 
 
 def test_chsh_from_counts_matches_model_on_noiseless_tables():
@@ -241,9 +238,9 @@ def test_chsh_from_counts_matches_model_on_noiseless_tables():
     states = [psi_plus_state(), post_selected_state(0.91), visibility_state(0.8, 0.77)]
     states += [TwoQubitState(rho=random_density_matrix(rng)) for _ in range(10)]
     for state in states:
-        table = _noiseless_table(state, theta=rng.uniform(0, np.pi))
-        s_counts, _ = chsh_from_counts(table)
-        assert_allclose(s_counts, chsh_S(state, table.settings), atol=1e-9)
+        theta = rng.uniform(0, np.pi)
+        s_counts, _ = chsh_from_counts(_noiseless_table(state, theta=theta))
+        assert_allclose(s_counts, chsh_S(state, ChshSettings.canonical(theta)), atol=1e-9)
 
 
 def test_chsh_from_counts_ideal_value():
@@ -262,8 +259,7 @@ def test_perfect_block_has_zero_error():
     ]:
         counts[i1, j1] = 100.0
         counts[i2, j2] = 100.0
-    table = CountTable(settings=ChshSettings.canonical(22.5 * DEG), counts=counts, integration_time=1.0)
-    s, sigma = chsh_from_counts(table)
+    s, sigma = chsh_from_counts(counts)
     assert_allclose(s, 2.0, atol=1e-15)  # every block pinned at E = 1
     assert sigma == 0.0
 
@@ -271,9 +267,8 @@ def test_perfect_block_has_zero_error():
 def test_zero_denominator_block_rejected():
     counts = np.ones((4, 4))
     counts[0, 0] = counts[1, 1] = counts[1, 0] = counts[0, 1] = 0.0
-    table = CountTable(settings=ChshSettings.canonical(22.5 * DEG), counts=counts, integration_time=1.0)
     with pytest.raises(DegenerateDataError):
-        chsh_from_counts(table)
+        chsh_from_counts(counts)
 
 
 _ORACLE_BLOCKS = (
@@ -326,7 +321,7 @@ def test_single_table_returns_floats_equal_to_the_batch():
     table = _noiseless_table(post_selected_state(0.91))
     s, sigma = chsh_from_counts(table)
     assert type(s) is float and type(sigma) is float
-    batch_s, batch_sigma = chsh_from_counts(table.counts[None])
+    batch_s, batch_sigma = chsh_from_counts(table[None])
     assert batch_s.tolist() == [s] and batch_sigma.tolist() == [sigma]
 
 
@@ -340,14 +335,21 @@ def test_zero_denominator_anywhere_in_a_batch_rejected(bad):
         chsh_from_counts(counts.reshape(2, 5, 4, 4), signed=True)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (2, 5, 4, 4)])
+def test_negative_count_rejected(shape):
+    counts = np.full(shape, 5.0)
+    counts.reshape(-1)[-3] = -1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        chsh_from_counts(counts)
+    with pytest.raises(ValueError, match="nonnegative"):
+        chsh_from_counts(counts, signed=True)
+
+
 def test_sigma_scale_covariance():
     table = _noiseless_table(post_selected_state(0.91))
     s1, sig1 = chsh_from_counts(table)
     for k in (4.0, 9.0, 100.0):
-        scaled = CountTable(
-            settings=table.settings, counts=table.counts * k, integration_time=table.integration_time
-        )
-        sk, sigk = chsh_from_counts(scaled)
+        sk, sigk = chsh_from_counts(table * k)
         assert_allclose(sk, s1, rtol=1e-12)
         assert_allclose(sigk, sig1 / np.sqrt(k), rtol=1e-12)
 
@@ -356,33 +358,24 @@ def test_expected_tables_match_one_table_per_settings():
     state = visibility_state(0.8, 0.77)
     model = _fringe_model(accidental_calibration=0.026)
     settings = [ChshSettings.canonical(t) for t in np.arange(-90.0, 91.0, 15.0) * DEG]
-    tables = expected_count_tables(state, settings, model, 6.0, 60.0)
-    assert [t.settings for t in tables] == settings
+    tables = expected_count_array(state, settings, model, 6.0, 60.0)
+    assert tables.shape == (len(settings), 4, 4)
     for table, s in zip(tables, settings):
-        single = expected_count_table(state, s, model, 6.0, 60.0)
-        assert_allclose(table.counts, single.counts, rtol=1e-15, atol=0.0)
-        assert table.integration_time == 60.0
+        single = expected_count_array(state, [s], model, 6.0, 60.0)[0]
+        assert_allclose(table, single, rtol=1e-15, atol=0.0)
 
 
 def test_simulated_tables_deterministic():
-    state = post_selected_state(0.91)
-    model = _fringe_model(accidental_calibration=0.026)
-    expected = expected_count_table(state, ChshSettings.canonical(22.5 * DEG), model, 6.0, 60.0)
-    t1 = simulate_count_table(expected, seed=99)
-    t2 = simulate_count_table(expected, seed=99)
-    assert np.array_equal(t1.counts, t2.counts)
-    assert t1.settings == expected.settings and t1.integration_time == 60.0
+    expected = _noiseless_table(post_selected_state(0.91), alpha=0.026)
+    t1 = poisson_counts(expected, seed=99)
+    t2 = poisson_counts(expected, seed=99)
+    assert np.array_equal(t1, t2)
 
 
 def test_sigma_propagation_matches_ensemble():
-    state = post_selected_state(0.91)
-    model = _fringe_model(accidental_calibration=0.026)
-    settings = ChshSettings.canonical(22.5 * DEG)
-    expected = expected_count_table(state, settings, model, 6.0, 60.0)
+    expected = _noiseless_table(post_selected_state(0.91), alpha=0.026)
     _, sigma_prop = chsh_from_counts(expected)
-    draws = np.array(
-        [chsh_from_counts(simulate_count_table(expected, seed=s))[0] for s in range(1000)]
-    )
+    draws = np.array([chsh_from_counts(poisson_counts(expected, seed=s))[0] for s in range(1000)])
     assert abs(draws.std() - sigma_prop) / sigma_prop < 0.20
 
 

@@ -9,7 +9,6 @@ from spdcpol import (
     ChshSettings,
     ConfigurationError,
     DegenerateDataError,
-    PolarizerPair,
     TwoQubitState,
     chsh_S,
     chsh_signed,
@@ -231,8 +230,8 @@ def test_fit_rejects_mismatched_angles():
 
 def test_correlation_ideal_values():
     state = psi_plus_state()
-    assert_allclose(correlation_E(state, PolarizerPair(0.0, 0.0)), 1.0, atol=1e-12)
-    assert abs(correlation_E(state, PolarizerPair(0.0, 45.0 * DEG))) < 1e-12
+    assert_allclose(correlation_E(state, 0.0, 0.0), 1.0, atol=1e-12)
+    assert abs(correlation_E(state, 0.0, 45.0 * DEG)) < 1e-12
 
 
 def test_correlation_closed_form_random_angles():
@@ -243,7 +242,7 @@ def test_correlation_closed_form_random_angles():
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
         state = post_selected_state(c)
         expected = np.cos(2 * t1) * np.cos(2 * t2) - c * np.sin(2 * t1) * np.sin(2 * t2)
-        assert_allclose(correlation_E(state, PolarizerPair(t1, t2)), expected, atol=1e-9)
+        assert_allclose(correlation_E(state, t1, t2), expected, atol=1e-9)
 
 
 def test_correlation_two_visibility_closed_form():
@@ -252,7 +251,7 @@ def test_correlation_two_visibility_closed_form():
     for _ in range(50):
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
         expected = 0.80 * np.cos(2 * t1) * np.cos(2 * t2) - 0.77 * np.sin(2 * t1) * np.sin(2 * t2)
-        assert_allclose(correlation_E(state, PolarizerPair(t1, t2)), expected, atol=1e-9)
+        assert_allclose(correlation_E(state, t1, t2), expected, atol=1e-9)
 
 
 def test_correlation_bounded_random_states():
@@ -260,8 +259,16 @@ def test_correlation_bounded_random_states():
     for _ in range(500):
         state = TwoQubitState(rho=random_density_matrix(rng))
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
-        e = correlation_E(state, PolarizerPair(t1, t2))
+        e = correlation_E(state, t1, t2)
         assert -1.0 - 1e-9 <= e <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_correlation_rejects_nonfinite_angle(bad):
+    state = psi_plus_state()
+    for t1, t2 in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            correlation_E(state, t1, t2)
 
 
 # --- CHSH -------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 
 from spdcpol import (
     ChshSettings,
-    CountTable,
     chsh_from_counts,
     cli,
     coincidence_probs,
@@ -161,8 +160,7 @@ def test_first_run_counts_follow_the_seed_tree():
         settings = ChshSettings.canonical(theta)
         a, b = chsh_table_angles(settings)
         drawn = _draw(seed, _means(cfg, state, a[:, None], b[None, :]), 3, k)
-        table = CountTable(settings=settings, counts=drawn, integration_time=t_int)
-        assert rows[k][2:] == list(chsh_from_counts(table, signed=True))
+        assert rows[k][2:] == list(chsh_from_counts(drawn, signed=True))
 
 
 # --- Monte-Carlo streams: one run-0 child per (tag, basis), runs are its rows -------

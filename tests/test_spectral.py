@@ -88,7 +88,7 @@ def test_phase_parity_decomposition(paper_disp):
     # with delta0 = 0 the odd (walk-off) part cancels in phi(w) + phi(-w)
     om = np.linspace(1e11, 3e13, 17)
     total = phase_mismatch(om, paper_disp) + phase_mismatch(-om, paper_disp)
-    expected = -paper_disp.beta2_mean * om**2 * paper_disp.length_L
+    expected = -paper_disp.beta2 * om**2 * paper_disp.length_L
     assert_allclose(total, expected, rtol=1e-12)
 
 
