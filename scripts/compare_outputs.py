@@ -16,6 +16,10 @@ The matrix:
   - the defaults with each of the five commands
   - each preset with fringe, chsh, s-curve and delay-scan at --runs 300
   - delay-scan, fringe and chsh on a 16385-point grid and on a 12 mm guide
+  - one sequence case: delay-scan, fringe and chsh on 4097-, 16385- and then
+    8193-point grids through spdcpol.cli.main in one interpreter, one
+    output directory per step, so that a call runs after the state earlier
+    calls of the same process left behind
   - when both trees are repository roots, each tree's own
     scripts/bandwidth_delay_study.py and scripts/reproduce_results.py
 """
@@ -37,6 +41,18 @@ GENERATED = {
     "guide12mm": {"dispersion": {"length_mm": 12.0}},
 }
 SCRIPTS = ("bandwidth_delay_study.py", "reproduce_results.py")
+SEQUENCE_GRIDS = (4097, 16385, 8193)  # grows, then shrinks, what one process keeps
+# The sequence case: argv holds (command, config) pairs, then --out DIR.
+SEQUENCE = """
+import sys
+from pathlib import Path
+from spdcpol import cli
+*steps, _, out = sys.argv[1:]
+for i, (command, config) in enumerate(zip(steps[::2], steps[1::2])):
+    step = f"{i}-{Path(config).stem}-{command}"
+    code = cli.main([command, "--config", config, "--out", f"{out}/{step}"])
+    print(f"{step}: exit {code}", flush=True)
+"""
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -58,7 +74,8 @@ def presets(root: Path) -> list[str]:
 
 def cases(config_dir: Path, preset_names: list[str], scripts: bool) -> dict[str, list[str]]:
     """Case name -> CLI arguments (without --out); a script case's first argument is
-    the script, named relative to the tree's scripts/ directory."""
+    the script, named relative to the tree's scripts/ directory, and the sequence
+    case's are "-c" and its program."""
     matrix: dict[str, list[str]] = {}
     for path in sorted(CONFIGS.glob("*.json")):
         for command in COMMANDS:
@@ -73,6 +90,13 @@ def cases(config_dir: Path, preset_names: list[str], scripts: bool) -> dict[str,
         path.write_text(json.dumps(scenario))
         for command in SPECTRAL_COMMANDS:
             matrix[f"{stem}-{command}"] = [command, "--config", str(path)]
+    steps: list[str] = []
+    for n_points in SEQUENCE_GRIDS:
+        path = config_dir / f"sequence-grid{n_points}.json"
+        path.write_text(json.dumps({"grid": {"n_points": n_points}}))
+        for command in SPECTRAL_COMMANDS:
+            steps += [command, str(path)]
+    matrix["sequence-in-one-process"] = ["-c", SEQUENCE, *steps]
     if scripts:
         for script in SCRIPTS:
             matrix[f"script-{Path(script).stem}"] = [script]
@@ -88,10 +112,13 @@ def _python(root: Path, args: list[str], cwd: Path | None) -> subprocess.Complet
 
 
 def run_case(root: Path, argv: list[str], workdir: Path) -> None:
-    """One case in workdir; a script case runs the script of the tree that holds root."""
+    """One case in workdir; a script case runs the script of the tree that holds root,
+    a "-c" case its program in one interpreter."""
     workdir.mkdir(parents=True)
     if argv[0] in SCRIPTS:
         program = [str(root.parent / "scripts" / argv[0]), *argv[1:]]
+    elif argv[0] == "-c":
+        program = argv
     else:
         program = ["-m", "spdcpol.cli", *argv]
     result = _python(root, [*program, "--out", "out"], cwd=workdir)

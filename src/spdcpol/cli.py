@@ -94,13 +94,17 @@ def main(argv: list[str] | None = None) -> int:
                 config_path=args.config, preset=args.preset, seed=args.seed, runs=args.runs
             )
             record = _RUNNERS[args.command](cfg)
-            written = record.write(args.out)
     except ConfigurationError as exc:  # messages may quote keys holding line breaks: join them
         print("CONFIG_ERROR:", *str(exc).splitlines(), file=sys.stderr)
         return EXIT_CONFIG
     except (DegenerateDataError, ArithmeticError) as exc:  # FloatingPointError, OverflowError, ...
         print("NUMERICAL_ERROR:", *str(exc).splitlines(), file=sys.stderr)
         return EXIT_NUMERICAL
+    try:
+        written = record.write(args.out)
+    except OSError as exc:  # --out names a file, or a directory that cannot be written
+        print("CONFIG_ERROR: cannot write --out:", *str(exc).splitlines(), file=sys.stderr)
+        return EXIT_CONFIG
     record.print_summary()
     for path in written:
         print(f"wrote {path}")

@@ -410,7 +410,8 @@ def load_scenario(
             raise ConfigurationError(f"config file not found: {path}")
         try:
             file_dict = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested deeper than json.loads can follow
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_dict, dict):
             raise ConfigurationError(f"config file {path} must hold a JSON object")

@@ -131,29 +131,38 @@ CSV_BLOCK_ROWS = 64
 def _csv_text(columns: list[str], rows: list[list[Any]]) -> str:
     """CSV of a header and rows: the bytes csv.writer gives the rows of _cell(value).
 
-    Each block of CSV_BLOCK_ROWS rows is formatted a column at a time.
+    Each block of CSV_BLOCK_ROWS rows is formatted a column at a time. A block
+    whose columns are all numeric is joined directly: the repr of a Python
+    float or int holds no comma, quote or line break, so csv.writer would
+    quote none of its cells.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for start in range(0, len(rows), CSV_BLOCK_ROWS):
         block = rows[start : start + CSV_BLOCK_ROWS]
-        writer.writerows(zip(*map(_column, zip(*block))))
+        cells, numeric = zip(*map(_column, zip(*block)))
+        if all(numeric):
+            buf.write("\n".join(map(",".join, zip(*cells))))
+            buf.write("\n")
+        else:
+            writer.writerows(zip(*cells))
     return buf.getvalue()
 
 
-def _column(values: Sequence[Any]) -> list[str]:
-    """The cells of one column, each as _cell writes it.
+def _column(values: Sequence[Any]) -> tuple[list[str], bool]:
+    """The cells of one column, each as _cell writes it, and whether the column is numeric.
 
     A column of Python floats only, or of Python ints only (what .tolist()
-    makes of a float or integer array), skips _cell's per-value dispatch.
+    makes of a float or integer array), is numeric and skips _cell's
+    per-value dispatch.
     """
     kinds = set(map(type, values))
     if kinds == {float}:
-        return list(map(float.__repr__, values))
+        return list(map(float.__repr__, values)), True
     if kinds == {int}:
-        return list(map(int.__repr__, values))
-    return list(map(_cell, values))
+        return list(map(int.__repr__, values)), True
+    return list(map(_cell, values)), False
 
 
 def _cell(value: Any) -> str:

@@ -19,6 +19,7 @@ rescaled, which is what coincidence post-selection does to the statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
@@ -73,6 +74,41 @@ class TwoQubitState:
         object.__setattr__(self, "rho", rho)
 
 
+# From this many bytes up, numpy evaluates `x * tmp`, where tmp is a
+# temporary array and x is not, in tmp's buffer as `tmp * x` (temporary
+# elision). Complex multiply is not bitwise commutative on every build
+# (numpy 2.4 on AVX-512 is not), and the scan's outputs were fixed by the
+# expressions `a * np.exp(...)` and `x * fft(chirp)`, so _times_temporary
+# keeps the operand order they had.
+_NUMPY_ELIDE_BYTES = 256 * 1024
+
+# overlap_scan's buffers by name, kept from call to call. Each grows only
+# when a larger scan needs it; smaller scans take prefix views. A scan
+# writes every view before it reads it, so nothing carries from one call to
+# the next, not even from a call that raised part-way. Being one per
+# process, the buffers serve one scan at a time: threads must not scan
+# concurrently.
+_WORKSPACE: dict[str, NDArray[Any]] = {}
+
+
+def _buffer(name: str, length: int, dtype: type = complex, new: Any = np.empty) -> NDArray[Any]:
+    """The first `length` elements of workspace buffer `name`; new(length, dtype=dtype)
+    replaces a buffer that is missing or shorter."""
+    buf = _WORKSPACE.get(name)
+    if buf is None or buf.size < length:
+        buf = _WORKSPACE[name] = new(length, dtype=dtype)
+    return buf[:length]
+
+
+def _times_temporary(
+    x: NDArray[np.complex128], tmp: NDArray[np.complex128], out: NDArray[np.complex128]
+) -> NDArray[np.complex128]:
+    """x * tmp into out, in the operand order numpy uses when tmp is a temporary."""
+    if tmp.nbytes >= _NUMPY_ELIDE_BYTES:
+        return np.multiply(tmp, x, out=out)
+    return np.multiply(x, tmp, out=out)
+
+
 def overlap_scan(
     jsa: JointSpectralAmplitude, tau0: float, step: float, n: int
 ) -> NDArray[np.complex128]:
@@ -87,27 +123,46 @@ def overlap_scan(
     chirp-z transform (Rabiner, Schafer & Rader, IEEE Trans. Audio
     Electroacoust. 17, 1969). Counting p and q from the middle of their
     ranges keeps the chirp phases, and with them the rounding, small.
+
+    Intermediates go to buffers reused from call to call (_WORKSPACE); the
+    returned array is always a new one.
     """
     f = jsa.amplitude
-    w = np.ones(f.size)
+    m = f.size
+    real = _buffer("real", m + n - 1, float)
+    scratch = _buffer("scratch", m + n - 1)
+    w = _buffer("weights", m, float)
+    w.fill(1.0)
     w[[0, -1]] = 0.5  # trapezoid weights; the grid step cancels in the ratio
-    norm = np.sum(w * np.abs(f) ** 2)
+    norm = np.sum(np.multiply(w, np.square(np.abs(f, out=real[:m]), out=real[:m]), out=real[:m]))
     if norm <= 0.0:
         raise DegenerateDataError("joint spectral amplitude has zero norm")
     om = jsa.grid.omegas
     c = 0.5 * (n - 1)
-    a = w * f * np.conj(jsa.reflected()) * np.exp(2j * om * (tau0 + c * step))
+    # a = w * f * conj(F(-Omega)) * exp(2i * om * (tau0 + c * step)), one step at a time
+    a = np.multiply(w, f, out=_buffer("v", m))  # in v until the chirp transform replaces it
+    np.multiply(a, np.conjugate(jsa.reflected(), out=scratch[:m]), out=a)
+    phase = np.multiply(np.multiply(2j, om, out=scratch[:m]), tau0 + c * step, out=scratch[:m])
+    np.multiply(a, np.exp(phase, out=phase), out=a)
     if n == 1:  # the chirp-z transform at a single point is the plain sum
         return a.sum(keepdims=True) / norm
-    h, theta = (om.size - 1) // 2, 2.0 * jsa.grid.step * step
-    p, q = np.arange(om.size) - h, np.arange(n) - c
-    chirp = np.exp(-0.5j * theta * (np.arange(1 - om.size, n) + h - c) ** 2)  # at q - p
-    size = 1 << (om.size + n - 2).bit_length()  # >= N + n - 1: no wrap onto the outputs
+    h, theta = (m - 1) // 2, 2.0 * jsa.grid.step * step
+    ramp = _buffer("ramp", m + n - 1, float, np.arange)  # 0.0, 1.0, 2.0, ...
+    size = 1 << (m + n - 2).bit_length()  # >= N + n - 1: no wrap onto the outputs
     fft = np.fft  # loaded on first use; import numpy does not load it
-    # inline exp: from 256 KiB numpy computes this as exp * a, bitwise unlike a * exp
-    x = fft.fft(a * np.exp(0.5j * theta * p**2), size)
-    conv = fft.ifft(x * fft.fft(chirp, size))[om.size - 1 : om.size - 1 + n]
-    return np.exp(0.5j * theta * q**2) * conv / norm
+    # p, q and q - p are multiples of 1/2 far below 2**53: as floats they and their
+    # squares are exact, as in the integer arithmetic of np.arange they stand for
+    p2 = np.square(np.subtract(ramp[:m], h, out=real[:m]), out=real[:m])
+    pre = np.exp(np.multiply(0.5j * theta, p2, out=scratch[:m]), out=scratch[:m])
+    u = fft.fft(_times_temporary(a, pre, out=a), size, out=_buffer("u", size))
+    # the chirp at q - p, which runs over k + h - c for k = 1 - N .. n - 1
+    d2 = np.square(np.subtract(np.add(ramp, 1 - m + h, out=real), c, out=real), out=real)
+    chirp = np.exp(np.multiply(-0.5j * theta, d2, out=scratch), out=scratch)
+    v = fft.fft(chirp, size, out=_buffer("v", size))
+    conv = fft.ifft(_times_temporary(u, v, out=u), out=u)[m - 1 : m - 1 + n]
+    q2 = np.square(np.subtract(ramp[:n], c, out=real[:n]), out=real[:n])
+    post = np.exp(np.multiply(0.5j * theta, q2, out=scratch[:n]), out=scratch[:n])
+    return np.multiply(post, conv, out=post) / norm
 
 
 def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> float:
@@ -197,13 +252,20 @@ def concurrence(state: TwoQubitState) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
     C = max(0, l1 - l2 - l3 - l4) over the descending singular values of
-    sqrt(rho) (sy x sy) sqrt(rho)^*, rho's eigenvalues clipped at 0 (Wootters,
+    R = sqrt(rho) (sy x sy) sqrt(rho)^*, rho's eigenvalues clipped at 0 (Wootters,
     PRL 80, 2245, 1998): full precision near pure states, unlike square roots
     of the roundoff-sized eigenvalues of rho (sy x sy) rho^* (sy x sy).
+
+    The singular values are the top four eigenvalues of the Hermitian dilation
+    [[0, R], [R^H, 0]]. np.linalg.svd of R itself, whose rows and columns are
+    zero outside the HV/VH block for the post-selected states, loses the
+    split l1 - l2 = |v_int| to about 1e-14 when |v_int| is that small.
     """
     eigs, vecs = np.linalg.eigh(state.rho)
     if eigs.min() < PSD_EIG_FLOOR:
         raise ValueError(f"state is not positive semidefinite: min eigenvalue {eigs.min():.3e}")
     sqrt_rho = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
-    lam = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
+    r = sqrt_rho @ _YY @ sqrt_rho.conj()
+    dilation = np.block([[np.zeros((4, 4)), r], [r.conj().T, np.zeros((4, 4))]])
+    lam = np.linalg.eigvalsh(dilation)[:3:-1]  # descending: the +singular values
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

@@ -225,6 +225,31 @@ def test_missing_config_exits_2(tmp_path, run_cli):
     assert result.stderr.startswith("CONFIG_ERROR:")
 
 
+def test_non_utf8_config_exits_2(tmp_path, run_cli):
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(b"\xff\xfe{\x00}\x00")
+    result = run_cli("budget", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert "not valid JSON" in _single_config_error(result)
+    assert "Traceback" not in result.stderr
+
+
+def test_deeply_nested_config_exits_2(tmp_path, run_cli):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000)
+    result = run_cli("budget", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert "not valid JSON" in _single_config_error(result)
+    assert "Traceback" not in result.stderr
+
+
+def test_out_naming_a_file_exits_2(tmp_path, run_cli):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    result = run_cli("budget", "--out", str(out))
+    assert "--out" in _single_config_error(result)
+    assert "Traceback" not in result.stderr
+    assert out.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("command", ["fringe", "chsh"])
 def test_undrawable_means_over_many_blocks_exit_3(tmp_path, command, run_cli):
     # Poisson means far beyond what numpy can draw, with more runs than one

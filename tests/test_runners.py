@@ -312,3 +312,23 @@ def test_column_formatting_writes_the_bytes_of_cell_by_cell_formatting(
         writer.writerow([runners._cell(c[k]) for c in columns.values()])
     assert runners._csv_text(table["columns"], table["rows"]) == reference.getvalue()
     assert len(table["rows"]) == size
+
+
+def test_numeric_blocks_write_the_bytes_of_csv_writer():
+    columns = {
+        "x": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e22, 0.1],
+        "n": [2**53 + 1, -(2**63), 2**64, 0, -1, 7, 10**30],
+    }
+    rows = [list(row) for row in zip(*columns.values())]
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(list(columns))
+    writer.writerows([runners._cell(v) for v in row] for row in rows)
+    assert runners._csv_text(list(columns), rows) == reference.getvalue()
+
+
+def test_blocks_with_text_are_still_quoted(monkeypatch):
+    monkeypatch.setattr(runners, "CSV_BLOCK_ROWS", 2)
+    rows = [[1.5, 0.25], [2.5, -0.0], [3.5, "a,b"], [4.5, 'say "hi"']]
+    expected = 'x,note\n1.5,0.25\n2.5,-0.0\n3.5,"a,b"\n4.5,"say ""hi"""\n'
+    assert runners._csv_text(["x", "note"], rows) == expected

@@ -21,6 +21,7 @@ from spdcpol import (
     psi_plus_state,
     visibility_state,
 )
+from spdcpol import state as state_mod
 
 
 def _paper_jsa(gvd=-7.9e-4, shape="top_hat"):
@@ -149,6 +150,89 @@ def test_overlap_bounded_by_one(tau_fs, gvd, v_tm):
     assert abs(ov) <= 1.0 + 1e-10
 
 
+# --- overlap_scan: bitwise against the allocating evaluation --------------------
+
+
+def _allocating_overlap_scan(jsa, tau0, step, n):
+    """overlap_scan as written before its workspace: every intermediate a fresh array."""
+    f = jsa.amplitude
+    w = np.ones(f.size)
+    w[[0, -1]] = 0.5
+    norm = np.sum(w * np.abs(f) ** 2)
+    if norm <= 0.0:
+        raise DegenerateDataError("joint spectral amplitude has zero norm")
+    om = jsa.grid.omegas
+    c = 0.5 * (n - 1)
+    a = w * f * np.conj(jsa.reflected()) * np.exp(2j * om * (tau0 + c * step))
+    if n == 1:
+        return a.sum(keepdims=True) / norm
+    h, theta = (om.size - 1) // 2, 2.0 * jsa.grid.step * step
+    p, q = np.arange(om.size) - h, np.arange(n) - c
+    chirp = np.exp(-0.5j * theta * (np.arange(1 - om.size, n) + h - c) ** 2)
+    size = 1 << (om.size + n - 2).bit_length()
+    fft = np.fft
+    x = fft.fft(a * np.exp(0.5j * theta * p**2), size)
+    conv = fft.ifft(x * fft.fft(chirp, size))[om.size - 1 : om.size - 1 + n]
+    return np.exp(0.5j * theta * q**2) * conv / norm
+
+
+# The pre-chirped samples stay below numpy's 256 KiB temporary-elision
+# threshold at 4097 and 8193 points and cross it at 16385; the transforms
+# cross it from 8193 points with n = 801. The grids grow, then shrink, the
+# workspace.
+_BITWISE_GRIDS = (4097, 16385, 8193)
+
+
+def _bitwise_jsas():
+    disp = WaveguideDispersion(
+        length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
+    )
+    filt = SpectralFilter(shape="gaussian", center_lambda=1550e-9, fwhm_lambda=45e-9)
+    return [build_jsa(disp, filt, default_grid(filt, n_points=size)) for size in _BITWISE_GRIDS]
+
+
+# (tau0, step, n): the point at tau*, the delay-scan window, the delay search
+_SCANS = ((22.25e-15, 0.0, 1), (-200e-15, 0.5e-15, 801), (-177.75e-15, 0.1e-15, 4001))
+
+
+def _assert_bitwise(jsa, tau0, step, n):
+    got = overlap_scan(jsa, tau0, step, n)
+    assert got.tobytes() == _allocating_overlap_scan(jsa, tau0, step, n).tobytes()
+    return got
+
+
+def test_overlap_scan_is_bitwise_the_allocating_evaluation(monkeypatch):
+    monkeypatch.setattr(state_mod, "_WORKSPACE", {})
+    for jsa in _bitwise_jsas():
+        for scan in _SCANS:
+            _assert_bitwise(jsa, *scan)
+
+
+def test_overlap_scan_results_do_not_share_the_workspace(monkeypatch):
+    monkeypatch.setattr(state_mod, "_WORKSPACE", {})
+    jsa = _bitwise_jsas()[0]
+    first = overlap_scan(jsa, -200e-15, 0.5e-15, 801)
+    kept = first.copy()
+    first[:] = np.nan
+    second = _assert_bitwise(jsa, -200e-15, 0.5e-15, 801)
+    assert first is not second and not np.shares_memory(first, second)
+    assert second.tobytes() == kept.tobytes()
+
+
+def test_overlap_scan_raising_part_way_leaves_later_calls_bitwise(monkeypatch):
+    monkeypatch.setattr(state_mod, "_WORKSPACE", {})
+    small, large, medium = _bitwise_jsas()
+    _assert_bitwise(small, -200e-15, 0.5e-15, 801)
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError):  # the delay phase overflows
+            overlap_scan(large, 1e300, 0.1e-15, 4001)
+        with pytest.raises(FloatingPointError):  # the chirp phase overflows
+            overlap_scan(large, 0.0, 1e291, 801)
+    for jsa in (medium, large, small):
+        for scan in _SCANS:
+            _assert_bitwise(jsa, *scan)
+
+
 # --- optimal_delay --------------------------------------------------------------
 
 
@@ -237,6 +321,7 @@ def test_splitter_phase_rotates_coherence():
 @example(0.99999)
 @example(0.99999998)
 @example(1.0)
+@example(1.014257788666664e-14)  # np.linalg.svd of R loses this split entirely
 @settings(max_examples=200, deadline=None)
 def test_post_selected_state_valid_and_concurrence_matches(v):
     state = post_selected_state(v)  # constructor enforces Hermitian/trace/PSD
