@@ -31,7 +31,12 @@ from .units import deg_to_rad, fs, rad_to_deg, to_fs
 
 __all__ = ["PRESETS", "SCHEMA", "ScenarioConfig", "load_scenario", "base_config_dict"]
 
-MAX_POINTS = 2**20  # cap on grid.n_points and on the points of every scan
+MAX_POINTS = spectral.MAX_POINTS  # cap on grid.n_points and on the points of every scan
+
+# The default run.delay_scan_fs: this half-width about the point of the
+# lattice of this step nearest delta*L/2 (both fs)
+DELAY_SCAN_HALF_WIDTH_FS = 200.0
+DELAY_SCAN_STEP_FS = 0.5
 
 Check = Callable[[Any, str], None]  # (value, key path); raises ConfigurationError
 
@@ -83,6 +88,22 @@ def scan(value: Any, where: str) -> None:
     # np.arange(start, stop + step / 2, step) has ceil of this many points; inf fails, too
     if not (stop + 0.5 * step - start) / step <= MAX_POINTS:
         raise ConfigurationError(f"{where} spans more than {MAX_POINTS} points")
+
+
+def optional_scan(value: Any, where: str) -> None:
+    """null, or a scan."""
+    if value is not None:
+        scan(value, where)
+
+
+_POINTS = number(f"[3, {MAX_POINTS}]", None, integer=True)
+
+
+def grid_points(value: Any, where: str) -> None:
+    """null, or an odd number of grid points in [3, MAX_POINTS]."""
+    _POINTS(value, where)
+    if value is not None and value % 2 == 0:
+        raise ConfigurationError(f"{where} must be odd, got {json.dumps(value)}")
 
 
 CHSH_ANGLES = ("theta1", "theta1p", "theta2", "theta2p")
@@ -138,9 +159,9 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "center_nm": Key(1550.0, POSITIVE, "center_lambda", 1e-9),
         "fwhm_nm": Key(45.0, POSITIVE, "fwhm_lambda", 1e-9),
     },
-    "grid": {
-        "omega_max_rad_s": Key(None, number("(0, inf)", None)),  # null: 3x the filter's half-width
-        "n_points": Key(8193, number(f"[3, {MAX_POINTS}]", integer=True)),
+    "grid": {  # null: chosen by spectral.default_grid
+        "omega_max_rad_s": Key(None, number("(0, inf)", None)),  # null: the filter's support
+        "n_points": Key(None, grid_points),  # null: the fewest 2**k + 1 the phases allow
     },
     "state": {
         "tau_fs": Key("optimize", number("(-inf, inf)", "optimize")),
@@ -169,7 +190,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "s_curve_theta_deg": Key({"start": -90.0, "stop": 90.0, "step": 2.5}, scan),
         "chsh_theta_deg": Key(22.5, number()),
         "chsh_angles_deg": Key(None, chsh_angles),
-        "delay_scan_fs": Key({"start": -200.0, "stop": 200.0, "step": 0.5}, scan),
+        "delay_scan_fs": Key(None, optional_scan),  # null: centred on delta*L/2
     },
     "budget": {  # budget_inputs: the keyword arguments of counting.efficiency_budget
         "pump_power_mw": Key(13.0, NONNEGATIVE, "pump_power_in", 1e-3),
@@ -261,10 +282,31 @@ class ScenarioConfig:
         return spectral.SpectralFilter(**self._si("filter"))
 
     def grid(self) -> spectral.SpectralGrid:
+        """spectral.default_grid for the delays this config can ask for, up to _tau_max()."""
         g = self.data["grid"]
-        if g["omega_max_rad_s"] is None:
-            return spectral.default_grid(self.spectral_filter(), n_points=g["n_points"])
-        return spectral.SpectralGrid(float(g["omega_max_rad_s"]), g["n_points"])
+        omega_max = g["omega_max_rad_s"]
+        return spectral.default_grid(
+            self.dispersion(),
+            self.spectral_filter(),
+            self._tau_max(),
+            None if omega_max is None else float(omega_max),
+            g["n_points"],
+        )
+
+    def _tau_max(self) -> float:
+        """Largest |delay| (s) a command on this config evaluates the overlap at: the
+        delay search's reach |delta*L/2| + DELAY_HALF_WIDTH, the ends of the delay
+        scan and a configured state.tau_fs. From the config alone, so that every
+        command builds one grid."""
+        disp = self.dispersion()
+        scan = self.delay_scan_fs()
+        tau = self.data["state"]["tau_fs"]
+        return max(
+            abs(disp.delta * disp.length_L / 2) + state_mod.DELAY_HALF_WIDTH,
+            fs(abs(float(scan["start"]))),
+            fs(abs(float(scan["stop"]))),
+            0.0 if tau == "optimize" else fs(abs(float(tau))),
+        )
 
     def build_jsa(self) -> spectral.JointSpectralAmplitude:
         return spectral.build_jsa(self.dispersion(), self.spectral_filter(), self.grid())
@@ -284,7 +326,7 @@ class ScenarioConfig:
         fields = (
             *dataclasses.astuple(disp),
             *dataclasses.astuple(self.spectral_filter()),
-            *dataclasses.astuple(self.grid()),
+            *dataclasses.astuple(jsa.grid),
             center,
         )
         key = tuple(v.hex() if isinstance(v, float) else v for v in fields)  # 0.0 != -0.0 here
@@ -323,6 +365,8 @@ class ScenarioConfig:
             "state_source": "spectral_model",
             "tau_fs": to_fs(delay),
             "v_int_abs": abs(v_int),
+            "v_int_abs_error_estimate": state_mod.halving_error(jsa, delay, v_int),
+            "grid_points": jsa.grid.n_points,
         }
         return state_mod.post_selected_state(v_int, self.phi_bs()), info
 
@@ -351,9 +395,26 @@ class ScenarioConfig:
     def s_curve_grid(self) -> np.ndarray:
         return np.radians(_scan_values(self.data["run"]["s_curve_theta_deg"]))
 
-    def delay_scan_grid_s(self) -> tuple[np.ndarray, float]:
-        """Configured delays (s) and their step (s)."""
+    def delay_scan_fs(self) -> dict[str, Any]:
+        """run.delay_scan_fs; null is DELAY_SCAN_HALF_WIDTH_FS either side of the point
+        of the DELAY_SCAN_STEP_FS lattice nearest delta*L/2."""
         block = self.data["run"]["delay_scan_fs"]
+        if block is not None:
+            return block
+        disp = self.dispersion()
+        steps = to_fs(disp.delta * disp.length_L / 2) / DELAY_SCAN_STEP_FS
+        if not abs(steps) < 2**52:  # else the window's lattice points are not all floats
+            raise ConfigurationError(
+                f"delta*L/2 = {steps * DELAY_SCAN_STEP_FS:.3e} fs is too large to centre "
+                "the default run.delay_scan_fs on; set it"
+            )
+        center = round(steps) * DELAY_SCAN_STEP_FS
+        half = DELAY_SCAN_HALF_WIDTH_FS
+        return {"start": center - half, "stop": center + half, "step": DELAY_SCAN_STEP_FS}
+
+    def delay_scan_grid_s(self) -> tuple[np.ndarray, float]:
+        """The delay scan's delays (s) and their step (s)."""
+        block = self.delay_scan_fs()
         return fs(1.0) * _scan_values(block), fs(float(block["step"]))
 
     def chsh_settings(self) -> ChshSettings:
@@ -372,8 +433,8 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Rules that span keys; then each domain object is built once, and its
-        own checks catch the ranges that span keys (the filter band, an odd
-        n_points, visibility_d against visibility_z)."""
+        own checks catch the ranges that span keys (the filter band against its
+        centre, visibility_d against visibility_z)."""
         s = self.data["state"]
         if (s["visibility_z"] is None) != (s["visibility_d"] is None):
             raise ConfigurationError("state.visibility_z and visibility_d must be set together")
@@ -384,7 +445,6 @@ class ScenarioConfig:
         for block, build in (
             ("dispersion", self.dispersion),
             ("filter", self.spectral_filter),
-            ("grid", self.grid),
             ("detector", self.detector),
             ("state", self._override_state),
         ):

@@ -129,7 +129,11 @@ def measure_accidentals(
     Simulated analogue of delaying the second detector's trigger out of the
     first detector's window: the same singles, no correlated pairs.
     """
-    return poisson_counts(np.full(n_settings, accidental_rate(model) * integration_time), seed)
+    mean = accidental_rate(model) * integration_time
+    try:  # numpy's scalar-mean path: the draws of poisson_counts(np.full(n_settings, mean), seed)
+        return np.random.default_rng(seed).poisson(mean, n_settings)
+    except ValueError as exc:  # a mean that is negative, NaN or beyond about 9.2e18
+        raise DegenerateDataError(f"cannot draw Poisson counts: {exc}") from exc
 
 
 def subtract_accidentals(raw, accidentals) -> NDArray[np.float64]:

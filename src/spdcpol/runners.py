@@ -35,7 +35,7 @@ from .counting import (
 )
 from .errors import ConfigurationError
 from .polarimetry import ChshSettings, chsh_S, fit_fringe, fringe_scan, s_curve
-from .state import concurrence, overlap_scan, post_selected_state
+from .state import concurrence, halving_error, overlap_scan, post_selected_state
 from .units import rad_to_deg, to_fs
 
 __all__ = [
@@ -294,6 +294,8 @@ def run_delay_scan(cfg: ScenarioConfig) -> ResultRecord:
     record.scalars = {
         "tau_star_fs": to_fs(tau_star),
         "v_int_abs_at_star": abs(v_star),
+        "v_int_abs_error_estimate": halving_error(jsa, tau_star, v_star),
+        "grid_points": jsa.grid.n_points,
         "concurrence_at_star": concurrence(state_star),
         "reference_delay_experiment_fs": REFERENCE_DELAY_EXPERIMENT_FS,
         "reference_delay_calculated_fs": REFERENCE_DELAY_CALCULATED_FS,

@@ -22,13 +22,14 @@ there to compensate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateDataError
 from .units import C_LIGHT, TWO_PI, omega_from_lambda
 
 __all__ = [
@@ -216,26 +217,110 @@ class JointSpectralAmplitude:
         return float(np.trapezoid(np.abs(self.amplitude) ** 2, dx=self.grid.step))
 
 
-def default_grid(filt: SpectralFilter, n_points: int = 8193) -> SpectralGrid:
-    """Grid spanning 3 times the filter's angular half-width.
+MAX_POINTS = 2**20  # cap on the points of a grid
 
-    At the default 8193 points it resolves the sinc oscillations of a
-    mm-scale guide at well below 0.05 rad of phase per step.
-    """
+# The default span stops this fraction inside a top-hat's support edge, so
+# both end nodes pass the band test |u| <= 0.5 whatever the rounding of
+# omega0 +- Omega; the band check allows the grid the same shortfall.
+EDGE_RTOL = 1e-12
+
+# A gaussian filter's default span ends where |g(omega0+W) g(omega0-W)|^2,
+# and with it |F|^2, is at most this fraction of full transmission; it is
+# smaller still beyond.
+GAUSSIAN_TAIL = 1e-10
+
+# Most phase, in rad, that one grid step may carry when the count is chosen:
+# the sinc phase phi(Omega) and the delay phase 2*Omega*tau_max alike.
+MAX_PHASE_STEP = 0.02
+
+
+def _support_half_width(disp: WaveguideDispersion, filt: SpectralFilter) -> float:
+    """Omega_c = min(omega0 - omega_lo, omega_hi - omega0): beyond +-Omega_c one of
+    g(omega0 + Omega), g(omega0 - Omega) is outside the half-maximum band (0 for
+    a top-hat). Not positive when omega0 is outside the band."""
     w_lo, w_hi = filt.band_edges_omega()
-    half_width = 0.5 * (w_hi - w_lo)
-    return SpectralGrid(3.0 * half_width, n_points)
+    omega0 = disp.omega_deg
+    return min(omega0 - w_lo, w_hi - omega0)
+
+
+def _default_span(disp: WaveguideDispersion, filt: SpectralFilter) -> float:
+    """Half-width of the default grid: the support of g(omega0+Omega) g(omega0-Omega).
+
+    A top-hat's is [-Omega_c, Omega_c]. For a gaussian, |g|^2 is
+    exp(-4 ln2 u^2) with u = (lambda - center)/fwhm, and u+^2 + u-^2 >=
+    (u- - u+)^2 / 2, so the product is at most GAUSSIAN_TAIL once the pair's
+    wavelengths lambda(omega0 - W) - lambda(omega0 + W) = 4 pi c W /
+    (omega0^2 - W^2) reach sep = fwhm * sqrt(ln(1/GAUSSIAN_TAIL) / (2 ln2)),
+    which is at W = sep omega0^2 / (2 pi c + sqrt((2 pi c)^2 + (sep omega0)^2)).
+    """
+    if filt.shape is FilterShape.TOP_HAT:
+        support = _support_half_width(disp, filt)
+        if support <= 0.0:
+            raise DegenerateDataError(
+                "the top-hat band does not pass the degenerate wavelength "
+                f"{disp.lambda_deg * 1e9:g} nm, so no pair passes it"
+            )
+        return support * (1.0 - EDGE_RTOL)
+    sep = filt.fwhm_lambda * np.sqrt(np.log(1.0 / GAUSSIAN_TAIL) / (2.0 * np.log(2.0)))
+    a, omega0 = TWO_PI * C_LIGHT, disp.omega_deg
+    return float(sep * omega0**2 / (a + np.hypot(a, sep * omega0)))
+
+
+def _grid_points(disp: WaveguideDispersion, omega_max: float, tau_max: float) -> int:
+    """Smallest 2**k + 1 points (k >= 2) on [-omega_max, omega_max] at which a step
+    carries at most MAX_PHASE_STEP of sinc phase and of delay phase 2*Omega*tau_max.
+
+    phi = c1*Omega + c2*Omega^2 + const, so its steepest slope on the span,
+    |c1| + 2|c2|W, is read off phase_mismatch at -W and W without delta0, which
+    only adds a constant (and would drown the terms in Omega in rounding).
+    Raises DegenerateDataError when that takes more than MAX_POINTS points.
+    """
+    phi_lo, phi_hi = phase_mismatch(np.array([-omega_max, omega_max]), replace(disp, delta0=0.0))
+    slope = (0.5 * abs(phi_hi - phi_lo) + abs(phi_hi + phi_lo)) / omega_max
+    steps = max(slope, 2.0 * tau_max) * omega_max / MAX_PHASE_STEP  # per half-span
+    finite = math.isfinite(steps)  # NaN and inf: no count is enough
+    half = 2
+    while finite and half < steps:
+        half *= 2
+    if not finite or 2 * half + 1 > MAX_POINTS:
+        needed = f"2**{half.bit_length()} + 1" if finite else "unboundedly many"
+        raise DegenerateDataError(
+            f"the spectral grid needs {needed} points, more than {MAX_POINTS}, to keep the "
+            f"sinc and delay phases under {MAX_PHASE_STEP} rad per step (a set grid.n_points "
+            "is used as given)"
+        )
+    return 2 * half + 1
+
+
+def default_grid(
+    disp: WaveguideDispersion,
+    filt: SpectralFilter,
+    tau_max: float,
+    omega_max: float | None = None,
+    n_points: int | None = None,
+) -> SpectralGrid:
+    """The grid for this spectrum and delays up to tau_max (s) in magnitude.
+
+    omega_max and n_points are used as given; a None one is chosen to fit the
+    integrand. The span is the support of g(omega0+Omega) g(omega0-Omega)
+    (_default_span): on a top-hat's, the jump at the band edge falls on the
+    end nodes and the trapezoid rule converges at O(step^2). The count is
+    the smallest 2**k + 1 that keeps the sinc and delay phases per step under
+    MAX_PHASE_STEP (_grid_points).
+    """
+    if omega_max is None:
+        omega_max = _default_span(disp, filt)
+    if n_points is None:
+        n_points = _grid_points(disp, omega_max, tau_max)
+    return SpectralGrid(omega_max, n_points)
 
 
 def _check_band_inside_grid(disp: WaveguideDispersion, filt: SpectralFilter, grid: SpectralGrid) -> None:
-    w_lo, w_hi = filt.band_edges_omega()
-    omega0 = disp.omega_deg
-    det_lo, det_hi = w_lo - omega0, w_hi - omega0
-    extent = max(abs(det_lo), abs(det_hi))
-    if extent > grid.omega_max:
+    support = _support_half_width(disp, filt)
+    if support * (1.0 - EDGE_RTOL) > grid.omega_max:
         raise ConfigurationError(
-            "spectral grid narrower than the filter band: band detunings "
-            f"[{det_lo:.3e}, {det_hi:.3e}] rad/s exceed omega_max={grid.omega_max:.3e}"
+            "spectral grid narrower than the pair spectrum: g(omega0+Omega) g(omega0-Omega) "
+            f"passes |Omega| up to {support:.3e} rad/s, beyond omega_max={grid.omega_max:.3e}"
         )
 
 
@@ -245,7 +330,8 @@ def build_jsa(
     """Sample F(Omega) = sinc(phi) * exp(i phi) * g(omega0+Omega) * g(omega0-Omega).
 
     sinc(x) = sin(x)/x with sinc(0) = 1. Raises ConfigurationError when the
-    filter band does not fit inside the grid span.
+    grid span does not reach the support of g(omega0+Omega) g(omega0-Omega)
+    (to within EDGE_RTOL).
     """
     _check_band_inside_grid(disp, filt, grid)
     omega0 = disp.omega_deg

@@ -25,12 +25,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigurationError, DegenerateDataError
-from .spectral import JointSpectralAmplitude
+from .spectral import JointSpectralAmplitude, SpectralGrid
 
 __all__ = [
     "BASIS_LABELS",
     "TwoQubitState",
     "overlap_scan",
+    "halving_error",
     "optimal_delay",
     "post_selected_state",
     "visibility_state",
@@ -137,8 +138,10 @@ def overlap_scan(
     norm = np.sum(np.multiply(w, np.square(np.abs(f, out=real[:m]), out=real[:m]), out=real[:m]))
     if norm <= 0.0:
         raise DegenerateDataError("joint spectral amplitude has zero norm")
-    om = jsa.grid.omegas
-    c = 0.5 * (n - 1)
+    h, c = (m - 1) // 2, 0.5 * (n - 1)
+    ramp = _buffer("ramp", m + n - 1, float, np.arange)  # 0.0, 1.0, 2.0, ...
+    # Omega_k = (k - h) * dOmega, as SpectralGrid.omegas computes it: k - h is exact
+    om = np.multiply(np.subtract(ramp[:m], h, out=real[:m]), jsa.grid.step, out=real[:m])
     # a = w * f * conj(F(-Omega)) * exp(2i * om * (tau0 + c * step)), one step at a time
     a = np.multiply(w, f, out=_buffer("v", m))  # in v until the chirp transform replaces it
     np.multiply(a, np.conjugate(jsa.reflected(), out=scratch[:m]), out=a)
@@ -146,8 +149,7 @@ def overlap_scan(
     np.multiply(a, np.exp(phase, out=phase), out=a)
     if n == 1:  # the chirp-z transform at a single point is the plain sum
         return a.sum(keepdims=True) / norm
-    h, theta = (m - 1) // 2, 2.0 * jsa.grid.step * step
-    ramp = _buffer("ramp", m + n - 1, float, np.arange)  # 0.0, 1.0, 2.0, ...
+    theta = 2.0 * jsa.grid.step * step
     size = 1 << (m + n - 2).bit_length()  # >= N + n - 1: no wrap onto the outputs
     fft = np.fft  # loaded on first use; import numpy does not load it
     # p, q and q - p are multiples of 1/2 far below 2**53: as floats they and their
@@ -163,6 +165,23 @@ def overlap_scan(
     q2 = np.square(np.subtract(ramp[:n], c, out=real[:n]), out=real[:n])
     post = np.exp(np.multiply(0.5j * theta, q2, out=scratch[:n]), out=scratch[:n])
     return np.multiply(post, conv, out=post) / norm
+
+
+def halving_error(jsa: JointSpectralAmplitude, tau: float, v_int: complex) -> float | None:
+    """Estimated error of |V_int(tau)| = |v_int| on jsa's grid.
+
+    The trapezoid rule converges at O(step^2) on the default spans, whose end
+    nodes carry a top-hat's jump or a gaussian's cut-off tail, so Richardson's
+    (|V| - |V on every other node|) / 3, taken in magnitude, estimates the
+    error. None when (N - 1)/2 is odd: every other node of such a grid does
+    not include Omega = 0.
+    """
+    grid = jsa.grid
+    if grid.n_points % 4 != 1:
+        return None
+    half = SpectralGrid(grid.omega_max, (grid.n_points + 1) // 2)
+    coarse = overlap_scan(JointSpectralAmplitude(half, jsa.amplitude[::2]), tau, 0.0, 1)[0]
+    return abs(abs(v_int) - abs(coarse)) / 3.0
 
 
 def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> float:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spdcpol import SpectralFilter, WaveguideDispersion
+from spdcpol import SpectralFilter, WaveguideDispersion, default_grid
+from spdcpol.state import DELAY_HALF_WIDTH
 
 
 @pytest.fixture
@@ -38,3 +39,10 @@ def random_density_batch(rng: np.random.Generator, count: int, n: int = 4) -> np
     rho = a @ np.conj(np.swapaxes(a, 1, 2))
     tr = np.einsum("kii->k", rho).real
     return rho / tr[:, None, None]
+
+
+def search_grid(disp, filt, **kwargs):
+    """default_grid for the delay search about delta*L/2: delays up to
+    |delta*L/2| + DELAY_HALF_WIDTH."""
+    tau_max = abs(disp.delta * disp.length_L / 2) + DELAY_HALF_WIDTH
+    return default_grid(disp, filt, tau_max, **kwargs)

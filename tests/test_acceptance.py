@@ -8,7 +8,7 @@ are pinned here, not tuned elsewhere.
 
 import numpy as np
 
-from conftest import random_density_batch
+from conftest import random_density_batch, search_grid
 from spdcpol import (
     ChshSettings,
     DetectorModel,
@@ -20,7 +20,6 @@ from spdcpol import (
     coincidence_probs,
     concurrence,
     correlation_E,
-    default_grid,
     efficiency_budget,
     expected_count_array,
     fit_fringe,
@@ -180,11 +179,12 @@ def test_criterion_5_delay_compensation():
     filt = _filter()
     disp = _paper_disp()
     half_walkoff = disp.delta * disp.length_L / 2.0
-    gvd_off = build_jsa(_paper_disp(gvd=0.0), filt, default_grid(filt))
+    off_disp = _paper_disp(gvd=0.0)
+    gvd_off = build_jsa(off_disp, filt, search_grid(off_disp, filt))
     tau_off = optimal_delay(gvd_off, half_walkoff) * 1e15
     off_ok = abs(tau_off - 22.25) <= 0.1
 
-    full = build_jsa(disp, filt, default_grid(filt))
+    full = build_jsa(disp, filt, search_grid(disp, filt))
     tau_full = optimal_delay(full, half_walkoff) * 1e15
     full_ok = 20.0 <= tau_full <= 35.0
 
@@ -304,7 +304,7 @@ def test_criterion_8_property_suites():
             gvd_D=rng.uniform(-2e-3, 2e-3),
             lambda_deg=1555.9e-9,
         )
-        jsa = build_jsa(disp, filt, default_grid(filt, n_points=1025))
+        jsa = build_jsa(disp, filt, search_grid(disp, filt, n_points=1025))
         tau = rng.uniform(-300e-15, 300e-15)
         ok &= abs(overlap_scan(jsa, tau, 0.0, 1)[0]) <= 1.0 + 1e-10
     checks["overlap_bounded"] = ok
@@ -345,8 +345,8 @@ def test_criterion_8_property_suites():
     # quadrature doubling convergence on the smooth filter profile
     gauss = _filter(shape="gaussian")
     disp = _paper_disp()
-    coarse = build_jsa(disp, gauss, default_grid(gauss, n_points=4097)).norm_sq()
-    fine = build_jsa(disp, gauss, default_grid(gauss, n_points=8193)).norm_sq()
+    coarse = build_jsa(disp, gauss, search_grid(disp, gauss, n_points=4097)).norm_sq()
+    fine = build_jsa(disp, gauss, search_grid(disp, gauss, n_points=8193)).norm_sq()
     checks["quadrature_doubling"] = abs(fine - coarse) / fine < 1e-6
 
     # concurrence equals the coherence magnitude

@@ -265,6 +265,21 @@ def test_undrawable_means_over_many_blocks_exit_3(tmp_path, command, run_cli):
     assert not out.exists()
 
 
+def test_grid_beyond_max_points_exits_3_unless_its_points_are_set(tmp_path, run_cli):
+    # 1/v_te = 1e3 s/m puts about 1e10 rad of sinc phase across the band
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps({"dispersion": {"v_te_m_per_s": 1e-3}}))
+    result = run_cli("delay-scan", "--config", str(cfg), "--out", str(tmp_path / "a"))
+    assert result.returncode == 3
+    err_lines = result.stderr.strip().splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("NUMERICAL_ERROR: the spectral grid needs ")
+    assert "more than 1048576" in err_lines[0]
+    cfg.write_text(json.dumps({"dispersion": {"v_te_m_per_s": 1e-3}, "grid": {"n_points": 1025}}))
+    result = run_cli("delay-scan", "--config", str(cfg), "--out", str(tmp_path / "b"))
+    assert result.returncode == 0, result.stderr
+
+
 def test_same_seed_reproduces_bytes(tmp_path, run_cli):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

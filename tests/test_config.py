@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spdcpol import ConfigurationError, DegenerateDataError, config
+from spdcpol import ConfigurationError, DegenerateDataError, config, spectral
 from spdcpol import state as state_mod
 from spdcpol.config import PRESETS, ScenarioConfig, base_config_dict, load_scenario
 
@@ -16,7 +16,8 @@ def test_defaults_load_and_validate():
     assert_allclose(disp.length_L, 1.2e-3)
     assert_allclose(disp.lambda_deg, 1555.9e-9)
     assert_allclose(cfg.spectral_filter().fwhm_lambda, 45e-9)
-    assert cfg.grid().n_points == 8193
+    assert cfg.grid().n_points == 1025
+    assert cfg.delay_scan_fs() == {"start": -178.0, "stop": 222.0, "step": 0.5}
     assert cfg.detector().singles_rate_1 == 3550.0
     assert cfg.seed() == 12345
 
@@ -77,6 +78,7 @@ def test_invalid_values_fail_at_load(tmp_path):
         ({"dispersion": {"length_mm": -1.0}}, "dispersion"),
         ({"grid": {"omega_max_rad_s": 1e13, "n_points": 8192}}, "grid"),
         ({"grid": {"n_points": 8193.5}}, "grid.n_points"),
+        ({"grid": {"n_points": 1024}}, "grid.n_points must be odd"),
         ({"state": {"tau_fs": "optimise"}}, "state.tau_fs"),
         ({"state": {"tau_fs": None}}, "state.tau_fs"),
         ({"run": {"integration_time_s": 0.0}}, "run.integration_time_s"),
@@ -123,6 +125,39 @@ def test_invalid_values_fail_at_load(tmp_path):
         path.write_text(json.dumps(case))
         with pytest.raises(ConfigurationError, match=re.escape(where)):
             load_scenario(config_path=path)
+
+
+def test_grid_serves_every_delay_the_config_can_ask_for():
+    # one grid for every command: tau_max is the largest of the search's reach,
+    # the delay scan's ends and a configured tau
+    def grid(**edits):
+        data = base_config_dict()
+        for block, values in edits.items():
+            data[block].update(values)
+        return ScenarioConfig(data=data).grid()
+
+    default = grid()
+    assert default.n_points == 1025
+    assert grid(state={"tau_fs": 22.0}) == default
+    assert grid(state={"tau_fs": -900.0}).n_points == 4097
+    assert grid(run={"delay_scan_fs": {"start": -50.0, "stop": 900.0, "step": 1.0}}).n_points == 4097
+    assert grid(grid={"n_points": 33}) == spectral.SpectralGrid(default.omega_max, 33)
+
+
+def test_default_delay_scan_is_centred_on_half_walkoff():
+    data = base_config_dict()
+    data["dispersion"]["length_mm"] = 12.0  # delta*L/2 = 222.47 fs
+    cfg = ScenarioConfig(data=data)
+    assert cfg.delay_scan_fs() == {"start": 22.5, "stop": 422.5, "step": 0.5}
+    taus, step = cfg.delay_scan_grid_s()
+    assert taus.size == 801 and step == 0.5e-15
+    data["run"]["delay_scan_fs"] = {"start": -1.0, "stop": 1.0, "step": 0.5}
+    assert cfg.delay_scan_fs() == {"start": -1.0, "stop": 1.0, "step": 0.5}
+    data["run"]["delay_scan_fs"] = None
+    for length_mm in (1e15, float("inf")):  # walk-offs beyond the reach of a 0.5 fs lattice
+        data["dispersion"]["length_mm"] = length_mm
+        with pytest.raises(ConfigurationError, match="too large to centre"):
+            cfg.delay_scan_fs()
 
 
 def test_state_tau_string_only_optimize(tmp_path):

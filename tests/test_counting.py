@@ -163,6 +163,24 @@ def test_measure_accidentals_is_the_constant_mean_draw():
     assert np.array_equal(poisson_counts(np.full(37, mean), seed=7), expected)
 
 
+def test_measure_accidentals_draws_what_a_full_array_of_means_draws():
+    # the scalar-mean draw against poisson_counts(np.full(shape, mean), ...), bit for bit
+    model = _fringe_model()
+    mean = accidental_rate(model) * 60.0
+    for shape in (37, (256, 37), (3, 4, 4)):
+        got = measure_accidentals(model, 60.0, seed=11, n_settings=shape)
+        assert np.array_equal(got, poisson_counts(np.full(shape, mean), seed=11))
+    ours, old = np.random.default_rng(12), np.random.default_rng(12)
+    for rows in (256, 256, 7):  # one stream drawn in blocks
+        got = measure_accidentals(model, 60.0, ours, (rows, 37))
+        assert np.array_equal(got, poisson_counts(np.full((rows, 37), mean), old))
+
+
+def test_measure_accidentals_undrawable_mean_is_degenerate_data():
+    with pytest.raises(DegenerateDataError, match="cannot draw Poisson counts"):
+        measure_accidentals(_fringe_model(), 1e300, seed=1, n_settings=4)
+
+
 def test_measure_accidentals_independent_seeds():
     model = _fringe_model()
     a = measure_accidentals(model, 10.0, seed=1, n_settings=1000)

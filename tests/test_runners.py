@@ -11,10 +11,15 @@ from numpy.testing import assert_allclose
 
 from spdcpol import (
     ChshSettings,
+    JointSpectralAmplitude,
+    SpectralGrid,
     chsh_from_counts,
     cli,
     coincidence_probs,
+    filter_amplitude,
     fit_fringe,
+    overlap_scan,
+    phase_mismatch,
     runners,
 )
 from spdcpol.config import load_scenario
@@ -100,6 +105,54 @@ def test_long_guide_optimum_follows_walkoff(tmp_path):
     _, info = cfg.resolve_state()
     assert info["tau_source"] == "optimized"
     assert abs(info["tau_fs"] - 222.47) <= 0.05
+
+
+def test_long_guide_default_curve_peaks_at_the_reported_delay(tmp_path):
+    # the default delay scan is centred on delta*L/2, so it holds the optimum
+    path = tmp_path / "long.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dispersion": {"length_mm": 12.0},
+                "filter": {"shape": "top_hat", "center_nm": 1555.9, "fwhm_nm": 20.0},
+            }
+        )
+    )
+    record = run_delay_scan(load_scenario(config_path=path))
+    rows = np.array(record.tables["curve"]["rows"], dtype=float)
+    peak_tau = rows[np.argmax(rows[:, 1]), 0]
+    assert abs(peak_tau - record.scalars["tau_star_fs"]) <= 0.5  # curve step size
+    assert rows[0, 0] < record.scalars["tau_star_fs"] < rows[-1, 0]
+
+
+def test_default_delay_scan_curve_matches_a_dense_support_grid():
+    cfg = load_scenario()
+    disp, filt = cfg.dispersion(), cfg.spectral_filter()
+    omega0 = disp.omega_deg
+    w_lo, w_hi = filt.band_edges_omega()
+    support = min(omega0 - w_lo, w_hi - omega0) * (1.0 - 1e-12)  # end nodes inside the band
+    grid = SpectralGrid(omega_max=support, n_points=65537)
+    om, phi = grid.omegas, phase_mismatch(grid.omegas, disp)
+    g_pair = filter_amplitude(omega0 + om, filt) * filter_amplitude(omega0 - om, filt)
+    assert np.all(g_pair == 1.0)
+    dense = JointSpectralAmplitude(grid, np.sinc(phi / np.pi) * np.exp(1j * phi))
+    taus, step = cfg.delay_scan_grid_s()
+    reference = np.abs(overlap_scan(dense, taus[0], step, taus.size))
+    rows = np.array(run_delay_scan(cfg).tables["curve"]["rows"], dtype=float)
+    assert_allclose(rows[:, 0], taus * 1e15, rtol=1e-12)
+    assert np.max(np.abs(rows[:, 1] - reference)) < 1e-5
+
+
+def test_spectral_records_certify_their_grid():
+    cfg = load_scenario()
+    scan = run_delay_scan(cfg).scalars
+    fringe = run_fringe(cfg).scalars
+    for scalars in (scan, fringe):
+        assert scalars["grid_points"] == 1025
+        assert 0.0 <= scalars["v_int_abs_error_estimate"] <= 1e-5
+    assert fringe["v_int_abs_error_estimate"] == scan["v_int_abs_error_estimate"]
+    override = run_fringe(load_scenario(preset="paper-calibrated")).scalars
+    assert "grid_points" not in override and "v_int_abs_error_estimate" not in override
 
 
 def test_budget_runner_scalars():

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import search_grid
 from spdcpol import (
     ConfigurationError,
+    DegenerateDataError,
     SpectralFilter,
     SpectralGrid,
     WaveguideDispersion,
@@ -15,6 +19,7 @@ from spdcpol import (
     filter_amplitude,
     phase_mismatch,
 )
+from spdcpol import spectral
 from spdcpol.units import omega_from_lambda
 
 
@@ -158,12 +163,103 @@ def test_grid_rejects_even_or_tiny():
         SpectralGrid(omega_max=1e13, n_points=1)
 
 
-def test_default_grid_width(top_hat_filter):
-    grid = default_grid(top_hat_filter)
+def test_default_grid_width(paper_disp, top_hat_filter):
+    # the top-hat's support [-Omega_c, Omega_c], every node inside the band
+    grid = search_grid(paper_disp, top_hat_filter)
+    omega0 = omega_from_lambda(1555.9e-9)
     w_lo = omega_from_lambda(1550e-9 + 22.5e-9)
     w_hi = omega_from_lambda(1550e-9 - 22.5e-9)
-    assert_allclose(grid.omega_max, 3.0 * 0.5 * (w_hi - w_lo), rtol=1e-12)
-    assert grid.n_points == 8193
+    assert_allclose(grid.omega_max, min(omega0 - w_lo, w_hi - omega0), rtol=1e-12)
+    om = grid.omegas
+    g_pair = filter_amplitude(omega0 + om, top_hat_filter) * filter_amplitude(
+        omega0 - om, top_hat_filter
+    )
+    assert np.all(g_pair == 1.0)
+    assert grid.n_points == 1025
+
+
+def _phase_per_step(disp, grid, tau_max):
+    """Largest sinc phase and delay phase 2*Omega*tau_max one step of grid carries."""
+    om = grid.omegas
+    phi = -(disp.delta * om + disp.beta2 * om**2) * disp.length_L / 2  # less delta0's constant
+    return np.max(np.abs(np.diff(phi))), 2.0 * grid.step * tau_max
+
+
+@pytest.mark.parametrize(
+    "length_mm, fwhm_nm, tau_max",
+    [(0.3, 10.0, None), (1.2, 45.0, None), (12.0, 45.0, None), (12.0, 10.0, None), (1.2, 45.0, 0)],
+)
+@pytest.mark.parametrize("delta0", [0.0, 1e20])  # a constant phase of 6e16 rad changes nothing
+def test_default_grid_count_is_the_fewest_within_the_phase_limit(
+    length_mm, fwhm_nm, tau_max, delta0
+):
+    disp = WaveguideDispersion(
+        length_L=length_mm * 1e-3,
+        v_te=8.98e7,
+        v_tm=9.01e7,
+        gvd_D=-7.9e-4,
+        lambda_deg=1555.9e-9,
+        delta0=delta0,
+    )
+    filt = SpectralFilter(shape="top_hat", center_lambda=1555.9e-9, fwhm_lambda=fwhm_nm * 1e-9)
+    if tau_max is None:
+        tau_max = abs(disp.delta * disp.length_L / 2) + 200e-15
+    grid = default_grid(disp, filt, tau_max)
+    assert (grid.n_points - 1) & (grid.n_points - 2) == 0  # 2**k + 1
+    assert max(_phase_per_step(disp, grid, tau_max)) <= spectral.MAX_PHASE_STEP
+    if grid.n_points > 5:
+        coarser = SpectralGrid(grid.omega_max, (grid.n_points + 1) // 2)
+        assert max(_phase_per_step(disp, coarser, tau_max)) > spectral.MAX_PHASE_STEP
+
+
+def test_default_grid_gaussian_span_leaves_only_the_stated_tail(paper_disp, gaussian_filter):
+    grid = search_grid(paper_disp, gaussian_filter)
+    omega0 = paper_disp.omega_deg
+    beyond = grid.omega_max * np.linspace(1.0, 1.5, 501)
+    product = filter_amplitude(omega0 + beyond, gaussian_filter) * filter_amplitude(
+        omega0 - beyond, gaussian_filter
+    )
+    assert np.max(product**2) <= spectral.GAUSSIAN_TAIL
+    assert product[0] ** 2 > 1e-3 * spectral.GAUSSIAN_TAIL  # not needlessly wide either
+
+
+def test_default_grid_takes_a_set_span_or_count(paper_disp, top_hat_filter):
+    rule = search_grid(paper_disp, top_hat_filter)
+    count = search_grid(paper_disp, top_hat_filter, n_points=257)
+    assert count == SpectralGrid(rule.omega_max, 257)
+    wide = search_grid(paper_disp, top_hat_filter, omega_max=4 * rule.omega_max)
+    assert wide.omega_max == 4 * rule.omega_max and wide.n_points == 4 * rule.n_points - 3
+    both = search_grid(paper_disp, top_hat_filter, omega_max=3e13, n_points=11)
+    assert both == SpectralGrid(3e13, 11)
+
+
+def test_default_grid_beyond_max_points_raises():
+    # 1/v_te = 1e3 s/m: about 1e10 rad of sinc phase across the band
+    disp = WaveguideDispersion(
+        length_L=1.2e-3, v_te=1e-3, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
+    )
+    filt = SpectralFilter(shape="top_hat", center_lambda=1550e-9, fwhm_lambda=45e-9)
+    with pytest.raises(DegenerateDataError, match=r"needs 2\*\*50 \+ 1 points, more than 1048576"):
+        default_grid(disp, filt, 200e-15)
+    with pytest.raises(DegenerateDataError, match="needs unboundedly many points"):
+        default_grid(disp, filt, math.inf)
+    assert default_grid(disp, filt, 200e-15, n_points=1025).n_points == 1025
+
+
+def test_default_grid_count_stops_at_max_points(paper_disp, top_hat_filter):
+    # the largest 2**k + 1 within MAX_POINTS = 2**20 is 2**19 + 1: 2**18 steps per half-span
+    span = search_grid(paper_disp, top_hat_filter).omega_max
+    tau_cap = 2**18 * spectral.MAX_PHASE_STEP / (2.0 * span)  # delay phase needs 2**18 steps
+    below = default_grid(paper_disp, top_hat_filter, tau_cap * (1.0 - 1e-9))
+    assert below.n_points == 2**19 + 1
+    with pytest.raises(DegenerateDataError, match=r"needs 2\*\*20 \+ 1 points"):
+        default_grid(paper_disp, top_hat_filter, tau_cap * (1.0 + 1e-9))
+
+
+def test_default_grid_top_hat_missing_the_degenerate_wavelength_raises(paper_disp):
+    filt = SpectralFilter(shape="top_hat", center_lambda=1500e-9, fwhm_lambda=45e-9)
+    with pytest.raises(DegenerateDataError, match="1555.9 nm"):
+        search_grid(paper_disp, filt)
 
 
 # --- build_jsa ----------------------------------------------------------------
@@ -174,7 +270,7 @@ def test_jsa_unity_at_degeneracy():
         length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
     )
     filt = SpectralFilter(shape="top_hat", center_lambda=1555.9e-9, fwhm_lambda=45e-9)
-    jsa = build_jsa(disp, filt, default_grid(filt))
+    jsa = build_jsa(disp, filt, search_grid(disp, filt))
     center = (jsa.grid.n_points - 1) // 2
     assert jsa.amplitude[center] == 1.0 + 0.0j
 
@@ -183,12 +279,15 @@ def test_jsa_even_when_walkoff_absent(top_hat_filter):
     disp = WaveguideDispersion(
         length_L=1.2e-3, v_te=9.0e7, v_tm=9.0e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
     )
-    jsa = build_jsa(disp, top_hat_filter, default_grid(top_hat_filter))
+    jsa = build_jsa(disp, top_hat_filter, search_grid(disp, top_hat_filter))
     assert np.array_equal(jsa.amplitude, jsa.amplitude[::-1])
 
 
 def test_jsa_zero_outside_top_hat_band(paper_disp, top_hat_filter):
-    jsa = build_jsa(paper_disp, top_hat_filter, default_grid(top_hat_filter))
+    # a span of 3x the band's half-width, wider than the support on both sides
+    w_lo, w_hi = top_hat_filter.band_edges_omega()
+    wide = search_grid(paper_disp, top_hat_filter, omega_max=1.5 * (w_hi - w_lo))
+    jsa = build_jsa(paper_disp, top_hat_filter, wide)
     om = jsa.grid.omegas
     omega0 = paper_disp.omega_deg
     g_pair = filter_amplitude(omega0 + om, top_hat_filter) * filter_amplitude(
@@ -200,7 +299,7 @@ def test_jsa_zero_outside_top_hat_band(paper_disp, top_hat_filter):
 
 def test_jsa_phase_parity(paper_disp, top_hat_filter):
     # arg F(W) - arg F(-W) = -delta W L where the sinc factors stay positive
-    jsa = build_jsa(paper_disp, top_hat_filter, default_grid(top_hat_filter))
+    jsa = build_jsa(paper_disp, top_hat_filter, search_grid(paper_disp, top_hat_filter))
     om = jsa.grid.omegas
     rel = jsa.amplitude * np.conj(jsa.reflected())
     mask = np.abs(rel) > 1e-3
@@ -213,17 +312,23 @@ def test_jsa_phase_parity(paper_disp, top_hat_filter):
 def test_jsa_grid_narrower_than_band_rejected(paper_disp, top_hat_filter):
     with pytest.raises(ConfigurationError):
         build_jsa(paper_disp, top_hat_filter, SpectralGrid(omega_max=1e12, n_points=257))
+    # the grid must reach the support edge Omega_c, not the far band edge beyond it
+    support = search_grid(paper_disp, top_hat_filter).omega_max
+    build_jsa(paper_disp, top_hat_filter, SpectralGrid(omega_max=support, n_points=257))
+    with pytest.raises(ConfigurationError, match="narrower than the pair spectrum"):
+        short = SpectralGrid(omega_max=support * (1 - 1e-9), n_points=257)
+        build_jsa(paper_disp, top_hat_filter, short)
 
 
 def test_jsa_norm_positive(paper_disp, top_hat_filter, gaussian_filter):
     for filt in (top_hat_filter, gaussian_filter):
-        jsa = build_jsa(paper_disp, filt, default_grid(filt))
+        jsa = build_jsa(paper_disp, filt, search_grid(paper_disp, filt))
         assert jsa.norm_sq() > 0.0
 
 
 def test_quadrature_doubling_convergence_smooth_filter(paper_disp, gaussian_filter):
     # trapezoid refinement on the smooth profile: < 1e-6 relative per doubling
-    grid = default_grid(gaussian_filter, n_points=4097)
+    grid = search_grid(paper_disp, gaussian_filter, n_points=4097)
     coarse = build_jsa(paper_disp, gaussian_filter, grid)
     fine = build_jsa(paper_disp, gaussian_filter, grid.refined())
     assert fine.grid.n_points == 8193
@@ -232,11 +337,13 @@ def test_quadrature_doubling_convergence_smooth_filter(paper_disp, gaussian_filt
 
 
 def test_quadrature_doubling_top_hat_band_edges(paper_disp, top_hat_filter):
-    # the hard band edge converges only at O(h): document the looser behavior
-    coarse = build_jsa(paper_disp, top_hat_filter, default_grid(top_hat_filter, n_points=4097))
-    fine = build_jsa(paper_disp, top_hat_filter, default_grid(top_hat_filter, n_points=8193))
-    rel = abs(fine.norm_sq() - coarse.norm_sq()) / fine.norm_sq()
-    assert rel < 1e-3
+    # the band edges are the end nodes: the trapezoid rule converges at O(h^2)
+    grids = [search_grid(paper_disp, top_hat_filter, n_points=n) for n in (1025, 2049, 4097, 8193)]
+    norms = [build_jsa(paper_disp, top_hat_filter, grid).norm_sq() for grid in grids]
+    rel = abs(norms[3] - norms[2]) / norms[3]
+    assert rel < 1e-8
+    ratio = (norms[1] - norms[0]) / (norms[2] - norms[1])
+    assert 3.5 < ratio < 4.5  # each halving of the step quarters the difference
 
 
 @given(
@@ -248,6 +355,6 @@ def test_quadrature_doubling_top_hat_band_edges(paper_disp, top_hat_filter):
 def test_jsa_magnitude_even_without_walkoff(v, d, length):
     disp = WaveguideDispersion(length_L=length, v_te=v, v_tm=v, gvd_D=d, lambda_deg=1555.9e-9)
     filt = SpectralFilter(shape="gaussian", center_lambda=1550e-9, fwhm_lambda=45e-9)
-    jsa = build_jsa(disp, filt, default_grid(filt, n_points=513))
+    jsa = build_jsa(disp, filt, search_grid(disp, filt, n_points=513))
     mag = np.abs(jsa.amplitude)
     assert_allclose(mag, mag[::-1], rtol=0.0, atol=1e-15)

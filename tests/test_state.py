@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import search_grid
 from spdcpol import (
     ConfigurationError,
     DegenerateDataError,
@@ -14,7 +15,6 @@ from spdcpol import (
     WaveguideDispersion,
     build_jsa,
     concurrence,
-    default_grid,
     optimal_delay,
     overlap_scan,
     post_selected_state,
@@ -29,7 +29,7 @@ def _paper_jsa(gvd=-7.9e-4, shape="top_hat"):
         length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=gvd, lambda_deg=1555.9e-9
     )
     filt = SpectralFilter(shape=shape, center_lambda=1550e-9, fwhm_lambda=45e-9)
-    return disp, build_jsa(disp, filt, default_grid(filt))
+    return disp, build_jsa(disp, filt, search_grid(disp, filt))
 
 
 def _half_walkoff(disp):
@@ -63,7 +63,7 @@ def _overlap_at(jsa, tau):
 def test_overlap_perfect_without_walkoff_or_gvd():
     disp = WaveguideDispersion(length_L=1.2e-3, v_te=9e7, v_tm=9e7, gvd_D=0.0, lambda_deg=1555.9e-9)
     filt = SpectralFilter(shape="top_hat", center_lambda=1550e-9, fwhm_lambda=45e-9)
-    jsa = build_jsa(disp, filt, default_grid(filt))
+    jsa = build_jsa(disp, filt, search_grid(disp, filt))
     ov = _overlap_at(jsa, 0.0)
     assert ov == 1.0 + 0.0j
     assert abs(ov) == 1.0
@@ -109,8 +109,8 @@ def test_overlap_magnitude_grid_refinement_stable():
         length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
     )
     filt = SpectralFilter(shape="gaussian", center_lambda=1550e-9, fwhm_lambda=45e-9)
-    coarse = _overlap_at(build_jsa(disp, filt, default_grid(filt, n_points=4097)), 10e-15)
-    fine = _overlap_at(build_jsa(disp, filt, default_grid(filt, n_points=8193)), 10e-15)
+    coarse = _overlap_at(build_jsa(disp, filt, search_grid(disp, filt, n_points=4097)), 10e-15)
+    fine = _overlap_at(build_jsa(disp, filt, search_grid(disp, filt, n_points=8193)), 10e-15)
     assert abs(abs(fine) - abs(coarse)) < 1e-6
 
 
@@ -145,7 +145,7 @@ def test_overlap_bounded_by_one(tau_fs, gvd, v_tm):
         length_L=1.2e-3, v_te=8.98e7, v_tm=v_tm, gvd_D=gvd, lambda_deg=1555.9e-9
     )
     filt = SpectralFilter(shape="top_hat", center_lambda=1550e-9, fwhm_lambda=45e-9)
-    jsa = build_jsa(disp, filt, default_grid(filt, n_points=1025))
+    jsa = build_jsa(disp, filt, search_grid(disp, filt, n_points=1025))
     ov = _overlap_at(jsa, tau_fs * 1e-15)
     assert abs(ov) <= 1.0 + 1e-10
 
@@ -188,7 +188,8 @@ def _bitwise_jsas():
         length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
     )
     filt = SpectralFilter(shape="gaussian", center_lambda=1550e-9, fwhm_lambda=45e-9)
-    return [build_jsa(disp, filt, default_grid(filt, n_points=size)) for size in _BITWISE_GRIDS]
+    grids = [search_grid(disp, filt, n_points=size) for size in _BITWISE_GRIDS]
+    return [build_jsa(disp, filt, grid) for grid in grids]
 
 
 # (tau0, step, n): the point at tau*, the delay-scan window, the delay search
@@ -233,6 +234,29 @@ def test_overlap_scan_raising_part_way_leaves_later_calls_bitwise(monkeypatch):
             _assert_bitwise(jsa, *scan)
 
 
+# --- halving_error ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_points", [257, 1025])
+def test_halving_error_tracks_the_error_against_a_dense_grid(n_points):
+    disp = WaveguideDispersion(
+        length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
+    )
+    filt = SpectralFilter(shape="top_hat", center_lambda=1550e-9, fwhm_lambda=45e-9)
+    dense = build_jsa(disp, filt, search_grid(disp, filt, n_points=65537))
+    jsa = build_jsa(disp, filt, search_grid(disp, filt, n_points=n_points))
+    for tau in (22.25e-15, 100e-15, -150e-15, 200e-15):
+        v = _overlap_at(jsa, tau)
+        error = abs(abs(v) - abs(_overlap_at(dense, tau)))
+        assert_allclose(state_mod.halving_error(jsa, tau, v), error, rtol=0.01)
+
+
+def test_halving_error_needs_omega_zero_on_every_other_node():
+    grid = SpectralGrid(omega_max=1e13, n_points=35)  # nodes 0, 2, .., 34 miss Omega = 0
+    jsa = JointSpectralAmplitude(grid=grid, amplitude=np.ones(35, dtype=complex))
+    assert state_mod.halving_error(jsa, 0.0, _overlap_at(jsa, 0.0)) is None
+
+
 # --- optimal_delay --------------------------------------------------------------
 
 
@@ -241,7 +265,7 @@ def test_optimal_delay_zero_without_walkoff():
         length_L=1.2e-3, v_te=9e7, v_tm=9e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
     )
     filt = SpectralFilter(shape="top_hat", center_lambda=1550e-9, fwhm_lambda=45e-9)
-    jsa = build_jsa(disp, filt, default_grid(filt))
+    jsa = build_jsa(disp, filt, search_grid(disp, filt))
     assert optimal_delay(jsa, 0.0) == 0.0
 
 
@@ -274,7 +298,7 @@ def _long_guide_jsa():
         length_L=12e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
     )
     filt = SpectralFilter(shape="top_hat", center_lambda=1555.9e-9, fwhm_lambda=20e-9)
-    return disp, build_jsa(disp, filt, default_grid(filt))
+    return disp, build_jsa(disp, filt, search_grid(disp, filt))
 
 
 def test_optimal_delay_long_guide_follows_walkoff():
