@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from . import spectral, state as state_mod
 from .counting import DetectorModel
 from .errors import ConfigurationError
 from .polarimetry import ChshSettings
-from .units import deg_to_rad, fs, rad_to_deg, to_fs
+from .units import fs, to_fs
 
 __all__ = ["PRESETS", "SCHEMA", "ScenarioConfig", "load_scenario", "base_config_dict"]
 
@@ -117,7 +118,7 @@ def chsh_angles(value: Any, where: str) -> None:
 
 def fringe_table_name(theta1: float) -> str:
     """Name of the fringe table at arm-1 angle theta1 (radians)."""
-    return f"theta1_{rad_to_deg(theta1):g}"
+    return f"theta1_{math.degrees(theta1):g}"
 
 
 def fringe_angles(value: Any, where: str) -> None:
@@ -126,7 +127,7 @@ def fringe_angles(value: Any, where: str) -> None:
         raise ConfigurationError(
             f"{where} must be a non-empty list of numbers, got {json.dumps(value)}"
         )
-    names = [fringe_table_name(deg_to_rad(v)) for v in value]
+    names = [fringe_table_name(math.radians(v)) for v in value]
     if len(set(names)) < len(names):
         raise ConfigurationError(f"{where}: two angles give one fringe table name in {names}")
 
@@ -387,7 +388,7 @@ class ScenarioConfig:
         return self.data["run"]["runs"]
 
     def fringe_theta1(self) -> list[float]:
-        return [deg_to_rad(float(t)) for t in self.data["run"]["fringe_theta1_deg"]]
+        return [math.radians(float(t)) for t in self.data["run"]["fringe_theta1_deg"]]
 
     def fringe_theta2_grid(self) -> np.ndarray:
         return np.radians(_scan_values(self.data["run"]["fringe_theta2_deg"]))
@@ -420,8 +421,8 @@ class ScenarioConfig:
     def chsh_settings(self) -> ChshSettings:
         angles = self.data["run"]["chsh_angles_deg"]
         if angles is None:
-            return ChshSettings.canonical(deg_to_rad(float(self.data["run"]["chsh_theta_deg"])))
-        return ChshSettings(**{name: deg_to_rad(float(deg)) for name, deg in angles.items()})
+            return ChshSettings.canonical(math.radians(float(self.data["run"]["chsh_theta_deg"])))
+        return ChshSettings(**{name: math.radians(float(deg)) for name, deg in angles.items()})
 
     # -- budget ----------------------------------------------------------------
     def budget_inputs(self) -> dict[str, float]:

@@ -23,6 +23,7 @@ t = t2 - t1 = t2' + t1' = -t2 - t1' and turns the ideal signed sum into
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -92,21 +93,16 @@ class FringeFit(NamedTuple):
     visibility: float | NDArray[np.float64]
 
 
-# The last fit's angles (their bytes) and the pseudo-inverse of their design.
-# A runner fits every fringe on one grid, so one SVD serves all of its fits.
-_last_pinv: tuple[bytes, NDArray[np.float64]] | None = None
-
-
-def _design_pinv(theta: NDArray[np.float64]) -> NDArray[np.float64]:
+# Keyed by the angles' bytes and kept for the last grid only: a runner fits
+# every fringe on one grid, so one SVD serves all of its fits.
+@functools.lru_cache(maxsize=1)
+def _design_pinv(theta_bytes: bytes) -> NDArray[np.float64]:
     """Pseudo-inverse of the [1, cos 2theta, sin 2theta] design, shape (3, n)."""
-    global _last_pinv
-    key = theta.tobytes()
-    if _last_pinv is None or _last_pinv[0] != key:
-        design = np.column_stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
-        pinv = np.linalg.pinv(design)
-        pinv.flags.writeable = False  # shared by every later fit on these angles
-        _last_pinv = (key, pinv)
-    return _last_pinv[1]
+    theta = np.frombuffer(theta_bytes, dtype=np.float64)
+    design = np.column_stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
+    pinv = np.linalg.pinv(design)
+    pinv.flags.writeable = False  # shared by every later fit on these angles
+    return pinv
 
 
 def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> FringeFit:
@@ -129,7 +125,7 @@ def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> Fring
         raise ConfigurationError(
             f"angle and value arrays differ in shape: {theta.shape} vs {values.shape}"
         )
-    coef = np.einsum("...n,kn->...k", values, _design_pinv(theta))
+    coef = np.einsum("...n,kn->...k", values, _design_pinv(theta.tobytes()))
     a, p, q = np.moveaxis(coef, -1, 0)
     if np.any(a <= 0.0):
         raise DegenerateDataError(

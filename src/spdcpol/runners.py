@@ -9,13 +9,12 @@ echo embedded in its own record reproduces the outputs byte for byte.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -36,7 +35,7 @@ from .counting import (
 from .errors import ConfigurationError
 from .polarimetry import ChshSettings, chsh_S, fit_fringe, fringe_scan, s_curve
 from .state import concurrence, halving_error, overlap_scan, post_selected_state
-from .units import rad_to_deg, to_fs
+from .units import to_fs
 
 __all__ = [
     "ResultRecord",
@@ -77,8 +76,20 @@ class ResultRecord:
         """Add a table given column by column: name -> values, all of one length.
 
         The table keeps the values row by row, arrays as Python scalars.
+        Raises ValueError, adding nothing, unless every column is named by an
+        identifier and holds Python ints and floats only (an int or float
+        array's .tolist()), so that no CSV cell needs quoting.
         """
-        data = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+        data = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+        for column, values in zip(columns, data):
+            if not (isinstance(column, str) and column.isidentifier()):
+                raise ValueError(f"table {name!r}: column name {column!r} is not an identifier")
+            kinds = set(map(type, values)) - {int, float}
+            if kinds:
+                held = ", ".join(sorted(kind.__name__ for kind in kinds))
+                raise ValueError(
+                    f"table {name!r}: column {column!r} holds {held}, not only ints and floats"
+                )
         rows = zip(*data, strict=True)
         self.tables[name] = {"columns": list(columns), "rows": list(map(list, rows))}
 
@@ -123,54 +134,15 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-# Rows of a CSV formatted together. Holding the cells of a whole 801-row delay
-# curve at once raised the peak RSS of a run of delay-scans by about 0.25 MB.
-CSV_BLOCK_ROWS = 64
+def _csv_text(columns: list[str], rows: list[list[int | float]]) -> str:
+    """CSV of a header and rows: the column names, then each value's repr.
 
-
-def _csv_text(columns: list[str], rows: list[list[Any]]) -> str:
-    """CSV of a header and rows: the bytes csv.writer gives the rows of _cell(value).
-
-    Each block of CSV_BLOCK_ROWS rows is formatted a column at a time. A block
-    whose columns are all numeric is joined directly: the repr of a Python
-    float or int holds no comma, quote or line break, so csv.writer would
-    quote none of its cells.
+    add_table admits identifier names and Python ints and floats only, whose
+    repr holds no comma, quote or line break, so no cell is quoted. The rows
+    are formatted a column at a time.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for start in range(0, len(rows), CSV_BLOCK_ROWS):
-        block = rows[start : start + CSV_BLOCK_ROWS]
-        cells, numeric = zip(*map(_column, zip(*block)))
-        if all(numeric):
-            buf.write("\n".join(map(",".join, zip(*cells))))
-            buf.write("\n")
-        else:
-            writer.writerows(zip(*cells))
-    return buf.getvalue()
-
-
-def _column(values: Sequence[Any]) -> tuple[list[str], bool]:
-    """The cells of one column, each as _cell writes it, and whether the column is numeric.
-
-    A column of Python floats only, or of Python ints only (what .tolist()
-    makes of a float or integer array), is numeric and skips _cell's
-    per-value dispatch.
-    """
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return list(map(float.__repr__, values)), True
-    if kinds == {int}:
-        return list(map(int.__repr__, values)), True
-    return list(map(_cell, values)), False
-
-
-def _cell(value: Any) -> str:
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return str(value)
+    lines = map(",".join, zip(*(map(repr, column) for column in zip(*rows))))
+    return "\n".join([",".join(columns), *lines]) + "\n"
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -261,7 +233,7 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
         )
         bases.append(
             {
-                "theta1_deg": rad_to_deg(theta1),
+                "theta1_deg": math.degrees(theta1),
                 "visibility_model": fringe.visibility,
                 "visibility_raw_fit_mean": vis_raw.mean,
                 "visibility_raw_fit_std": vis_raw.std,
@@ -334,18 +306,18 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
         {  # row 4 * ia + ib: arm-1 setting ia, arm-2 setting ib
             "arm1_index": np.repeat(np.arange(4), 4),
             "arm2_index": np.tile(np.arange(4), 4),
-            "angle1_deg": np.repeat([rad_to_deg(t) for t in a_angles], 4),
-            "angle2_deg": np.tile([rad_to_deg(t) for t in b_angles], 4),
+            "angle1_deg": np.repeat([math.degrees(t) for t in a_angles], 4),
+            "angle2_deg": np.tile([math.degrees(t) for t in b_angles], 4),
             "counts": first_counts.ravel(),
         },
     )
     scalars: dict[str, Any] = {
         **info,
         "settings_deg": {
-            "theta1": rad_to_deg(settings.theta1),
-            "theta1p": rad_to_deg(settings.theta1p),
-            "theta2": rad_to_deg(settings.theta2),
-            "theta2p": rad_to_deg(settings.theta2p),
+            "theta1": math.degrees(settings.theta1),
+            "theta1p": math.degrees(settings.theta1p),
+            "theta2": math.degrees(settings.theta2),
+            "theta2p": math.degrees(settings.theta2p),
         },
         "s_model": s_model,
         "s_counts": s_first,
@@ -382,7 +354,7 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     record.add_table(
         "curve",
         {
-            "theta_deg": [rad_to_deg(theta) for theta in thetas],
+            "theta_deg": [math.degrees(theta) for theta in thetas],
             "s_model": model_curve,
             "s_sim": s_sim,
             "sigma_s": sigma,
@@ -392,7 +364,7 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     record.scalars = {
         **info,
         "s_model_max": float(model_curve[imax]),
-        "theta_at_max_deg": rad_to_deg(thetas[imax]),
+        "theta_at_max_deg": math.degrees(thetas[imax]),
         "integration_time_s": t_int,
         "pair_rate_hz": pair_rate,
     }

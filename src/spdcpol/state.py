@@ -28,7 +28,6 @@ from .errors import ConfigurationError, DegenerateDataError
 from .spectral import JointSpectralAmplitude, SpectralGrid
 
 __all__ = [
-    "BASIS_LABELS",
     "TwoQubitState",
     "overlap_scan",
     "halving_error",
@@ -39,7 +38,6 @@ __all__ = [
     "concurrence",
 ]
 
-BASIS_LABELS = ("HH", "HV", "VH", "VV")
 _HH, _HV, _VH, _VV = 0, 1, 2, 3
 
 HERMITICITY_ATOL = 1e-12

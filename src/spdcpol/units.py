@@ -3,8 +3,9 @@
 The physics modules work in SI throughout (meters, seconds, rad/s, watts).
 Interfaces accept the units experimentalists quote: nm, fs, ns, mW,
 ps/(nm km) for the dispersion parameter, and degrees for analyzer angles.
-Conversions happen once, at the boundary: here and in the SI factors of
-the scenario schema (spdcpol.config.SCHEMA).
+Conversions happen once, at the boundary: here, in the SI factors of
+the scenario schema (spdcpol.config.SCHEMA), and for angles through
+math.radians and math.degrees.
 """
 
 import math
@@ -22,14 +23,6 @@ def fs(value: float) -> float:
 def to_fs(seconds: float) -> float:
     """Seconds to femtoseconds."""
     return seconds * 1e15
-
-
-def deg_to_rad(value: float) -> float:
-    return math.radians(value)
-
-
-def rad_to_deg(value: float) -> float:
-    return math.degrees(value)
 
 
 def omega_from_lambda(lambda_m: float) -> float:

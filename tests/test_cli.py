@@ -1,8 +1,10 @@
 import copy
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -21,9 +23,11 @@ class Result(NamedTuple):
 
 
 def run_process(*args):
-    """The CLI through `python -m spdcpol.cli` in a fresh interpreter."""
+    """The CLI through `python -m spdcpol.cli` in a fresh interpreter that
+    imports spdcpol from where this one does, installed or not."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", "spdcpol.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "spdcpol.cli", *args], capture_output=True, text=True, env=env
     )
 
 

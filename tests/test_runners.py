@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -323,7 +323,25 @@ def test_memory_does_not_grow_with_runs(runner):
     assert peak(20_000) - peak(runners.MC_BLOCK_RUNS) <= 256 * 1024
 
 
-# --- CSV text: formatted a column at a time -------------------------------------------
+# --- CSV text: the header, then each value's repr --------------------------------------
+
+
+def _cell(value):
+    if isinstance(value, (np.floating, float)):
+        return repr(float(value))
+    if isinstance(value, (np.integer, int)):
+        return str(int(value))
+    return str(value)
+
+
+def _reference_csv(columns, rows):
+    """The bytes csv.writer gives the header and the rows of _cell(value)."""
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return reference.getvalue()
+
 
 _FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
     [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.2250738585072014e-308]
@@ -334,36 +352,21 @@ _COLUMNS = st.one_of(
     st.lists(_INT64).map(lambda v: np.array(v, dtype=np.int64)),
     st.lists(_FLOATS),
     st.lists(st.integers()),
-    st.lists(
-        st.one_of(
-            _FLOATS,
-            st.integers(),
-            _FLOATS.map(np.float64),
-            _INT64.map(np.int64),
-        )
-    ),
+    st.lists(_FLOATS | st.integers()),
 )
 
 
-@given(columns=st.lists(_COLUMNS, min_size=1, max_size=4), block=st.integers(1, 70))
-@settings(
-    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
-def test_column_formatting_writes_the_bytes_of_cell_by_cell_formatting(
-    monkeypatch, columns, block
-):
-    monkeypatch.setattr(runners, "CSV_BLOCK_ROWS", block)
+@given(columns=st.lists(_COLUMNS, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_column_formatting_writes_the_bytes_of_cell_by_cell_formatting(columns):
     size = min(len(c) for c in columns)
     columns = {f"c{i}": c[:size] for i, c in enumerate(columns)}
     record = runners.ResultRecord(command="t", config={}, scalars={})
     record.add_table("t", columns)
     table = record.tables["t"]
-    reference = io.StringIO()
-    writer = csv.writer(reference, lineterminator="\n")
-    writer.writerow(list(columns))
-    for k in range(size):
-        writer.writerow([runners._cell(c[k]) for c in columns.values()])
-    assert runners._csv_text(table["columns"], table["rows"]) == reference.getvalue()
+    rows = [[c[k] for c in columns.values()] for k in range(size)]
+    expected = _reference_csv(list(columns), rows)
+    assert runners._csv_text(table["columns"], table["rows"]) == expected
     assert len(table["rows"]) == size
 
 
@@ -373,15 +376,28 @@ def test_numeric_blocks_write_the_bytes_of_csv_writer():
         "n": [2**53 + 1, -(2**63), 2**64, 0, -1, 7, 10**30],
     }
     rows = [list(row) for row in zip(*columns.values())]
-    reference = io.StringIO()
-    writer = csv.writer(reference, lineterminator="\n")
-    writer.writerow(list(columns))
-    writer.writerows([runners._cell(v) for v in row] for row in rows)
-    assert runners._csv_text(list(columns), rows) == reference.getvalue()
+    assert runners._csv_text(list(columns), rows) == _reference_csv(list(columns), rows)
 
 
-def test_blocks_with_text_are_still_quoted(monkeypatch):
-    monkeypatch.setattr(runners, "CSV_BLOCK_ROWS", 2)
-    rows = [[1.5, 0.25], [2.5, -0.0], [3.5, "a,b"], [4.5, 'say "hi"']]
-    expected = 'x,note\n1.5,0.25\n2.5,-0.0\n3.5,"a,b"\n4.5,"say ""hi"""\n'
-    assert runners._csv_text(["x", "note"], rows) == expected
+def test_add_table_rejects_anything_but_numbers_under_identifier_names():
+    record = runners.ResultRecord(command="t", config={}, scalars={})
+    record.add_table("kept", {"x": [1.5, 2]})
+    held = [  # (column, the type add_table names)
+        ([1.0, True], "bool"),
+        (np.array([True, False]), "bool"),
+        ([1.0, "a,b"], "str"),
+        ('say "hi"', "str"),
+        ([1.0, None], "NoneType"),
+        (np.array([1 + 2j, 0j]), "complex"),
+        ([1.5, np.float64(2.5)], "float64"),
+        ([np.int64(3), 4], "int64"),
+        ([[1.0, 2.0], [3.0, 4.0]], "list"),
+        (np.zeros((2, 2)), "list"),
+    ]
+    for column, kind in held:
+        with pytest.raises(ValueError, match=f"table 'bad': column 'y' holds {kind},"):
+            record.add_table("bad", {"x": [1.0, 2.0], "y": column})
+    for name in ("a,b", 'say"hi"', "a b", "", "1x"):
+        with pytest.raises(ValueError, match="table 'bad': column name"):
+            record.add_table("bad", {"x": [1.0], name: [2.0]})
+    assert record.tables == {"kept": {"columns": ["x"], "rows": [[1.5], [2]]}}
