@@ -15,7 +15,9 @@ The matrix:
   - each configs/*.json of this repository with each of the five commands
   - the defaults with each of the five commands
   - each preset with fringe, chsh, s-curve and delay-scan at --runs 300
-  - delay-scan, fringe and chsh on a 16385-point grid and on a 12 mm guide
+  - delay-scan, fringe and chsh on a 16385-point grid, on a 12 mm guide, with
+    an even count of delays (800) and on a 4099-point grid, whose (N - 1)/2
+    is odd
   - one sequence case: delay-scan, fringe and chsh on 4097-, 16385- and then
     8193-point grids through spdcpol.cli.main in one interpreter, one
     output directory per step, so that a call runs after the state earlier
@@ -39,6 +41,8 @@ SPECTRAL_COMMANDS = ("delay-scan", "fringe", "chsh")
 GENERATED = {
     "grid16385": {"grid": {"n_points": 16385}},
     "guide12mm": {"dispersion": {"length_mm": 12.0}},
+    "delays800": {"run": {"delay_scan_fs": {"start": -178.0, "stop": 221.5, "step": 0.5}}},
+    "grid4099": {"grid": {"n_points": 4099}},
 }
 SCRIPTS = ("bandwidth_delay_study.py", "reproduce_results.py")
 SEQUENCE_GRIDS = (4097, 16385, 8193)  # grows, then shrinks, what one process keeps

@@ -344,5 +344,7 @@ def build_jsa(
     phi = phase_mismatch(om, disp)
     # np.sinc is sin(pi x)/(pi x); rescale to sin(x)/x
     pm = np.sinc(phi / np.pi) * np.exp(1j * phi)
-    g_pair = filter_amplitude(omega0 + om, filt) * filter_amplitude(omega0 - om, filt)
-    return JointSpectralAmplitude(grid=grid, amplitude=pm * g_pair)
+    # om is exactly antisymmetric and omega0 - x == omega0 + (-x), so g(omega0 - Omega)
+    # is g(omega0 + Omega) reversed, bit for bit
+    g = filter_amplitude(omega0 + om, filt)
+    return JointSpectralAmplitude(grid=grid, amplitude=pm * (g * g[::-1]))

@@ -123,6 +123,13 @@ def overlap_scan(
     Electroacoust. 17, 1969). Counting p and q from the middle of their
     ranges keeps the chirp phases, and with them the rounding, small.
 
+    One complex exponential per distinct value: the delay phase is odd in
+    Omega and the three chirps are even and conjugate to each other, so each
+    is exponentiated for one sign of its argument and the rest mirrored or
+    conjugated, bit for bit the values exp gives for them: (N + 1)/2 +
+    (N + n)/2 exponentials for odd n and N + 1 + (N + n - 1)/2 for even n,
+    against 3N + 2n - 1 for every value.
+
     Intermediates go to buffers reused from call to call (_WORKSPACE); the
     returned array is always a new one.
     """
@@ -138,30 +145,52 @@ def overlap_scan(
         raise DegenerateDataError("joint spectral amplitude has zero norm")
     h, c = (m - 1) // 2, 0.5 * (n - 1)
     ramp = _buffer("ramp", m + n - 1, float, np.arange)  # 0.0, 1.0, 2.0, ...
-    # Omega_k = (k - h) * dOmega, as SpectralGrid.omegas computes it: k - h is exact
-    om = np.multiply(np.subtract(ramp[:m], h, out=real[:m]), jsa.grid.step, out=real[:m])
-    # a = w * f * conj(F(-Omega)) * exp(2i * om * (tau0 + c * step)), one step at a time
+    # a = w * f * conj(F(-Omega)) * exp(2i * Omega * (tau0 + c * step)), one step at a time
     a = np.multiply(w, f, out=_buffer("v", m))  # in v until the chirp transform replaces it
     np.multiply(a, np.conjugate(jsa.reflected(), out=scratch[:m]), out=a)
-    phase = np.multiply(np.multiply(2j, om, out=scratch[:m]), tau0 + c * step, out=scratch[:m])
-    np.multiply(a, np.exp(phase, out=phase), out=a)
+    # Omega_k = (k - h) * dOmega, as SpectralGrid.omegas computes it, for k >= h; the
+    # delay phase is odd in Omega, so k < h takes the conjugate of its mirror image
+    om = np.multiply(ramp[: h + 1], jsa.grid.step, out=real[: h + 1])
+    phase = np.multiply(np.multiply(2j, om, out=scratch[h:m]), tau0 + c * step, out=scratch[h:m])
+    np.conjugate(np.exp(phase, out=phase)[:0:-1], out=scratch[:h])
+    np.multiply(a, scratch[:m], out=a)
     if n == 1:  # the chirp-z transform at a single point is the plain sum
         return a.sum(keepdims=True) / norm
     theta = 2.0 * jsa.grid.step * step
     size = 1 << (m + n - 2).bit_length()  # >= N + n - 1: no wrap onto the outputs
     fft = np.fft  # loaded on first use; import numpy does not load it
-    # p, q and q - p are multiples of 1/2 far below 2**53: as floats they and their
-    # squares are exact, as in the integer arithmetic of np.arange they stand for
-    p2 = np.square(np.subtract(ramp[:m], h, out=real[:m]), out=real[:m])
-    pre = np.exp(np.multiply(0.5j * theta, p2, out=scratch[:m]), out=scratch[:m])
+    # p, q and d = q - p are multiples of 1/2 far below 2**53: as floats they and
+    # their squares are exact, as in the integer arithmetic of np.arange they stand for.
+    # The chirp at d, which runs over k - h - c for k = 0 .. N + n - 2, is even in d and
+    # its d run from -(h + c) to h + c: exponentiated for d >= 0, from k = mid on, and
+    # mirrored onto k < mid.
+    mid = h + n // 2
+    d2 = np.square(np.add(ramp[: m + n - 1 - mid], c % 1.0, out=real[mid:]), out=real[mid:])
+    chirp = scratch
+    np.exp(np.multiply(-0.5j * theta, d2, out=chirp[mid:]), out=chirp[mid:])
+    chirp[:mid] = chirp[::-1][:mid]
+    # Conjugating exp(ix) gives exp(-ix) bit for bit but for the sign of a zero
+    # imaginary part, where x is 0: at p = 0 and q = 0, and everywhere when theta is 0.
+    # The pre- and post-chirp take exp's own value there.
+    at_zero = np.exp(np.multiply(0.5j * theta, 0.0))
+    pre = _buffer("u", size)[:m]  # in u until the transform replaces it
+    if n % 2 == 0:  # p is an integer but d is not: p >= 0 exponentiated, mirrored
+        p2 = np.square(ramp[: h + 1], out=real[: h + 1])
+        np.exp(np.multiply(0.5j * theta, p2, out=pre[h:]), out=pre[h:])
+        pre[:h] = pre[::-1][:h]
+    else:  # the chirp at d = p, conjugated
+        np.conjugate(chirp[n // 2 : n // 2 + m], out=pre)
+        pre[h] = at_zero
+        if theta == 0.0:
+            pre.fill(at_zero)
     u = fft.fft(_times_temporary(a, pre, out=a), size, out=_buffer("u", size))
-    # the chirp at q - p, which runs over k + h - c for k = 1 - N .. n - 1
-    d2 = np.square(np.subtract(np.add(ramp, 1 - m + h, out=real), c, out=real), out=real)
-    chirp = np.exp(np.multiply(-0.5j * theta, d2, out=scratch), out=scratch)
     v = fft.fft(chirp, size, out=_buffer("v", size))
     conv = fft.ifft(_times_temporary(u, v, out=u), out=u)[m - 1 : m - 1 + n]
-    q2 = np.square(np.subtract(ramp[:n], c, out=real[:n]), out=real[:n])
-    post = np.exp(np.multiply(0.5j * theta, q2, out=scratch[:n]), out=scratch[:n])
+    post = np.conjugate(chirp[h : h + n], out=v[:n])  # the chirp at d = q, conjugated
+    if n % 2:
+        post[n // 2] = at_zero
+    if theta == 0.0:
+        post.fill(at_zero)
     return np.multiply(post, conv, out=post) / norm
 
 

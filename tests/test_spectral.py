@@ -297,6 +297,41 @@ def test_jsa_zero_outside_top_hat_band(paper_disp, top_hat_filter):
     assert np.any(g_pair == 0.0) and np.any(g_pair == 1.0)
 
 
+@given(
+    shape=st.sampled_from(["top_hat", "gaussian"]),
+    center_nm=st.floats(1535.0, 1575.0),
+    fwhm_nm=st.floats(5.0, 80.0),
+    span=st.floats(1.0, 3.0),
+    half=st.integers(1, 4096),
+    length_mm=st.floats(0.1, 20.0),
+    v_tm=st.floats(8.5e7, 9.5e7),
+    gvd=st.floats(-2e-3, 2e-3),
+)
+@settings(max_examples=60, deadline=None)
+def test_jsa_is_bitwise_the_product_of_both_filter_evaluations(
+    shape, center_nm, fwhm_nm, span, half, length_mm, v_tm, gvd
+):
+    disp = WaveguideDispersion(
+        length_L=length_mm * 1e-3, v_te=8.98e7, v_tm=v_tm, gvd_D=gvd, lambda_deg=1555.9e-9
+    )
+    filt = SpectralFilter(shape=shape, center_lambda=center_nm * 1e-9, fwhm_lambda=fwhm_nm * 1e-9)
+    omega0 = disp.omega_deg
+    try:
+        support = spectral._default_span(disp, filt)
+    except DegenerateDataError:  # the band misses the degenerate wavelength
+        return
+    grid = SpectralGrid(min(span * support, 0.5 * omega0), 2 * half + 1)
+    try:
+        jsa = build_jsa(disp, filt, grid)
+    except ConfigurationError:  # the span stops short of the support
+        return
+    om = grid.omegas
+    phi = phase_mismatch(om, disp)
+    g_pair = filter_amplitude(omega0 + om, filt) * filter_amplitude(omega0 - om, filt)
+    expected = np.sinc(phi / np.pi) * np.exp(1j * phi) * g_pair
+    assert jsa.amplitude.tobytes() == expected.tobytes()
+
+
 def test_jsa_phase_parity(paper_disp, top_hat_filter):
     # arg F(W) - arg F(-W) = -delta W L where the sinc factors stay positive
     jsa = build_jsa(paper_disp, top_hat_filter, search_grid(paper_disp, top_hat_filter))

@@ -234,6 +234,46 @@ def test_overlap_scan_raising_part_way_leaves_later_calls_bitwise(monkeypatch):
             _assert_bitwise(jsa, *scan)
 
 
+# The chirps are exponentiated for one sign of their argument and mirrored: even n
+# puts d = q - p on half-integers, step 0 makes every chirp argument zero, and grids
+# with (N - 1)/2 odd (1027, 4099 points) or n > N shift where the mirror falls.
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    half=st.sampled_from([1, 2, 3, 64, 513, 2049]),
+    omega_max=st.floats(1e12, 1e14),
+    tau0_fs=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-500.0, 500.0)),
+    step_fs=st.one_of(st.sampled_from([0.0, -0.0, 0.1, -0.5]), st.floats(-2.0, 2.0)),
+    n=st.one_of(st.sampled_from([1, 2, 3, 800, 801]), st.integers(1, 9000)),
+)
+@example(seed=1, half=513, omega_max=1e13, tau0_fs=-178.0, step_fs=0.5, n=800)
+@example(seed=2, half=2049, omega_max=1e13, tau0_fs=-200.0, step_fs=0.5, n=2)
+@example(seed=3, half=2049, omega_max=1e13, tau0_fs=22.25, step_fs=0.0, n=801)
+@example(seed=4, half=513, omega_max=1e13, tau0_fs=200.0, step_fs=-0.1, n=4001)
+@example(seed=5, half=2, omega_max=1e13, tau0_fs=-1.0, step_fs=0.5, n=12)
+@settings(max_examples=80, deadline=None)
+def test_overlap_scan_mirrored_chirps_are_bitwise(seed, half, omega_max, tau0_fs, step_fs, n):
+    rng = np.random.default_rng(seed)
+    grid = SpectralGrid(omega_max=omega_max, n_points=2 * half + 1)
+    amp = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
+    jsa = JointSpectralAmplitude(grid=grid, amplitude=amp)
+    _assert_bitwise(jsa, tau0_fs * 1e-15, step_fs * 1e-15, n)
+
+
+@pytest.mark.parametrize("n", [4001, 4000, 801, 800])
+@pytest.mark.parametrize("tau0, step", [(1e300, 0.1e-15), (0.0, 1e291)])
+def test_overlap_scan_overflow_raises_as_the_allocating_evaluation(monkeypatch, n, tau0, step):
+    monkeypatch.setattr(state_mod, "_WORKSPACE", {})
+    large = _bitwise_jsas()[1]
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError) as expected:
+            _allocating_overlap_scan(large, tau0, step, n)
+        with pytest.raises(FloatingPointError) as got:
+            overlap_scan(large, tau0, step, n)
+    assert str(got.value) == str(expected.value)
+    for scan in _SCANS:
+        _assert_bitwise(large, *scan)
+
+
 # --- halving_error ----------------------------------------------------------------
 
 
