@@ -36,7 +36,7 @@ def main(argv: list[str] | None = None) -> None:
     disp = WaveguideDispersion(
         length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
     )
-    half_walkoff = disp.delta * disp.length_L / 2.0
+    half_walkoff = disp.half_walkoff
     tau_max = abs(half_walkoff) + DELAY_HALF_WIDTH  # the reach of the delay search
 
     rows = []

@@ -18,6 +18,11 @@ The matrix:
   - delay-scan, fringe and chsh on a 16385-point grid, on a 12 mm guide, with
     an even count of delays (800) and on a 4099-point grid, whose (N - 1)/2
     is odd
+  - chsh and s-curve with CHSH settings no preset or configs/ file sets:
+    explicit angles whose signed S is negative (raw-visibility), a
+    chsh_theta_deg of 67.5 (paper-calibrated), an off-lattice S(theta) grid
+    with phi_bs_rad 0.7, and explicit angles on a spectral state at a set
+    state.tau_fs
   - one sequence case: delay-scan, fringe and chsh on 4097-, 16385- and then
     8193-point grids through spdcpol.cli.main in one interpreter, one
     output directory per step, so that a call runs after the state earlier
@@ -43,6 +48,22 @@ GENERATED = {
     "guide12mm": {"dispersion": {"length_mm": 12.0}},
     "delays800": {"run": {"delay_scan_fs": {"start": -178.0, "stop": 221.5, "step": 0.5}}},
     "grid4099": {"grid": {"n_points": 4099}},
+}
+CHSH_COMMANDS = ("chsh", "s-curve")
+CHSH_GENERATED = {
+    "chsh-angles-negative": {
+        "preset": "raw-visibility",
+        "run": {"chsh_angles_deg": {"theta1": 90, "theta1p": 45, "theta2": 22.5, "theta2p": 67.5}},
+    },
+    "chsh-theta67": {"preset": "paper-calibrated", "run": {"chsh_theta_deg": 67.5}},
+    "s-curve-offlattice": {
+        "state": {"phi_bs_rad": 0.7},
+        "run": {"s_curve_theta_deg": {"start": -37.1, "stop": 91.3, "step": 1.3}},
+    },
+    "chsh-spectral-tau": {
+        "state": {"tau_fs": 25.0},
+        "run": {"chsh_angles_deg": {"theta1": 10, "theta1p": -35, "theta2": -22.5, "theta2p": 22}},
+    },
 }
 SCRIPTS = ("bandwidth_delay_study.py", "reproduce_results.py")
 SEQUENCE_GRIDS = (4097, 16385, 8193)  # grows, then shrinks, what one process keeps
@@ -89,11 +110,12 @@ def cases(config_dir: Path, preset_names: list[str], scripts: bool) -> dict[str,
     for name in preset_names:
         for command in ("fringe", "chsh", "s-curve", "delay-scan"):
             matrix[f"{name}-{command}"] = [command, "--preset", name, "--runs", "300"]
-    for stem, scenario in GENERATED.items():
-        path = config_dir / f"{stem}.json"
-        path.write_text(json.dumps(scenario))
-        for command in SPECTRAL_COMMANDS:
-            matrix[f"{stem}-{command}"] = [command, "--config", str(path)]
+    for generated, commands in ((GENERATED, SPECTRAL_COMMANDS), (CHSH_GENERATED, CHSH_COMMANDS)):
+        for stem, scenario in generated.items():
+            path = config_dir / f"{stem}.json"
+            path.write_text(json.dumps(scenario))
+            for command in commands:
+                matrix[f"{stem}-{command}"] = [command, "--config", str(path)]
     steps: list[str] = []
     for n_points in SEQUENCE_GRIDS:
         path = config_dir / f"sequence-grid{n_points}.json"

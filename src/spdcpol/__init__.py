@@ -11,7 +11,6 @@ from .counting import (
     accidental_rate,
     chsh_from_counts,
     efficiency_budget,
-    expected_count_array,
     mean_counts,
     measure_accidentals,
     poisson_counts,
@@ -21,13 +20,12 @@ from .errors import ConfigurationError, DegenerateDataError
 from .polarimetry import (
     ChshSettings,
     FringeResult,
-    chsh_S,
-    chsh_signed,
+    chsh_estimate,
+    chsh_table,
+    chsh_table_angles,
     coincidence_probs,
-    correlation_E,
     fit_fringe,
     fringe_scan,
-    s_curve,
     visibility_max_min,
 )
 from .spectral import (

@@ -299,11 +299,10 @@ class ScenarioConfig:
         delay search's reach |delta*L/2| + DELAY_HALF_WIDTH, the ends of the delay
         scan and a configured state.tau_fs. From the config alone, so that every
         command builds one grid."""
-        disp = self.dispersion()
         scan = self.delay_scan_fs()
         tau = self.data["state"]["tau_fs"]
         return max(
-            abs(disp.delta * disp.length_L / 2) + state_mod.DELAY_HALF_WIDTH,
+            abs(self.dispersion().half_walkoff) + state_mod.DELAY_HALF_WIDTH,
             fs(abs(float(scan["start"]))),
             fs(abs(float(scan["stop"]))),
             0.0 if tau == "optimize" else fs(abs(float(tau))),
@@ -318,21 +317,19 @@ class ScenarioConfig:
 
         The dispersion, filter and grid determine jsa, so the commands of one
         process that share a spectrum share one search: the last result is
-        kept, keyed bitwise on those three and the centre. A search that
+        kept, keyed bitwise on those three, which fix the centre. A search that
         raises is not kept, so it raises again when repeated.
         """
         global _last_delay_search
         disp = self.dispersion()
-        center = disp.delta * disp.length_L / 2
         fields = (
             *dataclasses.astuple(disp),
             *dataclasses.astuple(self.spectral_filter()),
             *dataclasses.astuple(jsa.grid),
-            center,
         )
         key = tuple(v.hex() if isinstance(v, float) else v for v in fields)  # 0.0 != -0.0 here
         if _last_delay_search is None or _last_delay_search[0] != key:
-            _last_delay_search = (key, state_mod.optimal_delay(jsa, center))
+            _last_delay_search = (key, state_mod.optimal_delay(jsa, disp.half_walkoff))
         return _last_delay_search[1]
 
     # -- state ---------------------------------------------------------------
@@ -402,8 +399,7 @@ class ScenarioConfig:
         block = self.data["run"]["delay_scan_fs"]
         if block is not None:
             return block
-        disp = self.dispersion()
-        steps = to_fs(disp.delta * disp.length_L / 2) / DELAY_SCAN_STEP_FS
+        steps = to_fs(self.dispersion().half_walkoff) / DELAY_SCAN_STEP_FS
         if not abs(steps) < 2**52:  # else the window's lattice points are not all floats
             raise ConfigurationError(
                 f"delta*L/2 = {steps * DELAY_SCAN_STEP_FS:.3e} fs is too large to centre "

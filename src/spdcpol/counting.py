@@ -20,14 +20,12 @@ indistinguishable here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import ConfigurationError, DegenerateDataError
-from .polarimetry import ChshSettings, coincidence_probs
-from .state import TwoQubitState
+from .polarimetry import chsh_estimate
 from .units import HBAR, omega_from_lambda
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "poisson_counts",
     "measure_accidentals",
     "subtract_accidentals",
-    "chsh_table_angles",
-    "expected_count_array",
     "chsh_from_counts",
     "inferred_pair_rate",
     "efficiency_budget",
@@ -147,70 +143,29 @@ def subtract_accidentals(raw, accidentals) -> NDArray[np.float64]:
     return raw - accidentals
 
 
-# --- CHSH count tables ------------------------------------------------------
-
-# Row/column order of a 4x4 count table: arm-1 settings (t1, t1+90, t1', t1'+90)
-# by arm-2 settings (t2, t2+90, t2', t2'+90). Row k of these holds the cells
-# (row, column) of the counts C1..C4 of block k: E(t1, t2), E(t1, t2'),
-# E(t1', t2), E(t1', t2').
-_BLOCK_ROWS = np.array([[0, 1, 1, 0], [0, 1, 1, 0], [2, 3, 3, 2], [2, 3, 3, 2]])
-_BLOCK_COLS = np.array([[0, 1, 0, 1], [2, 3, 2, 3], [0, 1, 0, 1], [2, 3, 2, 3]])
-
-
-def chsh_table_angles(settings: ChshSettings) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Arm-1 and arm-2 analyzer angles indexing the 4x4 table (radians)."""
-    q = 0.5 * np.pi
-    a = np.array([settings.theta1, settings.theta1 + q, settings.theta1p, settings.theta1p + q])
-    b = np.array([settings.theta2, settings.theta2 + q, settings.theta2p, settings.theta2p + q])
-    return a, b
-
-
-def expected_count_array(
-    state: TwoQubitState,
-    settings: Sequence[ChshSettings],
-    model: DetectorModel,
-    pair_rate: float,
-    integration_time: float,
-) -> NDArray[np.float64]:
-    """Expected counts (floats), accidentals included, as one (K, 4, 4) array for K settings."""
-    # (K, 4) arm-1 and arm-2 angles; the kernel broadcasts them to (K, 4, 4)
-    a_angles, b_angles = map(np.array, zip(*map(chsh_table_angles, settings)))
-    probs = coincidence_probs(state, a_angles[:, :, None], b_angles[:, None, :])
-    return mean_counts(probs, model, pair_rate, integration_time)
-
-
 def chsh_from_counts(
     counts: ArrayLike, signed: bool = False
 ) -> tuple[float, float] | tuple[NDArray[np.float64], NDArray[np.float64]]:
     """CHSH parameter and its propagated standard deviation from raw counts.
 
     `counts` is one 4x4 table (floats returned) or a batch of shape
-    (..., 4, 4) (arrays of the leading shape returned), none negative.
-    Each correlation fraction E comes with variance
+    (..., 4, 4) (arrays of the leading shape returned), none negative, in
+    the layout of polarimetry.chsh_table; S and each correlation fraction E
+    come from polarimetry.chsh_estimate. Each E comes with variance
     [(1-E)^2 (C1+C2) + (1+E)^2 (C3+C4)] / D^2 assuming independent Poisson
     counts; sigma_S adds the four block variances in quadrature.
     """
     c = np.asarray(counts, dtype=float)
-    if c.shape[-2:] != (4, 4):
-        raise ValueError(f"counts must be 4x4 tables, got shape {c.shape}")
     if np.any(c < 0):
         raise ValueError("counts must be nonnegative")
-    # (4 entries, ..., 4 blocks)
-    c1, c2, c3, c4 = np.moveaxis(c[..., _BLOCK_ROWS, _BLOCK_COLS], -1, 0)
-    plus = c1 + c2
-    minus = c3 + c4
-    denom = plus + minus
-    if np.any(denom <= 0):
-        raise DegenerateDataError("coincidence block has an all-zero denominator")
-    e = (plus - minus) / denom
+    s, e, plus, denom = chsh_estimate(c)
+    minus = denom - plus  # C3 + C4 exactly: counts are integers below 2**53
     # float_power calls libm pow per element, as scalar `x ** 2` does; the array
     # `** 2` squares instead and would move the last bit of some sigma_S
     var = (
         np.float_power(1.0 - e, 2) * plus + np.float_power(1.0 + e, 2) * minus
     ) / np.float_power(denom, 2)
-    e11, e12, e21, e22 = np.moveaxis(e, -1, 0)
-    v11, v12, v21, v22 = np.moveaxis(var, -1, 0)
-    s = e11 - e12 + e21 + e22
+    v11, v12, v21, v22 = var
     if not signed:
         s = np.abs(s)
     sigma = np.sqrt(v11 + v12 + v21 + v22)

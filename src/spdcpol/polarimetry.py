@@ -41,10 +41,9 @@ __all__ = [
     "fit_fringe",
     "visibility_max_min",
     "fringe_scan",
-    "correlation_E",
-    "chsh_signed",
-    "chsh_S",
-    "s_curve",
+    "chsh_table_angles",
+    "chsh_table",
+    "chsh_estimate",
 ]
 
 _QUARTER_TURN = 0.5 * np.pi
@@ -180,59 +179,54 @@ def fringe_scan(
     return FringeResult(angles=grid, probabilities=probs, visibility=vis, fit_phase=fit.phase)
 
 
-def _correlations(state: TwoQubitState, t1: ArrayLike, t2: ArrayLike) -> NDArray[np.float64]:
-    """Correlation fractions E, broadcast over the angle arrays."""
+# --- CHSH tables ----------------------------------------------------------------
+
+# Row/column order of a 4x4 table: arm-1 settings (t1, t1+90, t1', t1'+90) by
+# arm-2 settings (t2, t2+90, t2', t2'+90). Row j holds the flat index
+# 4 * row + column of entry j (C_pp, C_oo, C_op, C_po) of each block:
+# E(t1, t2), E(t1, t2'), E(t1', t2), E(t1', t2').
+_BLOCK_CELLS = np.array([[0, 2, 8, 10], [5, 7, 13, 15], [4, 6, 12, 14], [1, 3, 9, 11]])
+
+
+def chsh_table_angles(
+    settings: Sequence[ChshSettings],
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Arm-1 and arm-2 analyzer angles (radians) of the 4x4 tables of K settings, (K, 4) each."""
+    angles = [(s.theta1, s.theta1p, s.theta2, s.theta2p) for s in settings]
+    t1, t1p, t2, t2p = np.array(angles, dtype=float).T
     q = _QUARTER_TURN
-    # the four projections (t1, t2), (t1 + 90, t2 + 90), (t1 + 90, t2), (t1, t2 + 90)
-    probs = coincidence_probs(
-        state,
-        np.stack([t1, t1 + q, t1 + q, t1], axis=-1),
-        np.stack([t2, t2 + q, t2, t2 + q], axis=-1),
-    )
-    c_pp, c_oo, c_op, c_po = np.moveaxis(probs, -1, 0)
-    denom = c_pp + c_oo + c_op + c_po
-    if np.any(denom <= 0.0):
-        raise DegenerateDataError("all four coincidence probabilities vanish")
-    return (c_pp + c_oo - c_op - c_po) / denom
+    return np.stack([t1, t1 + q, t1p, t1p + q], -1), np.stack([t2, t2 + q, t2p, t2p + q], -1)
 
 
-def _chsh_signed(
-    state: TwoQubitState, t1: ArrayLike, t1p: ArrayLike, t2: ArrayLike, t2p: ArrayLike
-) -> NDArray[np.float64]:
-    """Signed CHSH sums, broadcast over the four angle arrays."""
-    a = np.stack(np.broadcast_arrays(t1, t1, t1p, t1p), axis=-1)
-    b = np.stack(np.broadcast_arrays(t2, t2p, t2, t2p), axis=-1)
-    e11, e12, e21, e22 = np.moveaxis(_correlations(state, a, b), -1, 0)
-    return e11 - e12 + e21 + e22
+def chsh_table(state: TwoQubitState, settings: Sequence[ChshSettings]) -> NDArray[np.float64]:
+    """Coincidence probabilities of the 4x4 table, one (K, 4, 4) array for K settings."""
+    a_angles, b_angles = chsh_table_angles(settings)
+    return coincidence_probs(state, a_angles[:, :, None], b_angles[:, None, :])
 
 
-def correlation_E(state: TwoQubitState, theta1: float, theta2: float) -> float:
-    """Correlation fraction E at analyzer angles (theta1, theta2), radians,
-    built from the four +/-90-degree projections."""
-    if not (np.isfinite(theta1) and np.isfinite(theta2)):
-        raise ValueError("analyzer angles must be finite")
-    return float(_correlations(state, theta1, theta2))
+def chsh_estimate(
+    tables: ArrayLike,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Signed CHSH sums of 4x4 tables of probabilities or counts, shape (..., 4, 4).
 
+    Block k of a table (E(t1, t2), E(t1, t2'), E(t1', t2), E(t1', t2'))
+    gives the correlation fraction
 
-def chsh_signed(state: TwoQubitState, settings: ChshSettings) -> float:
-    """CHSH sum without the absolute value (negative lobes preserved)."""
-    return float(
-        _chsh_signed(state, settings.theta1, settings.theta1p, settings.theta2, settings.theta2p)
-    )
+        E = (C_pp + C_oo - C_op - C_po) / D,  D = C_pp + C_oo + C_op + C_po,
 
-
-def chsh_S(state: TwoQubitState, settings: ChshSettings) -> float:
-    """CHSH parameter |E(t1,t2) - E(t1,t2') + E(t1',t2) + E(t1',t2')|."""
-    return abs(chsh_signed(state, settings))
-
-
-def s_curve(state: TwoQubitState, theta_grid: Sequence[float]) -> NDArray[np.float64]:
-    """Signed CHSH sum along the canonical settings family (0, -2t, t, 3t).
-
-    Signed so the ideal state traces 3 cos(2t) - cos(6t), negative lobes
-    included.
+    each summed left to right. Returns (S, E, C_pp + C_oo, D): the signed
+    sums S = E11 - E12 + E21 + E22 of the leading shape, then three arrays
+    of shape (4, ...), block first.
     """
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    if not np.all(np.isfinite(theta_grid)):
-        raise ConfigurationError("theta grid must be finite")
-    return _chsh_signed(state, 0.0, -2.0 * theta_grid, theta_grid, 3.0 * theta_grid)
+    c = np.asarray(tables, dtype=float)
+    if c.shape[-2:] != (4, 4):
+        raise ValueError(f"CHSH tables must be 4x4, got shape {c.shape}")
+    # (4 entries, 4 blocks, ...): gathered from the transpose, each entry is contiguous
+    c_pp, c_oo, c_op, c_po = c.reshape(-1, 16).T[_BLOCK_CELLS].reshape(4, 4, *c.shape[:-2])
+    same = c_pp + c_oo
+    denom = same + c_op + c_po
+    if np.any(denom <= 0.0):
+        raise DegenerateDataError("coincidence block has an all-zero denominator")
+    e = (same - c_op - c_po) / denom
+    e11, e12, e21, e22 = e
+    return e11 - e12 + e21 + e22, e, same, denom

@@ -23,17 +23,22 @@ from .config import ScenarioConfig, fringe_table_name
 from .counting import (
     accidental_rate,
     chsh_from_counts,
-    chsh_table_angles,
     derive_seed,
     efficiency_budget,
-    expected_count_array,
     mean_counts,
     measure_accidentals,
     poisson_counts,
     subtract_accidentals,
 )
 from .errors import ConfigurationError
-from .polarimetry import ChshSettings, chsh_S, fit_fringe, fringe_scan, s_curve
+from .polarimetry import (
+    ChshSettings,
+    chsh_estimate,
+    chsh_table,
+    chsh_table_angles,
+    fit_fringe,
+    fringe_scan,
+)
 from .state import concurrence, halving_error, overlap_scan, post_selected_state
 from .units import to_fs
 
@@ -286,8 +291,9 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
     seed = cfg.seed()
     runs = cfg.runs()
 
-    s_model = chsh_S(state, settings)
-    expected = expected_count_array(state, [settings], model, pair_rate, t_int)[0]
+    probs = chsh_table(state, [settings])
+    s_model = abs(float(chsh_estimate(probs)[0][0]))
+    expected = mean_counts(probs[0], model, pair_rate, t_int)
     stream = np.random.default_rng(derive_seed(seed, 2, 0))
     s_runs, sigma_runs = _RunMoments(), _RunMoments()
     for b, n in enumerate(_blocks(runs)):
@@ -299,7 +305,7 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
             first_counts = counts[0].copy()
             s_first, sigma_first = float(s_block[0]), float(sigma_block[0])
 
-    a_angles, b_angles = chsh_table_angles(settings)
+    (a_angles,), (b_angles,) = chsh_table_angles([settings])
     record = ResultRecord(command="chsh", config=cfg.to_dict(), scalars={})
     record.add_table(
         "counts",
@@ -341,10 +347,9 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     seed = cfg.seed()
     thetas = cfg.s_curve_grid()
 
-    model_curve = s_curve(state, thetas)
-    expected = expected_count_array(
-        state, [ChshSettings.canonical(theta) for theta in thetas], model, pair_rate, t_int
-    )
+    probs = chsh_table(state, [ChshSettings.canonical(theta) for theta in thetas])
+    model_curve = chsh_estimate(probs)[0]
+    expected = mean_counts(probs, model, pair_rate, t_int)
     counts = np.stack(
         [poisson_counts(means, derive_seed(seed, 3, k)) for k, means in enumerate(expected)]
     )

@@ -86,6 +86,12 @@ class WaveguideDispersion:
         return 1.0 / self.v_te - 1.0 / self.v_tm
 
     @property
+    def half_walkoff(self) -> float:
+        """delta*L/2 (s): the stationary-phase compensation delay, which centres
+        the delay search."""
+        return self.delta * self.length_L / 2
+
+    @property
     def omega_deg(self) -> float:
         """Degenerate angular frequency omega0 (rad/s)."""
         return omega_from_lambda(self.lambda_deg)

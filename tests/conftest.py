@@ -44,5 +44,5 @@ def random_density_batch(rng: np.random.Generator, count: int, n: int = 4) -> np
 def search_grid(disp, filt, **kwargs):
     """default_grid for the delay search about delta*L/2: delays up to
     |delta*L/2| + DELAY_HALF_WIDTH."""
-    tau_max = abs(disp.delta * disp.length_L / 2) + DELAY_HALF_WIDTH
+    tau_max = abs(disp.half_walkoff) + DELAY_HALF_WIDTH
     return default_grid(disp, filt, tau_max, **kwargs)

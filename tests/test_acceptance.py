@@ -15,13 +15,12 @@ from spdcpol import (
     SpectralFilter,
     WaveguideDispersion,
     build_jsa,
-    chsh_S,
+    chsh_estimate,
     chsh_from_counts,
+    chsh_table,
     coincidence_probs,
     concurrence,
-    correlation_E,
     efficiency_budget,
-    expected_count_array,
     fit_fringe,
     fringe_scan,
     mean_counts,
@@ -31,7 +30,6 @@ from spdcpol import (
     post_selected_state,
     poisson_counts,
     psi_plus_state,
-    s_curve,
     visibility_state,
 )
 from spdcpol.config import load_scenario
@@ -89,15 +87,21 @@ def _batched_E(rhos, t1, t2):
     return (p1 + p2 - p3 - p4) / (p1 + p2 + p3 + p4)
 
 
+def _signed_s(state, settings):
+    """Signed CHSH sums of the tables of a list of settings."""
+    return chsh_estimate(chsh_table(state, settings))[0]
+
+
 # --- criterion 1: ideal S(theta) identity -------------------------------------
 
 
 def test_criterion_1_ideal_s_curve_identity():
     thetas = np.arange(0.0, 360.0 + 0.5, 1.0) * DEG
-    curve = s_curve(psi_plus_state(), thetas)
+    curve = _signed_s(psi_plus_state(), [ChshSettings.canonical(t) for t in thetas])
     ideal = 3.0 * np.cos(2.0 * thetas) - np.cos(6.0 * thetas)
     max_err = float(np.max(np.abs(curve - ideal)))
-    peak_err = abs(s_curve(psi_plus_state(), [22.5 * DEG])[0] - 2.0 * SQRT2)
+    peak = _signed_s(psi_plus_state(), [ChshSettings.canonical(22.5 * DEG)])[0]
+    peak_err = abs(peak - 2.0 * SQRT2)
     _verdict(
         1,
         "ideal S(theta) = 3cos2t - cos6t",
@@ -130,8 +134,10 @@ def test_criterion_3_x_state_closed_forms():
         state = post_selected_state(c)
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
         e_closed = np.cos(2 * t1) * np.cos(2 * t2) - c * np.sin(2 * t1) * np.sin(2 * t2)
-        worst_e = max(worst_e, abs(correlation_E(state, t1, t2) - e_closed))
-        worst_s = max(worst_s, abs(chsh_S(state, settings) - SQRT2 * (1.0 + c)))
+        # E(t1, t2) is block 0 of the table whose first settings are t1 and t2
+        e = chsh_estimate(chsh_table(state, [ChshSettings(t1, 0.0, t2, 0.0)]))[1][0, 0]
+        worst_e = max(worst_e, abs(e - e_closed))
+        worst_s = max(worst_s, abs(abs(_signed_s(state, [settings])[0]) - SQRT2 * (1.0 + c)))
     _verdict(
         3,
         "X-state E and S closed forms (100 random c)",
@@ -208,7 +214,7 @@ def test_criterion_5_delay_compensation():
 
 
 def _expected_table(state, settings, model, pair_rate, t_int):
-    return expected_count_array(state, [settings], model, pair_rate, t_int)[0]
+    return mean_counts(chsh_table(state, [settings]), model, pair_rate, t_int)[0]
 
 
 def test_criterion_6_chsh_from_counts():
@@ -220,7 +226,7 @@ def test_criterion_6_chsh_from_counts():
     for state in (psi_plus_state(), post_selected_state(0.91), visibility_state(0.8, 0.77)):
         table = _expected_table(state, settings, model_clean, 6.0, 60.0)
         s_counts, _ = chsh_from_counts(table)
-        worst = max(worst, abs(s_counts - chsh_S(state, settings)))
+        worst = max(worst, abs(s_counts - abs(_signed_s(state, [settings])[0])))
     noiseless_ok = worst < 1e-9
 
     # raw-visibility working point: between 2 and the uncorrected lab value

@@ -10,11 +10,11 @@ from spdcpol import (
     DegenerateDataError,
     DetectorModel,
     accidental_rate,
-    chsh_S,
+    chsh_estimate,
     chsh_from_counts,
+    chsh_table,
     coincidence_probs,
     efficiency_budget,
-    expected_count_array,
     fit_fringe,
     mean_counts,
     measure_accidentals,
@@ -245,7 +245,8 @@ def test_subtraction_then_fit_unbiased_over_ensemble():
 
 def _noiseless_table(state, theta=22.5 * DEG, pair_rate=6.0, t_int=60.0, alpha=0.0):
     model = _fringe_model(accidental_calibration=alpha)
-    return expected_count_array(state, [ChshSettings.canonical(theta)], model, pair_rate, t_int)[0]
+    probs = chsh_table(state, [ChshSettings.canonical(theta)])
+    return mean_counts(probs, model, pair_rate, t_int)[0]
 
 
 def test_chsh_from_counts_matches_model_on_noiseless_tables():
@@ -258,7 +259,8 @@ def test_chsh_from_counts_matches_model_on_noiseless_tables():
     for state in states:
         theta = rng.uniform(0, np.pi)
         s_counts, _ = chsh_from_counts(_noiseless_table(state, theta=theta))
-        assert_allclose(s_counts, chsh_S(state, ChshSettings.canonical(theta)), atol=1e-9)
+        s_model = chsh_estimate(chsh_table(state, [ChshSettings.canonical(theta)]))[0][0]
+        assert_allclose(s_counts, abs(s_model), atol=1e-9)
 
 
 def test_chsh_from_counts_ideal_value():
@@ -376,10 +378,10 @@ def test_expected_tables_match_one_table_per_settings():
     state = visibility_state(0.8, 0.77)
     model = _fringe_model(accidental_calibration=0.026)
     settings = [ChshSettings.canonical(t) for t in np.arange(-90.0, 91.0, 15.0) * DEG]
-    tables = expected_count_array(state, settings, model, 6.0, 60.0)
+    tables = mean_counts(chsh_table(state, settings), model, 6.0, 60.0)
     assert tables.shape == (len(settings), 4, 4)
     for table, s in zip(tables, settings):
-        single = expected_count_array(state, [s], model, 6.0, 60.0)[0]
+        single = mean_counts(chsh_table(state, [s]), model, 6.0, 60.0)[0]
         assert_allclose(table, single, rtol=1e-15, atol=0.0)
 
 

@@ -10,15 +10,13 @@ from spdcpol import (
     ConfigurationError,
     DegenerateDataError,
     TwoQubitState,
-    chsh_S,
-    chsh_signed,
+    chsh_estimate,
+    chsh_table,
     coincidence_probs,
-    correlation_E,
     fit_fringe,
     fringe_scan,
     post_selected_state,
     psi_plus_state,
-    s_curve,
     visibility_max_min,
     visibility_state,
 )
@@ -225,13 +223,34 @@ def test_fit_rejects_mismatched_angles():
         fit_fringe(_full_turn(step_deg=10.0), np.ones((4, 5)))
 
 
-# --- correlation_E -----------------------------------------------------------------
+# --- CHSH tables: correlation fractions ------------------------------------------------
+
+
+def _correlation(state, theta1, theta2):
+    """E at analyzer angles (theta1, theta2): block 0 of the table with t1 = theta1, t2 = theta2."""
+    table = chsh_table(state, [ChshSettings(theta1, 0.0, theta2, 0.0)])
+    return float(chsh_estimate(table)[1][0, 0])
+
+
+def _signed_s(state, settings):
+    """Signed CHSH sum of one table."""
+    return float(chsh_estimate(chsh_table(state, [settings]))[0][0])
+
+
+def _chsh_s(state, settings):
+    """CHSH parameter |S| of one table."""
+    return abs(_signed_s(state, settings))
+
+
+def _s_curve(state, theta_grid):
+    """Signed CHSH sums along the canonical family (0, -2t, t, 3t)."""
+    return chsh_estimate(chsh_table(state, [ChshSettings.canonical(t) for t in theta_grid]))[0]
 
 
 def test_correlation_ideal_values():
     state = psi_plus_state()
-    assert_allclose(correlation_E(state, 0.0, 0.0), 1.0, atol=1e-12)
-    assert abs(correlation_E(state, 0.0, 45.0 * DEG)) < 1e-12
+    assert_allclose(_correlation(state, 0.0, 0.0), 1.0, atol=1e-12)
+    assert abs(_correlation(state, 0.0, 45.0 * DEG)) < 1e-12
 
 
 def test_correlation_closed_form_random_angles():
@@ -242,7 +261,7 @@ def test_correlation_closed_form_random_angles():
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
         state = post_selected_state(c)
         expected = np.cos(2 * t1) * np.cos(2 * t2) - c * np.sin(2 * t1) * np.sin(2 * t2)
-        assert_allclose(correlation_E(state, t1, t2), expected, atol=1e-9)
+        assert_allclose(_correlation(state, t1, t2), expected, atol=1e-9)
 
 
 def test_correlation_two_visibility_closed_form():
@@ -251,7 +270,7 @@ def test_correlation_two_visibility_closed_form():
     for _ in range(50):
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
         expected = 0.80 * np.cos(2 * t1) * np.cos(2 * t2) - 0.77 * np.sin(2 * t1) * np.sin(2 * t2)
-        assert_allclose(correlation_E(state, t1, t2), expected, atol=1e-9)
+        assert_allclose(_correlation(state, t1, t2), expected, atol=1e-9)
 
 
 def test_correlation_bounded_random_states():
@@ -259,16 +278,16 @@ def test_correlation_bounded_random_states():
     for _ in range(500):
         state = TwoQubitState(rho=random_density_matrix(rng))
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
-        e = correlation_E(state, t1, t2)
+        e = _correlation(state, t1, t2)
         assert -1.0 - 1e-9 <= e <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_correlation_rejects_nonfinite_angle(bad):
-    state = psi_plus_state()
+    # the angles reach a table only through ChshSettings, which rejects them
     for t1, t2 in ((bad, 0.0), (0.0, bad)):
         with pytest.raises(ValueError, match="finite"):
-            correlation_E(state, t1, t2)
+            ChshSettings(theta1=t1, theta1p=0.0, theta2=t2, theta2p=0.0)
 
 
 # --- CHSH -------------------------------------------------------------------------
@@ -281,19 +300,19 @@ def _canonical_225():
 def test_chsh_maximal_violation_settings():
     s = _canonical_225()
     assert_allclose(np.degrees([s.theta1, s.theta1p, s.theta2, s.theta2p]), [0, -45, 22.5, 67.5])
-    assert_allclose(chsh_S(psi_plus_state(), s), 2.0 * np.sqrt(2.0), atol=1e-9)
+    assert_allclose(_chsh_s(psi_plus_state(), s), 2.0 * np.sqrt(2.0), atol=1e-9)
 
 
 def test_chsh_product_state_respects_classical_bound():
     product = TwoQubitState(rho=np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
-    assert chsh_S(product, _canonical_225()) <= 2.0 + 1e-12
+    assert _chsh_s(product, _canonical_225()) <= 2.0 + 1e-12
 
 
 def test_chsh_coherence_scaling():
     # S = sqrt(2) (1 + c) at the maximal-violation settings
     for c in (0.0, 0.5, 0.91):
         state = post_selected_state(c)
-        assert_allclose(chsh_S(state, _canonical_225()), np.sqrt(2.0) * (1.0 + c), atol=1e-9)
+        assert_allclose(_chsh_s(state, _canonical_225()), np.sqrt(2.0) * (1.0 + c), atol=1e-9)
 
 
 @given(
@@ -307,7 +326,7 @@ def test_chsh_complex_coherence_identity(mag, arg, phi):
     v = mag * np.exp(1j * arg)
     state = post_selected_state(v, phi_bs=phi)
     expected = abs(np.sqrt(2.0) * (1.0 + (v * np.exp(1j * phi)).real))
-    assert_allclose(chsh_S(state, _canonical_225()), expected, atol=1e-9)
+    assert_allclose(_chsh_s(state, _canonical_225()), expected, atol=1e-9)
 
 
 def test_tsirelson_bound_random_states_and_settings():
@@ -316,7 +335,7 @@ def test_tsirelson_bound_random_states_and_settings():
     for _ in range(1000):
         state = TwoQubitState(rho=random_density_matrix(rng))
         t = rng.uniform(0.0, 2 * np.pi, size=4)
-        s = chsh_S(state, ChshSettings(theta1=t[0], theta1p=t[1], theta2=t[2], theta2p=t[3]))
+        s = _chsh_s(state, ChshSettings(theta1=t[0], theta1p=t[1], theta2=t[2], theta2p=t[3]))
         assert s <= bound
 
 
@@ -325,20 +344,20 @@ def test_tsirelson_bound_random_states_and_settings():
 
 def test_s_curve_matches_ideal_identity():
     thetas = np.arange(0.0, 360.0 + 0.5, 1.0) * DEG
-    curve = s_curve(psi_plus_state(), thetas)
+    curve = _s_curve(psi_plus_state(), thetas)
     expected = 3.0 * np.cos(2 * thetas) - np.cos(6 * thetas)
     assert np.max(np.abs(curve - expected)) < 1e-9
 
 
 def test_s_curve_landmarks():
     state = psi_plus_state()
-    assert_allclose(s_curve(state, [22.5 * DEG])[0], 2.0 * np.sqrt(2.0), atol=1e-9)
-    assert_allclose(s_curve(state, [0.0])[0], 2.0, atol=1e-12)
+    assert_allclose(_s_curve(state, [22.5 * DEG])[0], 2.0 * np.sqrt(2.0), atol=1e-9)
+    assert_allclose(_s_curve(state, [0.0])[0], 2.0, atol=1e-12)
 
 
 def test_s_curve_signed_has_negative_lobes():
     thetas = np.arange(0.0, 180.0, 2.0) * DEG
-    curve = s_curve(psi_plus_state(), thetas)
+    curve = _s_curve(psi_plus_state(), thetas)
     assert curve.min() < -2.0  # the signed sum dips to -2 sqrt 2
 
 
@@ -347,12 +366,41 @@ def test_s_curve_equals_pointwise_chsh_signed():
     thetas = rng.uniform(-np.pi, np.pi, size=25)
     for _ in range(20):
         state = TwoQubitState(rho=random_density_matrix(rng))
-        pointwise = [chsh_signed(state, ChshSettings.canonical(t)) for t in thetas]
-        assert_allclose(s_curve(state, thetas), pointwise, rtol=0.0, atol=1e-12)
+        pointwise = [_signed_s(state, ChshSettings.canonical(t)) for t in thetas]
+        assert_allclose(_s_curve(state, thetas), pointwise, rtol=0.0, atol=1e-12)
 
 
 def test_signed_vs_absolute():
     state = psi_plus_state()
     settings_neg = ChshSettings.canonical(112.5 * DEG)
-    assert chsh_signed(state, settings_neg) < 0
-    assert_allclose(chsh_S(state, settings_neg), -chsh_signed(state, settings_neg), atol=1e-12)
+    assert _signed_s(state, settings_neg) < 0
+    assert_allclose(_chsh_s(state, settings_neg), -_signed_s(state, settings_neg), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4,), (16,), (2, 8), (4, 4, 3), (3, 16)])
+def test_chsh_estimate_rejects_tables_not_4x4(shape):
+    with pytest.raises(ValueError, match="4x4"):
+        chsh_estimate(np.ones(shape))
+
+
+# (C_pp, C_oo, C_op, C_po) cells of E(t1, t2), E(t1, t2'), E(t1', t2), E(t1', t2')
+_BLOCKS = (
+    ((0, 0), (1, 1), (1, 0), (0, 1)),
+    ((0, 2), (1, 3), (1, 2), (0, 3)),
+    ((2, 0), (3, 1), (3, 0), (2, 1)),
+    ((2, 2), (3, 3), (3, 2), (2, 3)),
+)
+
+
+def test_chsh_estimate_sums_each_block_left_to_right():
+    # every record's model S is this expression, so its order is part of the output bytes
+    rng = np.random.default_rng(51)
+    tables = rng.uniform(0.0, 1.0, size=(200, 4, 4))
+    s, e, same, denom = chsh_estimate(tables)
+    for k, table in enumerate(tables):
+        cells = [[float(table[cell]) for cell in block] for block in _BLOCKS]
+        assert same[:, k].tolist() == [pp + oo for pp, oo, _, _ in cells]
+        assert denom[:, k].tolist() == [pp + oo + op + po for pp, oo, op, po in cells]
+        want = [(pp + oo - op - po) / (pp + oo + op + po) for pp, oo, op, po in cells]
+        assert e[:, k].tolist() == want
+        assert float(s[k]) == want[0] - want[1] + want[2] + want[3]

@@ -14,6 +14,7 @@ from spdcpol import (
     JointSpectralAmplitude,
     SpectralGrid,
     chsh_from_counts,
+    chsh_table_angles,
     cli,
     coincidence_probs,
     filter_amplitude,
@@ -23,7 +24,7 @@ from spdcpol import (
     runners,
 )
 from spdcpol.config import load_scenario
-from spdcpol.counting import accidental_rate, chsh_table_angles, derive_seed
+from spdcpol.counting import accidental_rate, derive_seed
 from spdcpol.runners import run_budget, run_chsh, run_delay_scan, run_fringe, run_s_curve
 
 
@@ -59,6 +60,24 @@ def test_chsh_raw_visibility_model_point():
     record = run_chsh(load_scenario(preset="raw-visibility"))
     assert_allclose(record.scalars["s_model"], np.sqrt(2.0) * (0.80 + 0.77), atol=1e-9)
     assert 0.1 <= record.scalars["sigma_s"] <= 0.3
+
+
+def test_chsh_explicit_angles_on_coherence_state():
+    c = 0.83
+    angles = {"theta1": 12.0, "theta1p": -61.0, "theta2": 33.5, "theta2p": 101.0}
+    cfg = load_scenario()
+    cfg.data["state"]["coherence"] = c
+    cfg.data["run"]["chsh_angles_deg"] = angles
+    t1, t1p, t2, t2p = np.radians([angles[k] for k in ("theta1", "theta1p", "theta2", "theta2p")])
+
+    def e(a, b):
+        return np.cos(2 * a) * np.cos(2 * b) - c * np.sin(2 * a) * np.sin(2 * b)
+
+    expected = abs(e(t1, t2) - e(t1, t2p) + e(t1p, t2) + e(t1p, t2p))
+    record = run_chsh(cfg)
+    settings_deg = record.scalars["settings_deg"]
+    assert_allclose([settings_deg[k] for k in angles], list(angles.values()), rtol=1e-15)
+    assert_allclose(record.scalars["s_model"], expected, rtol=0, atol=1e-12)
 
 
 def test_s_curve_model_column_is_ideal_identity():
@@ -202,7 +221,7 @@ def test_first_run_counts_follow_the_seed_tree():
         assert [row[3] for row in table["rows"]] == acc.tolist()
 
     # chsh: the 4x4 table from (seed, 2, run)
-    a, b = chsh_table_angles(cfg.chsh_settings())
+    (a,), (b,) = chsh_table_angles([cfg.chsh_settings()])
     counts = _draw(seed, _means(cfg, state, a[:, None], b[None, :]), 2, 0)
     chsh = run_chsh(cfg)
     assert [row[4] for row in chsh.tables["counts"]["rows"]] == counts.ravel().tolist()
@@ -211,7 +230,7 @@ def test_first_run_counts_follow_the_seed_tree():
     rows = run_s_curve(cfg).tables["curve"]["rows"]
     for k, theta in enumerate(cfg.s_curve_grid()):
         settings = ChshSettings.canonical(theta)
-        a, b = chsh_table_angles(settings)
+        (a,), (b,) = chsh_table_angles([settings])
         drawn = _draw(seed, _means(cfg, state, a[:, None], b[None, :]), 3, k)
         assert rows[k][2:] == list(chsh_from_counts(drawn, signed=True))
 
@@ -256,7 +275,7 @@ def test_runs_are_consecutive_rows_of_the_run_0_stream(monkeypatch):
 
     tables = _spy(monkeypatch, "chsh_from_counts", 0)
     record = run_chsh(cfg)
-    a, b = chsh_table_angles(cfg.chsh_settings())
+    (a,), (b,) = chsh_table_angles([cfg.chsh_settings()])
     means = _means(cfg, state, a[:, None], b[None, :])
     counts = _draw(seed, np.broadcast_to(means, (runs, 4, 4)), 2, 0)
     assert np.array_equal(np.concatenate(tables), counts)
