@@ -23,6 +23,10 @@ The matrix:
     chsh_theta_deg of 67.5 (paper-calibrated), an off-lattice S(theta) grid
     with phi_bs_rad 0.7, and explicit angles on a spectral state at a set
     state.tau_fs
+  - two known defects: angles echoed as configured (fringe with
+    run.fringe_theta1_deg [0, 12], chsh with run.chsh_angles_deg.theta1 12)
+    and the fringe grid checked at load (budget and delay-scan on a
+    run.fringe_theta2_deg scan of 0..90 degrees)
   - one sequence case: delay-scan, fringe and chsh on 4097-, 16385- and then
     8193-point grids through spdcpol.cli.main in one interpreter, one
     output directory per step, so that a call runs after the state earlier
@@ -64,6 +68,17 @@ CHSH_GENERATED = {
         "state": {"tau_fs": 25.0},
         "run": {"chsh_angles_deg": {"theta1": 10, "theta1p": -35, "theta2": -22.5, "theta2p": 22}},
     },
+}
+DEFECT_GENERATED = {  # stem -> (scenario, commands)
+    "fringe-theta1-12": ({"run": {"fringe_theta1_deg": [0, 12]}}, ("fringe",)),
+    "chsh-theta1-12": (
+        {"run": {"chsh_angles_deg": dict(theta1=12, theta1p=-45, theta2=22.5, theta2p=67.5)}},
+        ("chsh",),
+    ),
+    "short-fringe-grid": (
+        {"run": {"fringe_theta2_deg": {"start": 0, "stop": 90, "step": 10}}},
+        ("budget", "delay-scan"),
+    ),
 }
 SCRIPTS = ("bandwidth_delay_study.py", "reproduce_results.py")
 SEQUENCE_GRIDS = (4097, 16385, 8193)  # grows, then shrinks, what one process keeps
@@ -110,12 +125,16 @@ def cases(config_dir: Path, preset_names: list[str], scripts: bool) -> dict[str,
     for name in preset_names:
         for command in ("fringe", "chsh", "s-curve", "delay-scan"):
             matrix[f"{name}-{command}"] = [command, "--preset", name, "--runs", "300"]
-    for generated, commands in ((GENERATED, SPECTRAL_COMMANDS), (CHSH_GENERATED, CHSH_COMMANDS)):
-        for stem, scenario in generated.items():
-            path = config_dir / f"{stem}.json"
-            path.write_text(json.dumps(scenario))
-            for command in commands:
-                matrix[f"{stem}-{command}"] = [command, "--config", str(path)]
+    generated = [
+        *((stem, scenario, SPECTRAL_COMMANDS) for stem, scenario in GENERATED.items()),
+        *((stem, scenario, CHSH_COMMANDS) for stem, scenario in CHSH_GENERATED.items()),
+        *((stem, *scenario_commands) for stem, scenario_commands in DEFECT_GENERATED.items()),
+    ]
+    for stem, scenario, commands in generated:
+        path = config_dir / f"{stem}.json"
+        path.write_text(json.dumps(scenario))
+        for command in commands:
+            matrix[f"{stem}-{command}"] = [command, "--config", str(path)]
     steps: list[str] = []
     for n_points in SEQUENCE_GRIDS:
         path = config_dir / f"sequence-grid{n_points}.json"

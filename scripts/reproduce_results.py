@@ -4,38 +4,39 @@
 Produces the standard set: calibrated fringes, the delay scan with the
 located optimum, the single-point CHSH at the maximal-violation settings
 (both the calibrated and the raw-visibility working points), the S(theta)
-sweep, and the pump/efficiency budget.
+sweep, and the pump/efficiency budget. Each job runs through spdcpol.cli.main;
+the first that fails ends the run with its exit code.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from spdcpol.config import load_scenario
-from spdcpol.runners import run_budget, run_chsh, run_delay_scan, run_fringe, run_s_curve
+from spdcpol import cli
+
+JOBS = {
+    "fringes_calibrated": ["fringe", "--preset", "paper-calibrated", "--runs", "50"],
+    "delay_scan": ["delay-scan"],
+    "chsh_calibrated": ["chsh", "--preset", "paper-calibrated", "--runs", "200"],
+    "chsh_raw": ["chsh", "--preset", "raw-visibility", "--runs", "200"],
+    "s_curve_ideal": ["s-curve", "--preset", "paper-ideal"],
+    "budget": ["budget", "--preset", "raw-visibility"],
+}
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=2024)
     args = parser.parse_args(argv)
 
-    jobs = [
-        ("fringes_calibrated", run_fringe, dict(preset="paper-calibrated", runs=50)),
-        ("delay_scan", run_delay_scan, dict()),
-        ("chsh_calibrated", run_chsh, dict(preset="paper-calibrated", runs=200)),
-        ("chsh_raw", run_chsh, dict(preset="raw-visibility", runs=200)),
-        ("s_curve_ideal", run_s_curve, dict(preset="paper-ideal")),
-        ("budget", run_budget, dict(preset="raw-visibility")),
-    ]
-    for subdir, runner, kwargs in jobs:
-        cfg = load_scenario(seed=args.seed, **kwargs)
-        record = runner(cfg)
-        record.print_summary()
-        for path in record.write(Path(args.out) / subdir):
-            print(f"wrote {path}")
+    for subdir, job in JOBS.items():
+        code = cli.main([*job, "--seed", str(args.seed), "--out", str(Path(args.out) / subdir)])
+        if code != cli.EXIT_OK:
+            return code
         print()
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

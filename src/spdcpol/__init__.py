@@ -29,7 +29,6 @@ from .polarimetry import (
     visibility_max_min,
 )
 from .spectral import (
-    FilterShape,
     JointSpectralAmplitude,
     SpectralFilter,
     SpectralGrid,

@@ -12,6 +12,7 @@ degenerate-data error. Errors are a single machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import NoReturn
 
@@ -42,18 +43,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_CONFIG)
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and reused after.
 
     parse_args leaves a parser unchanged, so one parser serves every main()
     call of a process; each call gets a fresh namespace of defaults.
     """
-    global _parser
-    if _parser is not None:
-        return _parser
     parser = _Parser(
         prog="spdcpol",
         description=(
@@ -82,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="named scenario bundle applied before the config file",
         )
-    _parser = parser
     return parser
 
 

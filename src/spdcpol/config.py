@@ -8,7 +8,8 @@ SCHEMA declares every key once. load_scenario checks the assembled scenario
 against it, so an unknown key, a wrong type, an out-of-range value or a scan
 of more than MAX_POINTS points fails at load, naming the key's full path.
 Interface units are the quoted lab units (nm, fs, ns, mW, degrees,
-ps/(nm km)), named in the keys; conversion to SI happens once, here.
+ps/(nm km)), named in the keys; conversion to SI happens once, here, but for
+the angles records echo: their accessors return the degrees as configured.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import spectral, state as state_mod
 from .counting import DetectorModel
 from .errors import ConfigurationError
-from .polarimetry import ChshSettings
+from .polarimetry import ChshSettings, check_theta2_grid
 from .units import fs, to_fs
 
 __all__ = ["PRESETS", "SCHEMA", "ScenarioConfig", "load_scenario", "base_config_dict"]
@@ -91,6 +92,20 @@ def scan(value: Any, where: str) -> None:
         raise ConfigurationError(f"{where} spans more than {MAX_POINTS} points")
 
 
+def _scan_values(block: dict[str, Any]) -> np.ndarray:
+    start, stop, step = float(block["start"]), float(block["stop"]), float(block["step"])
+    return np.arange(start, stop + 0.5 * step, step)
+
+
+def theta2_scan(value: Any, where: str) -> None:
+    """A scan whose angles (degrees) polarimetry.check_theta2_grid accepts."""
+    scan(value, where)
+    try:
+        check_theta2_grid(np.radians(_scan_values(value)))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+
+
 def optional_scan(value: Any, where: str) -> None:
     """null, or a scan."""
     if value is not None:
@@ -116,9 +131,9 @@ def chsh_angles(value: Any, where: str) -> None:
         _check_object(value, dict.fromkeys(CHSH_ANGLES, number()), where)
 
 
-def fringe_table_name(theta1: float) -> str:
-    """Name of the fringe table at arm-1 angle theta1 (radians)."""
-    return f"theta1_{math.degrees(theta1):g}"
+def fringe_table_name(theta1_deg: float) -> str:
+    """Name of the fringe table at arm-1 angle theta1_deg (degrees)."""
+    return f"theta1_{theta1_deg:g}"
 
 
 def fringe_angles(value: Any, where: str) -> None:
@@ -127,7 +142,7 @@ def fringe_angles(value: Any, where: str) -> None:
         raise ConfigurationError(
             f"{where} must be a non-empty list of numbers, got {json.dumps(value)}"
         )
-    names = [fringe_table_name(math.radians(v)) for v in value]
+    names = [fringe_table_name(v) for v in value]
     if len(set(names)) < len(names):
         raise ConfigurationError(f"{where}: two angles give one fringe table name in {names}")
 
@@ -144,7 +159,6 @@ class Key(NamedTuple):
 
 POSITIVE = number("(0, inf)")
 NONNEGATIVE = number("[0, inf)")
-SHAPES = [shape.value for shape in spectral.FilterShape]
 
 SCHEMA: dict[str, dict[str, Key]] = {
     "dispersion": {
@@ -156,7 +170,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "delta0_per_m": Key(0.0, number(), "delta0"),
     },
     "filter": {
-        "shape": Key("top_hat", number(None, *SHAPES), "shape", None),
+        "shape": Key("top_hat", number(None, *spectral.FILTER_SHAPES), "shape", None),
         "center_nm": Key(1550.0, POSITIVE, "center_lambda", 1e-9),
         "fwhm_nm": Key(45.0, POSITIVE, "fwhm_lambda", 1e-9),
     },
@@ -187,7 +201,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "seed": Key(12345, number("[0, inf)", integer=True)),
         "runs": Key(1, number("[1, inf)", integer=True)),
         "fringe_theta1_deg": Key([0.0, 45.0], fringe_angles),
-        "fringe_theta2_deg": Key({"start": 0.0, "stop": 360.0, "step": 10.0}, scan),
+        "fringe_theta2_deg": Key({"start": 0.0, "stop": 360.0, "step": 10.0}, theta2_scan),
         "s_curve_theta_deg": Key({"start": -90.0, "stop": 90.0, "step": 2.5}, scan),
         "chsh_theta_deg": Key(22.5, number()),
         "chsh_angles_deg": Key(None, chsh_angles),
@@ -254,11 +268,6 @@ def _merge(base: dict[str, Any], override: dict[str, Any]) -> None:
 # The last delay search of this process: (its key, its result). One entry and
 # no arrays, so it holds one spectrum at most and a few hundred bytes.
 _last_delay_search: tuple[tuple[Any, ...], float] | None = None
-
-
-def _scan_values(block: dict[str, Any]) -> np.ndarray:
-    start, stop, step = float(block["start"]), float(block["stop"]), float(block["step"])
-    return np.arange(start, stop + 0.5 * step, step)
 
 
 @dataclass(frozen=True)
@@ -384,14 +393,14 @@ class ScenarioConfig:
     def runs(self) -> int:
         return self.data["run"]["runs"]
 
-    def fringe_theta1(self) -> list[float]:
-        return [math.radians(float(t)) for t in self.data["run"]["fringe_theta1_deg"]]
+    def fringe_theta1_deg(self) -> list[float]:
+        return [float(t) for t in self.data["run"]["fringe_theta1_deg"]]
 
-    def fringe_theta2_grid(self) -> np.ndarray:
-        return np.radians(_scan_values(self.data["run"]["fringe_theta2_deg"]))
+    def fringe_theta2_deg(self) -> np.ndarray:
+        return _scan_values(self.data["run"]["fringe_theta2_deg"])
 
-    def s_curve_grid(self) -> np.ndarray:
-        return np.radians(_scan_values(self.data["run"]["s_curve_theta_deg"]))
+    def s_curve_theta_deg(self) -> np.ndarray:
+        return _scan_values(self.data["run"]["s_curve_theta_deg"])
 
     def delay_scan_fs(self) -> dict[str, Any]:
         """run.delay_scan_fs; null is DELAY_SCAN_HALF_WIDTH_FS either side of the point
@@ -414,11 +423,20 @@ class ScenarioConfig:
         block = self.delay_scan_fs()
         return fs(1.0) * _scan_values(block), fs(float(block["step"]))
 
+    def chsh_angles_deg(self) -> dict[str, float]:
+        """The four CHSH angles (degrees): run.chsh_angles_deg, or the canonical
+        (0, -2t, t, 3t) of t = run.chsh_theta_deg."""
+        run = self.data["run"]
+        if run["chsh_angles_deg"] is None:
+            t = float(run["chsh_theta_deg"])
+            return {"theta1": 0.0, "theta1p": -2.0 * t, "theta2": t, "theta2p": 3.0 * t}
+        return {name: float(run["chsh_angles_deg"][name]) for name in CHSH_ANGLES}
+
     def chsh_settings(self) -> ChshSettings:
-        angles = self.data["run"]["chsh_angles_deg"]
-        if angles is None:
+        """chsh_angles_deg in radians; the canonical family is built from t in radians."""
+        if self.data["run"]["chsh_angles_deg"] is None:
             return ChshSettings.canonical(math.radians(float(self.data["run"]["chsh_theta_deg"])))
-        return ChshSettings(**{name: math.radians(float(deg)) for name, deg in angles.items()})
+        return ChshSettings(**{k: math.radians(deg) for k, deg in self.chsh_angles_deg().items()})
 
     # -- budget ----------------------------------------------------------------
     def budget_inputs(self) -> dict[str, float]:

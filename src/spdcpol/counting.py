@@ -78,8 +78,6 @@ def derive_seed(seed: int, *indices: int) -> int:
 
 def accidental_rate(model: DetectorModel) -> float:
     """Accidental coincidence rate under uniform arrival within the gate."""
-    if model.trigger_rate <= 0:
-        raise ValueError("trigger rate must be positive")
     window_factor = min(1.0, 2.0 * model.coincidence_window / model.gate_width)
     return (
         model.accidental_calibration

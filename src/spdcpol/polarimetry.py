@@ -148,14 +148,18 @@ def visibility_max_min(values: Sequence[float]) -> float:
 class FringeResult:
     """Model fringe over a theta2 grid with its fitted visibility."""
 
-    angles: NDArray[np.float64]
     probabilities: NDArray[np.float64]
     visibility: float
     fit_phase: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility {self.visibility} outside [0, 1]")
+
+def check_theta2_grid(grid: NDArray[np.float64]) -> None:
+    """Raise ConfigurationError unless the theta2 grid (radians) holds at least 4
+    points and spans a full turn, as fringe_scan's fit needs."""
+    if grid.size < 4:
+        raise ConfigurationError(f"theta2 grid needs at least 4 points, got {grid.size}")
+    if grid.max() - grid.min() < 2.0 * np.pi - 1e-9:
+        raise ConfigurationError("theta2 grid must span at least 360 degrees")
 
 
 def fringe_scan(
@@ -164,19 +168,16 @@ def fringe_scan(
     """Coincidence probabilities versus theta2 at fixed theta1, with visibility.
 
     Visibility comes from the sinusoidal least-squares fit, not raw
-    max/min; on noiseless model output the two agree. The grid must hold
-    at least 4 points and span a full turn.
+    max/min; on noiseless model output the two agree. The grid must pass
+    check_theta2_grid.
     """
     grid = np.asarray(theta2_grid, dtype=float)
-    if grid.size < 4:
-        raise ConfigurationError(f"theta2 grid needs at least 4 points, got {grid.size}")
-    if grid.max() - grid.min() < 2.0 * np.pi - 1e-9:
-        raise ConfigurationError("theta2 grid must span at least 360 degrees")
+    check_theta2_grid(grid)
     probs = coincidence_probs(state, theta1, grid)
     fit = fit_fringe(grid, probs)
     # model probabilities keep b <= a; clip the roundoff excursion only
     vis = float(np.clip(fit.visibility, 0.0, 1.0))
-    return FringeResult(angles=grid, probabilities=probs, visibility=vis, fit_phase=fit.phase)
+    return FringeResult(probabilities=probs, visibility=vis, fit_phase=fit.phase)
 
 
 # --- CHSH tables ----------------------------------------------------------------

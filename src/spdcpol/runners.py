@@ -35,7 +35,6 @@ from .polarimetry import (
     ChshSettings,
     chsh_estimate,
     chsh_table,
-    chsh_table_angles,
     fit_fringe,
     fringe_scan,
 )
@@ -205,14 +204,14 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
     t_int = cfg.integration_time()
     seed = cfg.seed()
     runs = cfg.runs()
-    grid = cfg.fringe_theta2_grid()
-    grid_deg = np.degrees(grid)
+    grid_deg = cfg.fringe_theta2_deg()
+    grid = np.radians(grid_deg)
 
     record = ResultRecord(command="fringe", config=cfg.to_dict(), scalars={})
     acc = accidental_rate(model)
     bases: list[dict[str, Any]] = []
-    for i, theta1 in enumerate(cfg.fringe_theta1()):
-        fringe = fringe_scan(state, theta1, grid)
+    for i, theta1_deg in enumerate(cfg.fringe_theta1_deg()):
+        fringe = fringe_scan(state, math.radians(theta1_deg), grid)
         means = mean_counts(fringe.probabilities, model, pair_rate, t_int)
         raw_stream = np.random.default_rng(derive_seed(seed, 0, i, 0))
         acc_stream = np.random.default_rng(derive_seed(seed, 1, i, 0))
@@ -227,7 +226,7 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
                 # copies: a view would keep the whole block alive
                 raw0, acc0, sub0 = raw[0].copy(), acc_counts[0].copy(), sub[0].copy()
         record.add_table(
-            fringe_table_name(theta1),
+            fringe_table_name(theta1_deg),
             {
                 "theta2_deg": grid_deg,
                 "prob_model": fringe.probabilities,
@@ -238,7 +237,7 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
         )
         bases.append(
             {
-                "theta1_deg": math.degrees(theta1),
+                "theta1_deg": theta1_deg,
                 "visibility_model": fringe.visibility,
                 "visibility_raw_fit_mean": vis_raw.mean,
                 "visibility_raw_fit_std": vis_raw.std,
@@ -285,6 +284,7 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
     """Single-point CHSH: exact model value and simulated counts with sigma."""
     state, info = cfg.resolve_state()
     settings = cfg.chsh_settings()
+    settings_deg = cfg.chsh_angles_deg()
     model = cfg.detector()
     pair_rate = cfg.pair_rate()
     t_int = cfg.integration_time()
@@ -305,26 +305,21 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
             first_counts = counts[0].copy()
             s_first, sigma_first = float(s_block[0]), float(sigma_block[0])
 
-    (a_angles,), (b_angles,) = chsh_table_angles([settings])
+    t1, t1p, t2, t2p = settings_deg.values()
     record = ResultRecord(command="chsh", config=cfg.to_dict(), scalars={})
     record.add_table(
         "counts",
         {  # row 4 * ia + ib: arm-1 setting ia, arm-2 setting ib
             "arm1_index": np.repeat(np.arange(4), 4),
             "arm2_index": np.tile(np.arange(4), 4),
-            "angle1_deg": np.repeat([math.degrees(t) for t in a_angles], 4),
-            "angle2_deg": np.tile([math.degrees(t) for t in b_angles], 4),
+            "angle1_deg": np.repeat([t1, t1 + 90.0, t1p, t1p + 90.0], 4),
+            "angle2_deg": np.tile([t2, t2 + 90.0, t2p, t2p + 90.0], 4),
             "counts": first_counts.ravel(),
         },
     )
     scalars: dict[str, Any] = {
         **info,
-        "settings_deg": {
-            "theta1": math.degrees(settings.theta1),
-            "theta1p": math.degrees(settings.theta1p),
-            "theta2": math.degrees(settings.theta2),
-            "theta2p": math.degrees(settings.theta2p),
-        },
+        "settings_deg": settings_deg,
         "s_model": s_model,
         "s_counts": s_first,
         "sigma_s": sigma_first,
@@ -345,7 +340,8 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     pair_rate = cfg.pair_rate()
     t_int = cfg.integration_time()
     seed = cfg.seed()
-    thetas = cfg.s_curve_grid()
+    thetas_deg = cfg.s_curve_theta_deg()
+    thetas = np.radians(thetas_deg)
 
     probs = chsh_table(state, [ChshSettings.canonical(theta) for theta in thetas])
     model_curve = chsh_estimate(probs)[0]
@@ -359,7 +355,7 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     record.add_table(
         "curve",
         {
-            "theta_deg": [math.degrees(theta) for theta in thetas],
+            "theta_deg": thetas_deg,
             "s_model": model_curve,
             "s_sim": s_sim,
             "sigma_s": sigma,
@@ -369,7 +365,7 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     record.scalars = {
         **info,
         "s_model_max": float(model_curve[imax]),
-        "theta_at_max_deg": math.degrees(thetas[imax]),
+        "theta_at_max_deg": float(thetas_deg[imax]),
         "integration_time_s": t_int,
         "pair_rate_hz": pair_rate,
     }

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,7 +33,7 @@ from .units import C_LIGHT, TWO_PI, omega_from_lambda
 
 __all__ = [
     "WaveguideDispersion",
-    "FilterShape",
+    "FILTER_SHAPES",
     "SpectralFilter",
     "SpectralGrid",
     "JointSpectralAmplitude",
@@ -114,9 +113,7 @@ def phase_mismatch(omega, disp: WaveguideDispersion):
     return phi if phi.ndim else float(phi)
 
 
-class FilterShape(str, Enum):
-    TOP_HAT = "top_hat"
-    GAUSSIAN = "gaussian"
+FILTER_SHAPES = ("top_hat", "gaussian")
 
 
 @dataclass(frozen=True)
@@ -128,12 +125,13 @@ class SpectralFilter:
     transmission is the square root of the intensity profile.
     """
 
-    shape: FilterShape
+    shape: str  # one of FILTER_SHAPES
     center_lambda: float  # m
     fwhm_lambda: float  # m
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", FilterShape(self.shape))
+        if self.shape not in FILTER_SHAPES:
+            raise ValueError(f"shape must be one of {FILTER_SHAPES}, got {self.shape!r}")
         if self.fwhm_lambda <= 0:
             raise ValueError(f"fwhm_lambda must be positive, got {self.fwhm_lambda}")
         if self.center_lambda <= 0:
@@ -159,7 +157,7 @@ def filter_amplitude(omega_abs, filt: SpectralFilter):
         raise ValueError("filter_amplitude requires positive absolute frequencies")
     lam = TWO_PI * C_LIGHT / omega_abs
     u = (lam - filt.center_lambda) / filt.fwhm_lambda
-    if filt.shape is FilterShape.TOP_HAT:
+    if filt.shape == "top_hat":
         g = (np.abs(u) <= 0.5).astype(float)
     else:
         g = np.exp(-2.0 * np.log(2.0) * u**2)
@@ -193,10 +191,6 @@ class SpectralGrid:
         half = (self.n_points - 1) // 2
         idx = np.arange(self.n_points) - half
         return idx * self.step
-
-    def refined(self) -> "SpectralGrid":
-        """Same span with the step halved (n -> 2n - 1)."""
-        return SpectralGrid(self.omega_max, 2 * self.n_points - 1)
 
 
 @dataclass(frozen=True)
@@ -259,7 +253,7 @@ def _default_span(disp: WaveguideDispersion, filt: SpectralFilter) -> float:
     (omega0^2 - W^2) reach sep = fwhm * sqrt(ln(1/GAUSSIAN_TAIL) / (2 ln2)),
     which is at W = sep omega0^2 / (2 pi c + sqrt((2 pi c)^2 + (sep omega0)^2)).
     """
-    if filt.shape is FilterShape.TOP_HAT:
+    if filt.shape == "top_hat":
         support = _support_half_width(disp, filt)
         if support <= 0.0:
             raise DegenerateDataError(

@@ -242,6 +242,17 @@ def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> float:
     return round(tau_star / 1e-17) * 1e-17  # report to 0.01 fs
 
 
+def _x_state(p_same: float, p_cross: float, kappa: complex) -> TwoQubitState:
+    """X-state with populations p_same on HH and VV and p_cross on HV and VH, and
+    coherence kappa between HV and VH."""
+    rho = np.zeros((4, 4), dtype=np.complex128)
+    rho[_HH, _HH] = rho[_VV, _VV] = p_same
+    rho[_HV, _HV] = rho[_VH, _VH] = p_cross
+    rho[_HV, _VH] = kappa
+    rho[_VH, _HV] = np.conj(kappa)
+    return TwoQubitState(rho=rho)
+
+
 def post_selected_state(v_int: complex, phi_bs: float = 0.0) -> TwoQubitState:
     """X-state of the post-selected pair for a given spectral overlap, |v_int| <= 1.
 
@@ -252,13 +263,7 @@ def post_selected_state(v_int: complex, phi_bs: float = 0.0) -> TwoQubitState:
     """
     if abs(v_int) > 1.0 + 1e-10:
         raise ValueError(f"|v_int| = {abs(v_int)} exceeds 1")
-    kappa = 0.5 * v_int * np.exp(1j * phi_bs)
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[_HV, _HV] = 0.5
-    rho[_VH, _VH] = 0.5
-    rho[_HV, _VH] = kappa
-    rho[_VH, _HV] = np.conj(kappa)
-    return TwoQubitState(rho=rho)
+    return _x_state(0.0, 0.5, 0.5 * v_int * np.exp(1j * phi_bs))
 
 
 def visibility_state(v_z: float, v_d: float, phi_bs: float = 0.0) -> TwoQubitState:
@@ -272,17 +277,7 @@ def visibility_state(v_z: float, v_d: float, phi_bs: float = 0.0) -> TwoQubitSta
         raise ValueError(f"v_z must lie in [-1, 1], got {v_z}")
     if not 0.0 <= v_d <= 0.5 * (1.0 + v_z) + 1e-12:
         raise ValueError(f"v_d = {v_d} incompatible with v_z = {v_z} (needs v_d <= (1+v_z)/2)")
-    p_cross = 0.25 * (1.0 + v_z)
-    p_same = 0.25 * (1.0 - v_z)
-    kappa = 0.5 * v_d * np.exp(1j * phi_bs)
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[_HH, _HH] = p_same
-    rho[_VV, _VV] = p_same
-    rho[_HV, _HV] = p_cross
-    rho[_VH, _VH] = p_cross
-    rho[_HV, _VH] = kappa
-    rho[_VH, _HV] = np.conj(kappa)
-    return TwoQubitState(rho=rho)
+    return _x_state(0.25 * (1.0 - v_z), 0.25 * (1.0 + v_z), 0.5 * v_d * np.exp(1j * phi_bs))
 
 
 def psi_plus_state() -> TwoQubitState:

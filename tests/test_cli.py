@@ -214,6 +214,22 @@ def test_scalar_fringe_theta1_exits_2(tmp_path, command, run_cli):
     assert "run.fringe_theta1_deg" in _single_config_error(result)
 
 
+@pytest.mark.parametrize("command", ["fringe", "delay-scan", "chsh", "s-curve", "budget"])
+@pytest.mark.parametrize(
+    "scan, message",
+    [
+        ({"start": 0, "stop": 90, "step": 10}, "must span at least 360 degrees"),
+        ({"start": 0, "stop": 360, "step": 180}, "needs at least 4 points, got 3"),
+    ],
+)
+def test_short_fringe_theta2_grid_exits_2(tmp_path, command, scan, message, run_cli):
+    cfg = tmp_path / "theta2.json"
+    cfg.write_text(json.dumps({"run": {"fringe_theta2_deg": scan}}))
+    result = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert f"run.fringe_theta2_deg: theta2 grid {message}" in _single_config_error(result)
+    assert not (tmp_path / "o").exists()
+
+
 def test_budget_zero_efficiency_exits_2(tmp_path, run_cli):
     cfg = tmp_path / "eff.json"
     cfg.write_text(json.dumps({"detector": {"efficiency_1": 0.0}}))

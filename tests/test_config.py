@@ -180,10 +180,10 @@ def test_visibility_override_needs_both(tmp_path):
 
 def test_angle_grids_resolved_in_radians():
     cfg = load_scenario()
-    grid = cfg.fringe_theta2_grid()
+    grid = np.radians(cfg.fringe_theta2_deg())
     assert grid.size == 37
     assert_allclose(grid[-1], 2 * np.pi)
-    assert_allclose(cfg.fringe_theta1(), [0.0, np.pi / 4])
+    assert_allclose(np.radians(cfg.fringe_theta1_deg()), [0.0, np.pi / 4])
     settings = cfg.chsh_settings()
     assert_allclose(
         np.degrees([settings.theta1, settings.theta1p, settings.theta2, settings.theta2p]),

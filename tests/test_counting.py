@@ -24,6 +24,7 @@ from spdcpol import (
     subtract_accidentals,
     visibility_state,
 )
+from spdcpol.config import load_scenario
 from spdcpol.counting import inferred_pair_rate
 
 DEG = np.pi / 180.0
@@ -397,6 +398,20 @@ def test_sigma_propagation_matches_ensemble():
     _, sigma_prop = chsh_from_counts(expected)
     draws = np.array([chsh_from_counts(poisson_counts(expected, seed=s))[0] for s in range(1000)])
     assert abs(draws.std() - sigma_prop) / sigma_prop < 0.20
+
+
+@pytest.mark.parametrize("scale, bound", [(1, 0.02), (16, 0.01)])
+def test_propagated_sigma_s_covers_the_spread_of_s(scale, bound):
+    # raw-visibility working point: about 18 counts per cell, 288 at 16x the time.
+    # Over 10 seeds x 20,000 runs, mean sigma_S / std(S) is 0.9936 +- 0.0017 and
+    # 1.0000 +- 0.0014; one 100,000-run ratio scatters by about 0.002.
+    cfg = load_scenario(preset="raw-visibility")
+    state, _ = cfg.resolve_state()
+    probs = chsh_table(state, [cfg.chsh_settings()])[0]
+    means = mean_counts(probs, cfg.detector(), cfg.pair_rate(), scale * cfg.integration_time())
+    assert_allclose(means.mean(), 18.0 * scale, rtol=1e-12)
+    s, sigma = chsh_from_counts(poisson_counts(np.broadcast_to(means, (100_000, 4, 4)), seed=1))
+    assert abs(np.mean(sigma) / np.std(s) - 1.0) < bound
 
 
 def test_ensemble_mean_counts_converge_to_expectation():

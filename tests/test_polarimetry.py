@@ -114,8 +114,9 @@ def _full_turn(step_deg=10.0):
 
 
 def test_ideal_fringe_scan():
-    res = fringe_scan(psi_plus_state(), 0.0, _full_turn())
-    assert_allclose(res.probabilities, 0.5 * np.cos(res.angles) ** 2, atol=1e-12)
+    grid = _full_turn()
+    res = fringe_scan(psi_plus_state(), 0.0, grid)
+    assert_allclose(res.probabilities, 0.5 * np.cos(grid) ** 2, atol=1e-12)
     assert_allclose(res.visibility, 1.0, atol=1e-9)
     assert abs(res.fit_phase) < 1e-9
 

@@ -75,9 +75,30 @@ def test_chsh_explicit_angles_on_coherence_state():
 
     expected = abs(e(t1, t2) - e(t1, t2p) + e(t1p, t2) + e(t1p, t2p))
     record = run_chsh(cfg)
-    settings_deg = record.scalars["settings_deg"]
-    assert_allclose([settings_deg[k] for k in angles], list(angles.values()), rtol=1e-15)
+    assert record.scalars["settings_deg"] == angles
     assert_allclose(record.scalars["s_model"], expected, rtol=0, atol=1e-12)
+
+
+def test_angles_are_echoed_as_configured():
+    # degrees(radians(x)) is not always x: 12 became 12.000000000000002, 30 (a fringe
+    # lattice point) 29.999999999999996 and -62.5 (an S(theta) point) -62.50000000000001
+    cfg = load_scenario()
+    cfg.data["run"]["fringe_theta1_deg"] = [0, 12]
+    angles = {"theta1": 12, "theta1p": -61, "theta2": 30, "theta2p": 101}
+    cfg.data["run"]["chsh_angles_deg"] = angles
+    fringe = run_fringe(cfg)
+    assert [basis["theta1_deg"] for basis in fringe.scalars["bases"]] == [0.0, 12.0]
+    for table in fringe.tables.values():
+        assert [row[0] for row in table["rows"]] == [10.0 * k for k in range(37)]
+    chsh = run_chsh(cfg)
+    assert chsh.scalars["settings_deg"] == angles
+    rows = chsh.tables["counts"]["rows"]
+    assert [row[2] for row in rows[::4]] == [12.0, 102.0, -61.0, 29.0]
+    assert [row[3] for row in rows[:4]] == [30.0, 120.0, 101.0, 191.0]
+    s_curve = run_s_curve(cfg)
+    curve = s_curve.tables["curve"]["rows"]
+    assert [row[0] for row in curve] == [-90.0 + 2.5 * k for k in range(73)]
+    assert s_curve.scalars["theta_at_max_deg"] == -22.5
 
 
 def test_s_curve_model_column_is_ideal_identity():
@@ -211,10 +232,11 @@ def test_first_run_counts_follow_the_seed_tree():
     seed, t_int = cfg.seed(), cfg.integration_time()
 
     # fringe: raw counts from (seed, 0, basis, run), accidentals from (seed, 1, basis, run)
-    grid = cfg.fringe_theta2_grid()
+    grid = np.radians(cfg.fringe_theta2_deg())
     fringe = run_fringe(cfg)
     acc_mean = accidental_rate(cfg.detector()) * t_int
-    for i, (theta1, table) in enumerate(zip(cfg.fringe_theta1(), fringe.tables.values())):
+    theta1s = np.radians(cfg.fringe_theta1_deg())
+    for i, (theta1, table) in enumerate(zip(theta1s, fringe.tables.values())):
         raw = _draw(seed, _means(cfg, state, theta1, grid), 0, i, 0)
         acc = _draw(seed, np.full(grid.size, acc_mean), 1, i, 0)
         assert [row[2] for row in table["rows"]] == raw.tolist()
@@ -228,7 +250,7 @@ def test_first_run_counts_follow_the_seed_tree():
 
     # s-curve: one table per angle k from (seed, 3, k)
     rows = run_s_curve(cfg).tables["curve"]["rows"]
-    for k, theta in enumerate(cfg.s_curve_grid()):
+    for k, theta in enumerate(np.radians(cfg.s_curve_theta_deg())):
         settings = ChshSettings.canonical(theta)
         (a,), (b,) = chsh_table_angles([settings])
         drawn = _draw(seed, _means(cfg, state, a[:, None], b[None, :]), 3, k)
@@ -255,14 +277,15 @@ def test_runs_are_consecutive_rows_of_the_run_0_stream(monkeypatch):
     runs = 600  # three blocks of the default 256 runs
     cfg = load_scenario(preset="paper-calibrated", seed=23, runs=runs)
     state, _ = cfg.resolve_state()
-    seed, grid = cfg.seed(), cfg.fringe_theta2_grid()
+    seed, grid = cfg.seed(), np.radians(cfg.fringe_theta2_deg())
     acc_mean = accidental_rate(cfg.detector()) * cfg.integration_time()
 
     fits = _spy(monkeypatch, "fit_fringe", 1)
     record = run_fringe(cfg)
     # per block and basis: raw counts, then raw - accidentals
     per_basis = len(fits) // len(record.scalars["bases"])
-    for i, (theta1, basis) in enumerate(zip(cfg.fringe_theta1(), record.scalars["bases"])):
+    theta1s = np.radians(cfg.fringe_theta1_deg())
+    for i, (theta1, basis) in enumerate(zip(theta1s, record.scalars["bases"])):
         mine = fits[i * per_basis : (i + 1) * per_basis]
         means = np.broadcast_to(_means(cfg, state, theta1, grid), (runs, grid.size))
         raw = _draw(seed, means, 0, i, 0)

@@ -365,7 +365,8 @@ def test_quadrature_doubling_convergence_smooth_filter(paper_disp, gaussian_filt
     # trapezoid refinement on the smooth profile: < 1e-6 relative per doubling
     grid = search_grid(paper_disp, gaussian_filter, n_points=4097)
     coarse = build_jsa(paper_disp, gaussian_filter, grid)
-    fine = build_jsa(paper_disp, gaussian_filter, grid.refined())
+    refined = SpectralGrid(grid.omega_max, 2 * grid.n_points - 1)
+    fine = build_jsa(paper_disp, gaussian_filter, refined)
     assert fine.grid.n_points == 8193
     rel = abs(fine.norm_sq() - coarse.norm_sq()) / fine.norm_sq()
     assert rel < 1e-6
