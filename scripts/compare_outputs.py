@@ -2,6 +2,7 @@
 """Run the CLI matrix against two source trees and list every output that differs.
 
 Usage: python3 scripts/compare_outputs.py OLD_SRC NEW_SRC
+       python3 scripts/compare_outputs.py --write-golden
 
 OLD_SRC and NEW_SRC are repository roots (holding src/spdcpol) or
 directories that hold the spdcpol package itself. Every case runs
@@ -23,27 +24,42 @@ The matrix:
     chsh_theta_deg of 67.5 (paper-calibrated), an off-lattice S(theta) grid
     with phi_bs_rad 0.7, and explicit angles on a spectral state at a set
     state.tau_fs
-  - two known defects: angles echoed as configured (fringe with
-    run.fringe_theta1_deg [0, 12], chsh with run.chsh_angles_deg.theta1 12)
-    and the fringe grid checked at load (budget and delay-scan on a
-    run.fringe_theta2_deg scan of 0..90 degrees)
+  - three known defects: angles echoed as configured (fringe with
+    run.fringe_theta1_deg [0, 12], chsh with run.chsh_angles_deg.theta1 12),
+    the fringe grid checked at load (budget and delay-scan on a
+    run.fringe_theta2_deg scan of 0..90 degrees) and delays echoed as
+    configured (fringe with state.tau_fs 30.1, delay-scan on a
+    run.delay_scan_fs scan of 10.1..40.1 fs in steps of 0.1 fs)
   - one sequence case: delay-scan, fringe and chsh on 4097-, 16385- and then
     8193-point grids through spdcpol.cli.main in one interpreter, one
     output directory per step, so that a call runs after the state earlier
     calls of the same process left behind
   - when both trees are repository roots, each tree's own
     scripts/bandwidth_delay_study.py and scripts/reproduce_results.py
+
+--write-golden runs every case of the matrix that is one spdcpol.cli.main
+call (all but the sequence and script cases) in this process, on the package
+of this repository, and writes the SHA-256 of each file the case leaves, its
+stdout, stderr and exit code included, to tests/golden_outputs.json, stamped
+with the python and numpy versions and the machine. A test reruns the same
+cases against that manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy
 
 COMMANDS = ("fringe", "delay-scan", "chsh", "s-curve", "budget")
 SPECTRAL_COMMANDS = ("delay-scan", "fringe", "chsh")
@@ -79,6 +95,11 @@ DEFECT_GENERATED = {  # stem -> (scenario, commands)
         {"run": {"fringe_theta2_deg": {"start": 0, "stop": 90, "step": 10}}},
         ("budget", "delay-scan"),
     ),
+    "tau-30.1": ({"state": {"tau_fs": 30.1}}, ("fringe",)),
+    "delays-10.1": (
+        {"run": {"delay_scan_fs": {"start": 10.1, "stop": 40.1, "step": 0.1}}},
+        ("delay-scan",),
+    ),
 }
 SCRIPTS = ("bandwidth_delay_study.py", "reproduce_results.py")
 SEQUENCE_GRIDS = (4097, 16385, 8193)  # grows, then shrinks, what one process keeps
@@ -93,7 +114,9 @@ for i, (command, config) in enumerate(zip(steps[::2], steps[1::2])):
     code = cli.main([command, "--config", config, "--out", f"{out}/{step}"])
     print(f"{step}: exit {code}", flush=True)
 """
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = REPO / "configs"
+GOLDEN = REPO / "tests" / "golden_outputs.json"
 
 
 def package_root(tree: Path) -> Path:
@@ -176,11 +199,77 @@ def files_under(directory: Path) -> set[Path]:
     return {p.relative_to(directory) for p in directory.rglob("*") if p.is_file()}
 
 
+def environment() -> dict[str, str]:
+    """The stamp of a golden manifest: what else may move an output byte."""
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "machine": platform.machine(),
+    }
+
+
+def run_in_process(argv: list[str], workdir: Path) -> dict[str, str]:
+    """One CLI case through spdcpol.cli.main in this process, in workdir, leaving
+    what run_case leaves; the SHA-256 of each of those files by relative path."""
+    from spdcpol import cli
+
+    workdir.mkdir(parents=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = Path.cwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, "--out", "out"])
+    finally:
+        os.chdir(cwd)
+    (workdir / "stdout.txt").write_text(stdout.getvalue())
+    (workdir / "stderr.txt").write_text(stderr.getvalue())
+    (workdir / "exit_code.txt").write_text(f"{code}\n")
+    return {
+        rel.as_posix(): hashlib.sha256((workdir / rel).read_bytes()).hexdigest()
+        for rel in sorted(files_under(workdir))
+    }
+
+
+def golden_digests(base: Path) -> dict[str, dict[str, str]]:
+    """Case name -> run_in_process digests, for each case of the matrix that is one
+    spdcpol.cli.main call, run under the empty directory base."""
+    from spdcpol.config import PRESETS
+
+    (base / "configs").mkdir()
+    matrix = cases(base / "configs", sorted(PRESETS), scripts=False)
+    return {
+        name: run_in_process(argv, base / "cases" / name)
+        for name, argv in matrix.items()
+        if argv[0] in COMMANDS
+    }
+
+
+def write_golden() -> int:
+    sys.path.insert(0, str(REPO / "src"))
+    with tempfile.TemporaryDirectory(prefix="golden_outputs_") as tmp:
+        digests = golden_digests(Path(tmp))
+    manifest = {"environment": environment(), "cases": digests}
+    GOLDEN.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    files = sum(map(len, digests.values()))
+    print(f"wrote {GOLDEN.relative_to(REPO)}: {len(digests)} cases, {files} files")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old", type=Path, help="source tree of the reference outputs")
-    parser.add_argument("new", type=Path, help="source tree to compare against it")
+    parser.add_argument("old", type=Path, nargs="?", help="source tree of the reference outputs")
+    parser.add_argument("new", type=Path, nargs="?", help="source tree to compare against it")
+    parser.add_argument(
+        "--write-golden",
+        action="store_true",
+        help="write tests/golden_outputs.json from this repository instead of comparing",
+    )
     args = parser.parse_args()
+    if args.write_golden:
+        return write_golden()
+    if args.new is None:
+        parser.error("OLD and NEW are required unless --write-golden is given")
     trees = {"old": args.old.resolve(), "new": args.new.resolve()}
     roots = {side: package_root(tree) for side, tree in trees.items()}
 

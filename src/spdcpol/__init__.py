@@ -26,7 +26,6 @@ from .polarimetry import (
     coincidence_probs,
     fit_fringe,
     fringe_scan,
-    visibility_max_min,
 )
 from .spectral import (
     JointSpectralAmplitude,
@@ -45,7 +44,6 @@ from .state import (
     optimal_delay,
     overlap_scan,
     post_selected_state,
-    psi_plus_state,
     visibility_state,
 )
 

@@ -365,12 +365,14 @@ class ScenarioConfig:
             return override
         jsa = self.build_jsa()
         tau = self.data["state"]["tau_fs"]
-        delay = self.optimal_delay(jsa) if tau == "optimize" else fs(float(tau))
+        optimize = tau == "optimize"
+        delay = self.optimal_delay(jsa) if optimize else fs(float(tau))
         v_int = state_mod.overlap_scan(jsa, delay, 0.0, 1)[0]
         info = {
-            "tau_source": "optimized" if tau == "optimize" else "configured",
+            "tau_source": "optimized" if optimize else "configured",
             "state_source": "spectral_model",
-            "tau_fs": to_fs(delay),
+            # as configured, or as optimal_delay reports it: to 0.01 fs
+            "tau_fs": round(to_fs(delay), 2) if optimize else float(tau),
             "v_int_abs": abs(v_int),
             "v_int_abs_error_estimate": state_mod.halving_error(jsa, delay, v_int),
             "grid_points": jsa.grid.n_points,
@@ -418,10 +420,10 @@ class ScenarioConfig:
         half = DELAY_SCAN_HALF_WIDTH_FS
         return {"start": center - half, "stop": center + half, "step": DELAY_SCAN_STEP_FS}
 
-    def delay_scan_grid_s(self) -> tuple[np.ndarray, float]:
-        """The delay scan's delays (s) and their step (s)."""
+    def delay_scan_grid_fs(self) -> tuple[np.ndarray, float]:
+        """The delay scan's lattice (fs) and its step (fs), as configured."""
         block = self.delay_scan_fs()
-        return fs(1.0) * _scan_values(block), fs(float(block["step"]))
+        return _scan_values(block), float(block["step"])
 
     def chsh_angles_deg(self) -> dict[str, float]:
         """The four CHSH angles (degrees): run.chsh_angles_deg, or the canonical

@@ -37,7 +37,6 @@ __all__ = [
     "measure_accidentals",
     "subtract_accidentals",
     "chsh_from_counts",
-    "inferred_pair_rate",
     "efficiency_budget",
 ]
 
@@ -99,15 +98,18 @@ def mean_counts(
     return (pair_rate * np.asarray(probs, dtype=float) + accidental_rate(model)) * integration_time
 
 
-def poisson_counts(means: ArrayLike, seed: int | np.random.Generator) -> NDArray[np.int64]:
-    """Independent Poisson draws, one per mean. Same seed, same output.
+def poisson_counts(
+    means: ArrayLike, seed: int | np.random.Generator, size: int | tuple[int, ...] | None = None
+) -> NDArray[np.int64]:
+    """Independent Poisson draws, one per mean, or `size` draws of a broadcast mean.
+    Same seed, same output.
 
     A Generator is drawn from in place, so consecutive calls continue one
     stream: drawing rows in blocks gives the same counts as drawing them
     all at once.
     """
     try:
-        return np.random.default_rng(seed).poisson(means)
+        return np.random.default_rng(seed).poisson(means, size)
     except ValueError as exc:  # a mean that is negative, NaN or beyond about 9.2e18
         raise DegenerateDataError(f"cannot draw Poisson counts: {exc}") from exc
 
@@ -123,11 +125,7 @@ def measure_accidentals(
     Simulated analogue of delaying the second detector's trigger out of the
     first detector's window: the same singles, no correlated pairs.
     """
-    mean = accidental_rate(model) * integration_time
-    try:  # numpy's scalar-mean path: the draws of poisson_counts(np.full(n_settings, mean), seed)
-        return np.random.default_rng(seed).poisson(mean, n_settings)
-    except ValueError as exc:  # a mean that is negative, NaN or beyond about 9.2e18
-        raise DegenerateDataError(f"cannot draw Poisson counts: {exc}") from exc
+    return poisson_counts(accidental_rate(model) * integration_time, seed, n_settings)
 
 
 def subtract_accidentals(raw, accidentals) -> NDArray[np.float64]:
@@ -170,21 +168,6 @@ def chsh_from_counts(
     return (float(s), float(sigma)) if s.ndim == 0 else (s, sigma)
 
 
-def inferred_pair_rate(model: DetectorModel, measured_cc_rate: float) -> float:
-    """Generated pair rate implied by a measured coincidence rate.
-
-    Unfolds both detector efficiencies, both collection arms (handled by the
-    caller), the gate duty cycle, and the factor 1/2 lost to coincidence
-    post-selection at the splitter.
-    """
-    duty = model.trigger_rate * model.gate_width
-    if duty <= 0:
-        raise ValueError("gate duty cycle must be positive")
-    if model.efficiency_1 <= 0 or model.efficiency_2 <= 0:
-        raise ValueError("detector efficiencies must be positive to unfold a pair rate")
-    return measured_cc_rate / (model.efficiency_1 * model.efficiency_2 * duty * 0.5)
-
-
 def efficiency_budget(
     pump_power_in: float,
     objective_T: float,
@@ -198,8 +181,11 @@ def efficiency_budget(
     """Pump power reaching the guide, the unfolded pair rate and the conversion efficiency.
 
     power_in_guide folds the objective and facet transmissions and the
-    pump-to-guided-mode overlap. The conversion efficiency is the unfolded
-    generated pair rate divided by the pump photon flux at pump_lambda.
+    pump-to-guided-mode overlap. The generated pair rate unfolds the measured
+    coincidence rate through both detector efficiencies, both collection
+    arms, the gate duty cycle, and the factor 1/2 lost to coincidence
+    post-selection at the splitter. The conversion efficiency is that rate
+    divided by the pump photon flux at pump_lambda.
     Returns (power_in_guide_W, pair_rate_hz, efficiency).
     """
     for name, t in (
@@ -219,6 +205,12 @@ def efficiency_budget(
     power_in_guide = pump_power_in * objective_T * facet_T * overlap
     if power_in_guide <= 0:
         raise ValueError("no pump power reaches the guide; budget undefined")
-    pair_rate = inferred_pair_rate(model, measured_cc_rate) / collection_T_per_arm**2
+    duty = model.trigger_rate * model.gate_width
+    if duty <= 0:
+        raise ValueError("gate duty cycle must be positive")
+    if model.efficiency_1 <= 0 or model.efficiency_2 <= 0:
+        raise ValueError("detector efficiencies must be positive to unfold a pair rate")
+    detected = model.efficiency_1 * model.efficiency_2 * duty * 0.5
+    pair_rate = measured_cc_rate / detected / collection_T_per_arm**2
     pump_flux = power_in_guide / (HBAR * omega_from_lambda(pump_lambda))
     return power_in_guide, pair_rate, pair_rate / pump_flux

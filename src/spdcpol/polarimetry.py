@@ -39,7 +39,6 @@ __all__ = [
     "FringeFit",
     "coincidence_probs",
     "fit_fringe",
-    "visibility_max_min",
     "fringe_scan",
     "chsh_table_angles",
     "chsh_table",
@@ -135,22 +134,12 @@ def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> Fring
     return FringeFit(*map(float, fit)) if a.ndim == 0 else fit
 
 
-def visibility_max_min(values: Sequence[float]) -> float:
-    """Literal (Max - Min) / (Max + Min) fringe contrast."""
-    values = np.asarray(values, dtype=float)
-    hi, lo = float(values.max()), float(values.min())
-    if hi + lo == 0.0:
-        raise DegenerateDataError("max + min is zero; contrast undefined")
-    return (hi - lo) / (hi + lo)
-
-
 @dataclass(frozen=True)
 class FringeResult:
     """Model fringe over a theta2 grid with its fitted visibility."""
 
     probabilities: NDArray[np.float64]
     visibility: float
-    fit_phase: float
 
 
 def check_theta2_grid(grid: NDArray[np.float64]) -> None:
@@ -174,10 +163,9 @@ def fringe_scan(
     grid = np.asarray(theta2_grid, dtype=float)
     check_theta2_grid(grid)
     probs = coincidence_probs(state, theta1, grid)
-    fit = fit_fringe(grid, probs)
     # model probabilities keep b <= a; clip the roundoff excursion only
-    vis = float(np.clip(fit.visibility, 0.0, 1.0))
-    return FringeResult(probabilities=probs, visibility=vis, fit_phase=fit.phase)
+    vis = float(np.clip(fit_fringe(grid, probs).visibility, 0.0, 1.0))
+    return FringeResult(probabilities=probs, visibility=vis)
 
 
 # --- CHSH tables ----------------------------------------------------------------

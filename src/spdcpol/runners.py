@@ -39,7 +39,7 @@ from .polarimetry import (
     fringe_scan,
 )
 from .state import concurrence, halving_error, overlap_scan, post_selected_state
-from .units import to_fs
+from .units import fs, to_fs
 
 __all__ = [
     "ResultRecord",
@@ -259,16 +259,16 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
 def run_delay_scan(cfg: ScenarioConfig) -> ResultRecord:
     """|V_int(tau)| over the configured window plus the located optimum."""
     jsa = cfg.build_jsa()
-    taus, step = cfg.delay_scan_grid_s()
-    mags = np.abs(overlap_scan(jsa, taus[0], step, taus.size))
+    taus_fs, step_fs = cfg.delay_scan_grid_fs()
+    mags = np.abs(overlap_scan(jsa, fs(taus_fs[0]), fs(step_fs), taus_fs.size))
     tau_star = cfg.optimal_delay(jsa)
     v_star = overlap_scan(jsa, tau_star, 0.0, 1)[0]
     state_star = post_selected_state(v_star, cfg.phi_bs())
 
     record = ResultRecord(command="delay-scan", config=cfg.to_dict(), scalars={})
-    record.add_table("curve", {"tau_fs": to_fs(taus), "v_int_abs": mags})
+    record.add_table("curve", {"tau_fs": taus_fs, "v_int_abs": mags})
     record.scalars = {
-        "tau_star_fs": to_fs(tau_star),
+        "tau_star_fs": round(to_fs(tau_star), 2),  # optimal_delay reports to 0.01 fs
         "v_int_abs_at_star": abs(v_star),
         "v_int_abs_error_estimate": halving_error(jsa, tau_star, v_star),
         "grid_points": jsa.grid.n_points,

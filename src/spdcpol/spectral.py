@@ -212,10 +212,6 @@ class JointSpectralAmplitude:
         """F(-Omega_k), read off by index reflection (no interpolation)."""
         return self.amplitude[::-1]
 
-    def norm_sq(self) -> float:
-        """Trapezoid-rule integral of |F|^2 over the grid."""
-        return float(np.trapezoid(np.abs(self.amplitude) ** 2, dx=self.grid.step))
-
 
 MAX_POINTS = 2**20  # cap on the points of a grid
 

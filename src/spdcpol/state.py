@@ -34,7 +34,6 @@ __all__ = [
     "optimal_delay",
     "post_selected_state",
     "visibility_state",
-    "psi_plus_state",
     "concurrence",
 ]
 
@@ -278,11 +277,6 @@ def visibility_state(v_z: float, v_d: float, phi_bs: float = 0.0) -> TwoQubitSta
     if not 0.0 <= v_d <= 0.5 * (1.0 + v_z) + 1e-12:
         raise ValueError(f"v_d = {v_d} incompatible with v_z = {v_z} (needs v_d <= (1+v_z)/2)")
     return _x_state(0.25 * (1.0 - v_z), 0.25 * (1.0 + v_z), 0.5 * v_d * np.exp(1j * phi_bs))
-
-
-def psi_plus_state() -> TwoQubitState:
-    """The ideal (|HV> + |VH>)/sqrt(2) projector."""
-    return post_selected_state(1.0 + 0.0j, phi_bs=0.0)
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

@@ -41,6 +41,11 @@ def random_density_batch(rng: np.random.Generator, count: int, n: int = 4) -> np
     return rho / tr[:, None, None]
 
 
+def norm_sq(jsa):
+    """Trapezoid-rule integral of |F|^2 over jsa's grid."""
+    return float(np.trapezoid(np.abs(jsa.amplitude) ** 2, dx=jsa.grid.step))
+
+
 def search_grid(disp, filt, **kwargs):
     """default_grid for the delay search about delta*L/2: delays up to
     |delta*L/2| + DELAY_HALF_WIDTH."""

@@ -8,7 +8,7 @@ are pinned here, not tuned elsewhere.
 
 import numpy as np
 
-from conftest import random_density_batch, search_grid
+from conftest import norm_sq, random_density_batch, search_grid
 from spdcpol import (
     ChshSettings,
     DetectorModel,
@@ -29,7 +29,6 @@ from spdcpol import (
     overlap_scan,
     post_selected_state,
     poisson_counts,
-    psi_plus_state,
     visibility_state,
 )
 from spdcpol.config import load_scenario
@@ -97,10 +96,10 @@ def _signed_s(state, settings):
 
 def test_criterion_1_ideal_s_curve_identity():
     thetas = np.arange(0.0, 360.0 + 0.5, 1.0) * DEG
-    curve = _signed_s(psi_plus_state(), [ChshSettings.canonical(t) for t in thetas])
+    curve = _signed_s(post_selected_state(1.0), [ChshSettings.canonical(t) for t in thetas])
     ideal = 3.0 * np.cos(2.0 * thetas) - np.cos(6.0 * thetas)
     max_err = float(np.max(np.abs(curve - ideal)))
-    peak = _signed_s(psi_plus_state(), [ChshSettings.canonical(22.5 * DEG)])[0]
+    peak = _signed_s(post_selected_state(1.0), [ChshSettings.canonical(22.5 * DEG)])[0]
     peak_err = abs(peak - 2.0 * SQRT2)
     _verdict(
         1,
@@ -114,7 +113,7 @@ def test_criterion_1_ideal_s_curve_identity():
 
 
 def test_criterion_2_ideal_fringe_identity():
-    state = psi_plus_state()
+    state = post_selected_state(1.0)
     t1 = np.arange(0.0, 360.0, 5.0)[:, None] * DEG
     t2 = np.arange(0.0, 360.0, 5.0)[None, :] * DEG
     probs = coincidence_probs(state, t1, t2)
@@ -223,7 +222,7 @@ def test_criterion_6_chsh_from_counts():
 
     # noiseless tables reproduce the model S for assorted states
     worst = 0.0
-    for state in (psi_plus_state(), post_selected_state(0.91), visibility_state(0.8, 0.77)):
+    for state in (post_selected_state(1.0), post_selected_state(0.91), visibility_state(0.8, 0.77)):
         table = _expected_table(state, settings, model_clean, 6.0, 60.0)
         s_counts, _ = chsh_from_counts(table)
         worst = max(worst, abs(s_counts - abs(_signed_s(state, [settings])[0])))
@@ -351,8 +350,8 @@ def test_criterion_8_property_suites():
     # quadrature doubling convergence on the smooth filter profile
     gauss = _filter(shape="gaussian")
     disp = _paper_disp()
-    coarse = build_jsa(disp, gauss, search_grid(disp, gauss, n_points=4097)).norm_sq()
-    fine = build_jsa(disp, gauss, search_grid(disp, gauss, n_points=8193)).norm_sq()
+    coarse = norm_sq(build_jsa(disp, gauss, search_grid(disp, gauss, n_points=4097)))
+    fine = norm_sq(build_jsa(disp, gauss, search_grid(disp, gauss, n_points=8193)))
     checks["quadrature_doubling"] = abs(fine - coarse) / fine < 1e-6
 
     # concurrence equals the coherence magnitude

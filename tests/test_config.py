@@ -149,8 +149,8 @@ def test_default_delay_scan_is_centred_on_half_walkoff():
     data["dispersion"]["length_mm"] = 12.0  # delta*L/2 = 222.47 fs
     cfg = ScenarioConfig(data=data)
     assert cfg.delay_scan_fs() == {"start": 22.5, "stop": 422.5, "step": 0.5}
-    taus, step = cfg.delay_scan_grid_s()
-    assert taus.size == 801 and step == 0.5e-15
+    taus, step = cfg.delay_scan_grid_fs()
+    assert taus.size == 801 and step == 0.5
     data["run"]["delay_scan_fs"] = {"start": -1.0, "stop": 1.0, "step": 0.5}
     assert cfg.delay_scan_fs() == {"start": -1.0, "stop": 1.0, "step": 0.5}
     data["run"]["delay_scan_fs"] = None

@@ -20,12 +20,10 @@ from spdcpol import (
     measure_accidentals,
     poisson_counts,
     post_selected_state,
-    psi_plus_state,
     subtract_accidentals,
     visibility_state,
 )
 from spdcpol.config import load_scenario
-from spdcpol.counting import inferred_pair_rate
 
 DEG = np.pi / 180.0
 
@@ -84,7 +82,7 @@ def test_detector_model_validation():
 
 
 def _ideal_probs(theta2):
-    return coincidence_probs(psi_plus_state(), 0.0, theta2)
+    return coincidence_probs(post_selected_state(1.0), 0.0, theta2)
 
 
 def test_expected_counts_fringe_null():
@@ -255,7 +253,7 @@ def test_chsh_from_counts_matches_model_on_noiseless_tables():
     from spdcpol import TwoQubitState
 
     rng = np.random.default_rng(17)
-    states = [psi_plus_state(), post_selected_state(0.91), visibility_state(0.8, 0.77)]
+    states = [post_selected_state(1.0), post_selected_state(0.91), visibility_state(0.8, 0.77)]
     states += [TwoQubitState(rho=random_density_matrix(rng)) for _ in range(10)]
     for state in states:
         theta = rng.uniform(0, np.pi)
@@ -265,7 +263,7 @@ def test_chsh_from_counts_matches_model_on_noiseless_tables():
 
 
 def test_chsh_from_counts_ideal_value():
-    s, sigma = chsh_from_counts(_noiseless_table(psi_plus_state()))
+    s, sigma = chsh_from_counts(_noiseless_table(post_selected_state(1.0)))
     assert_allclose(s, 2.0 * np.sqrt(2.0), atol=1e-9)
     assert sigma > 0.0
 
@@ -476,9 +474,10 @@ def test_budget_rejects_bad_transmissions_and_efficiencies():
         efficiency_1=0.0,
         efficiency_2=0.25,
     )
-    with pytest.raises(ValueError):
-        inferred_pair_rate(dead_detector, 0.3)
+    with pytest.raises(ValueError, match="detector efficiencies must be positive"):
+        efficiency_budget(13e-3, 0.70, 0.73, 0.20, 0.10, dead_detector, 0.3)
 
 
 def test_inferred_pair_rate_unfolds_duty_cycle():
-    assert_allclose(inferred_pair_rate(_budget_model(), 0.3), 4800.0, rtol=1e-12)
+    pair_rate = efficiency_budget(13e-3, 0.70, 0.73, 0.20, 0.10, _budget_model(), 0.3)[1]
+    assert_allclose(pair_rate, 4.8e5, rtol=1e-12)

@@ -16,8 +16,6 @@ from spdcpol import (
     fit_fringe,
     fringe_scan,
     post_selected_state,
-    psi_plus_state,
-    visibility_max_min,
     visibility_state,
 )
 
@@ -28,17 +26,17 @@ DEG = np.pi / 180.0
 
 
 def test_parallel_analyzers_on_ideal_state():
-    assert_allclose(coincidence_probs(psi_plus_state(), 0.0, 0.0), 0.5, atol=1e-15)
+    assert_allclose(coincidence_probs(post_selected_state(1.0), 0.0, 0.0), 0.5, atol=1e-15)
 
 
 def test_crossed_analyzers_null():
-    p = coincidence_probs(psi_plus_state(), 0.0, 90.0 * DEG)
+    p = coincidence_probs(post_selected_state(1.0), 0.0, 90.0 * DEG)
     assert abs(p) < 1e-15
 
 
 def test_ideal_fringe_law_on_grid():
     # cos^2(t1 + t2) / 2 over a 5 x 30 degree grid, one broadcast call
-    state = psi_plus_state()
+    state = post_selected_state(1.0)
     t1 = np.arange(0.0, 360.0, 5.0)[:, None] * DEG
     t2 = np.arange(0.0, 360.0, 30.0)[None, :] * DEG
     probs = coincidence_probs(state, t1, t2)
@@ -99,7 +97,7 @@ def test_probability_periodic_in_half_turn():
 @given(t1=st.floats(-4 * np.pi, 4 * np.pi), shift=st.floats(-np.pi, np.pi))
 @settings(max_examples=100, deadline=None)
 def test_ideal_probability_depends_on_angle_sum(t1, shift):
-    state = psi_plus_state()
+    state = post_selected_state(1.0)
     t2 = 0.3
     a = coincidence_probs(state, t1, t2)
     b = coincidence_probs(state, t1 + shift, t2 - shift)
@@ -115,10 +113,10 @@ def _full_turn(step_deg=10.0):
 
 def test_ideal_fringe_scan():
     grid = _full_turn()
-    res = fringe_scan(psi_plus_state(), 0.0, grid)
+    res = fringe_scan(post_selected_state(1.0), 0.0, grid)
     assert_allclose(res.probabilities, 0.5 * np.cos(grid) ** 2, atol=1e-12)
     assert_allclose(res.visibility, 1.0, atol=1e-9)
-    assert abs(res.fit_phase) < 1e-9
+    assert abs(fit_fringe(grid, res.probabilities).phase) < 1e-9
 
 
 def test_fringe_visibility_reads_coherence_in_diagonal_basis():
@@ -134,7 +132,7 @@ def test_fringe_visibility_insensitive_in_hv_basis():
 
 
 def test_fringe_grid_rules():
-    state = psi_plus_state()
+    state = post_selected_state(1.0)
     with pytest.raises(ConfigurationError):
         fringe_scan(state, 0.0, np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ConfigurationError):
@@ -145,7 +143,8 @@ def test_max_min_estimator_agrees_on_noiseless_fringe():
     state = post_selected_state(0.8)
     res = fringe_scan(state, 45.0 * DEG, _full_turn(step_deg=5.0))
     # 5 deg grid hits the extrema of a 90-degree-period fringe exactly
-    assert_allclose(visibility_max_min(res.probabilities), res.visibility, atol=1e-9)
+    hi, lo = res.probabilities.max(), res.probabilities.min()
+    assert_allclose((hi - lo) / (hi + lo), res.visibility, atol=1e-9)
 
 
 def test_fit_fringe_recovers_planted_sinusoid():
@@ -249,7 +248,7 @@ def _s_curve(state, theta_grid):
 
 
 def test_correlation_ideal_values():
-    state = psi_plus_state()
+    state = post_selected_state(1.0)
     assert_allclose(_correlation(state, 0.0, 0.0), 1.0, atol=1e-12)
     assert abs(_correlation(state, 0.0, 45.0 * DEG)) < 1e-12
 
@@ -301,7 +300,7 @@ def _canonical_225():
 def test_chsh_maximal_violation_settings():
     s = _canonical_225()
     assert_allclose(np.degrees([s.theta1, s.theta1p, s.theta2, s.theta2p]), [0, -45, 22.5, 67.5])
-    assert_allclose(_chsh_s(psi_plus_state(), s), 2.0 * np.sqrt(2.0), atol=1e-9)
+    assert_allclose(_chsh_s(post_selected_state(1.0), s), 2.0 * np.sqrt(2.0), atol=1e-9)
 
 
 def test_chsh_product_state_respects_classical_bound():
@@ -345,20 +344,20 @@ def test_tsirelson_bound_random_states_and_settings():
 
 def test_s_curve_matches_ideal_identity():
     thetas = np.arange(0.0, 360.0 + 0.5, 1.0) * DEG
-    curve = _s_curve(psi_plus_state(), thetas)
+    curve = _s_curve(post_selected_state(1.0), thetas)
     expected = 3.0 * np.cos(2 * thetas) - np.cos(6 * thetas)
     assert np.max(np.abs(curve - expected)) < 1e-9
 
 
 def test_s_curve_landmarks():
-    state = psi_plus_state()
+    state = post_selected_state(1.0)
     assert_allclose(_s_curve(state, [22.5 * DEG])[0], 2.0 * np.sqrt(2.0), atol=1e-9)
     assert_allclose(_s_curve(state, [0.0])[0], 2.0, atol=1e-12)
 
 
 def test_s_curve_signed_has_negative_lobes():
     thetas = np.arange(0.0, 180.0, 2.0) * DEG
-    curve = _s_curve(psi_plus_state(), thetas)
+    curve = _s_curve(post_selected_state(1.0), thetas)
     assert curve.min() < -2.0  # the signed sum dips to -2 sqrt 2
 
 
@@ -372,7 +371,7 @@ def test_s_curve_equals_pointwise_chsh_signed():
 
 
 def test_signed_vs_absolute():
-    state = psi_plus_state()
+    state = post_selected_state(1.0)
     settings_neg = ChshSettings.canonical(112.5 * DEG)
     assert _signed_s(state, settings_neg) < 0
     assert_allclose(_chsh_s(state, settings_neg), -_signed_s(state, settings_neg), atol=1e-12)

@@ -101,6 +101,20 @@ def test_angles_are_echoed_as_configured():
     assert s_curve.scalars["theta_at_max_deg"] == -22.5
 
 
+def test_delays_are_echoed_as_configured():
+    # to_fs(fs(x)) is not always x: the optimum 22.25 became 22.250000000000004, a
+    # configured 30.1 fs 30.100000000000005 and -178 (a curve point) -178.00000000000003
+    cfg = load_scenario()
+    scan = run_delay_scan(cfg)
+    curve = scan.tables["curve"]["rows"]
+    assert [row[0] for row in curve] == [-178.0 + 0.5 * k for k in range(801)]
+    assert scan.scalars["tau_star_fs"] == 22.25
+    cfg.data["state"]["tau_fs"] = 30.1
+    chsh = run_chsh(cfg)
+    assert chsh.scalars["tau_source"] == "configured"
+    assert chsh.scalars["tau_fs"] == 30.1
+
+
 def test_s_curve_model_column_is_ideal_identity():
     record = run_s_curve(load_scenario(preset="paper-ideal", seed=3))
     rows = np.array(record.tables["curve"]["rows"], dtype=float)
@@ -176,10 +190,10 @@ def test_default_delay_scan_curve_matches_a_dense_support_grid():
     g_pair = filter_amplitude(omega0 + om, filt) * filter_amplitude(omega0 - om, filt)
     assert np.all(g_pair == 1.0)
     dense = JointSpectralAmplitude(grid, np.sinc(phi / np.pi) * np.exp(1j * phi))
-    taus, step = cfg.delay_scan_grid_s()
-    reference = np.abs(overlap_scan(dense, taus[0], step, taus.size))
+    taus, step = cfg.delay_scan_grid_fs()
+    reference = np.abs(overlap_scan(dense, taus[0] * 1e-15, step * 1e-15, taus.size))
     rows = np.array(run_delay_scan(cfg).tables["curve"]["rows"], dtype=float)
-    assert_allclose(rows[:, 0], taus * 1e15, rtol=1e-12)
+    assert_allclose(rows[:, 0], taus, rtol=1e-12)
     assert np.max(np.abs(rows[:, 1] - reference)) < 1e-5
 
 

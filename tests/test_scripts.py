@@ -44,3 +44,22 @@ def test_reproduce_results_writes_every_job(tmp_path, capsys):
     for subdir, command in jobs.items():
         payload = json.loads((out / subdir / f"{command.replace('-', '_')}.json").read_text())
         assert payload["command"] == command
+
+
+def test_cli_outputs_match_the_golden_manifest(tmp_path):
+    # every file, stdout, stderr and exit code of compare_outputs.py's cli cases
+    compare = _script("compare_outputs")
+    golden = json.loads(compare.GOLDEN.read_text())
+    here = compare.environment()
+    if golden["environment"] != here:
+        pytest.fail(
+            f"golden_outputs.json was made on {golden['environment']}; this is {here}. "
+            "Regenerate it with: python3 scripts/compare_outputs.py --write-golden"
+        )
+    digests = compare.golden_digests(tmp_path)
+    expected, got = (
+        {f"{case}/{rel}": sha for case, files in table.items() for rel, sha in files.items()}
+        for table in (golden["cases"], digests)
+    )
+    differing = sorted(key for key in expected.keys() | got.keys() if expected.get(key) != got.get(key))
+    assert not differing, "outputs differ from golden_outputs.json:\n" + "\n".join(differing)

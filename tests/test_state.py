@@ -18,7 +18,6 @@ from spdcpol import (
     optimal_delay,
     overlap_scan,
     post_selected_state,
-    psi_plus_state,
     visibility_state,
 )
 from spdcpol import state as state_mod
@@ -452,7 +451,7 @@ def test_concurrence_matches_x_state_closed_form():
 
 
 def test_concurrence_maximally_entangled():
-    assert_allclose(concurrence(psi_plus_state()), 1.0, atol=1e-12)
+    assert_allclose(concurrence(post_selected_state(1.0)), 1.0, atol=1e-12)
 
 
 def test_concurrence_separable_mixture():
