@@ -9,6 +9,7 @@ overlap climbs toward 1 while the optimum stays pinned near delta*L/2.
 
 import argparse
 import csv
+import sys
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from spdcpol import (
 from spdcpol.state import DELAY_HALF_WIDTH
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="bandwidth_delay.csv")
     parser.add_argument("--shape", choices=["top_hat", "gaussian"], default="top_hat")
@@ -48,7 +49,7 @@ def main(argv: list[str] | None = None) -> None:
         tau_star = optimal_delay(jsa, half_walkoff)
         v_int = overlap_scan(jsa, tau_star, 0.0, 1)[0]
         c = concurrence(post_selected_state(v_int))
-        rows.append([fwhm_nm, tau_star * 1e15, abs(v_int), c, jsa.grid.n_points])
+        rows.append([fwhm_nm, round(tau_star * 1e15, 2), abs(v_int), c, jsa.grid.n_points])
         print(
             f"fwhm={fwhm_nm:6.1f} nm  tau*={tau_star * 1e15:7.2f} fs  "
             f"|V|={abs(v_int):.6f}  C={c:.6f}  N={jsa.grid.n_points}"
@@ -60,7 +61,8 @@ def main(argv: list[str] | None = None) -> None:
         writer.writerow(["fwhm_nm", "tau_star_fs", "v_int_abs", "concurrence", "grid_points"])
         writer.writerows(rows)
     print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

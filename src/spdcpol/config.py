@@ -131,6 +131,15 @@ def chsh_angles(value: Any, where: str) -> None:
         _check_object(value, dict.fromkeys(CHSH_ANGLES, number()), where)
 
 
+def chsh_theta(value: Any, where: str) -> None:
+    """A number t whose canonical CHSH angles (0, -2t, t, 3t) are all finite."""
+    number()(value, where)
+    if not math.isfinite(3.0 * value):
+        raise ConfigurationError(
+            f"{where} must be a number whose CHSH angle 3t is finite, got {json.dumps(value)}"
+        )
+
+
 def fringe_table_name(theta1_deg: float) -> str:
     """Name of the fringe table at arm-1 angle theta1_deg (degrees)."""
     return f"theta1_{theta1_deg:g}"
@@ -203,7 +212,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "fringe_theta1_deg": Key([0.0, 45.0], fringe_angles),
         "fringe_theta2_deg": Key({"start": 0.0, "stop": 360.0, "step": 10.0}, theta2_scan),
         "s_curve_theta_deg": Key({"start": -90.0, "stop": 90.0, "step": 2.5}, scan),
-        "chsh_theta_deg": Key(22.5, number()),
+        "chsh_theta_deg": Key(22.5, chsh_theta),
         "chsh_angles_deg": Key(None, chsh_angles),
         "delay_scan_fs": Key(None, optional_scan),  # null: centred on delta*L/2
     },

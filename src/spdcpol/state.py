@@ -52,13 +52,14 @@ class TwoQubitState:
     """4x4 density matrix in the ordered basis (HH, HV, VH, VV).
 
     First slot is arm 1, second is arm 2. Validated on construction:
-    Hermitian and unit trace to 1e-12, eigenvalues >= -1e-10.
+    Hermitian and unit trace to 1e-12, eigenvalues >= -1e-10. Holds its own
+    read-only copy of rho, so the checks keep holding after construction.
     """
 
     rho: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=np.complex128)
+        rho = np.array(self.rho, dtype=np.complex128)
         if rho.shape != (4, 4):
             raise ValueError(f"rho must be 4x4, got shape {rho.shape}")
         if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
@@ -69,6 +70,7 @@ class TwoQubitState:
         eigs = np.linalg.eigvalsh(rho)
         if eigs.min() < PSD_EIG_FLOOR:
             raise ValueError(f"rho is not positive semidefinite: min eigenvalue {eigs.min():.3e}")
+        rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 
 
@@ -297,8 +299,6 @@ def concurrence(state: TwoQubitState) -> float:
     split l1 - l2 = |v_int| to about 1e-14 when |v_int| is that small.
     """
     eigs, vecs = np.linalg.eigh(state.rho)
-    if eigs.min() < PSD_EIG_FLOOR:
-        raise ValueError(f"state is not positive semidefinite: min eigenvalue {eigs.min():.3e}")
     sqrt_rho = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
     r = sqrt_rho @ _YY @ sqrt_rho.conj()
     dilation = np.block([[np.zeros((4, 4)), r], [r.conj().T, np.zeros((4, 4))]])

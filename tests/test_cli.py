@@ -361,6 +361,10 @@ def test_command_line_error_is_one_config_error_line(argv, run_cli):
         ({"filter": {"fwhm_nm": -3}}, "filter.fwhm_nm must be a number in (0, inf)"),
         ({"detector": {"gate_width_ns": 0}}, "detector.gate_width_ns must be a number in (0, inf)"),
         ({"state": {"coherence": 1.5}}, "state.coherence must be a number in [-1, 1] or null"),
+        (
+            {"run": {"chsh_theta_deg": 1e308}},
+            "run.chsh_theta_deg must be a number whose CHSH angle 3t is finite",
+        ),
     ],
 )
 def test_range_error_names_the_key_and_value_as_written(tmp_path, run_cli, scenario, message):

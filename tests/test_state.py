@@ -477,8 +477,10 @@ def test_concurrence_matches_sqrt_oracle_on_random_states():
         assert_allclose(concurrence(state), _oracle_concurrence(state.rho), atol=1e-10)
 
 
-def test_concurrence_rejects_non_psd():
-    bad = object.__new__(TwoQubitState)
-    object.__setattr__(bad, "rho", np.diag([0.6, 0.5, 0.4, -0.5]).astype(complex))
+def test_state_keeps_a_read_only_copy_of_rho():
+    rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    state = TwoQubitState(rho=rho)
+    rho[0, 0] = rho[3, 3] = 1.0  # the caller's array, not the state's
+    assert_allclose(np.diag(state.rho).real, 0.25)
     with pytest.raises(ValueError):
-        concurrence(bad)
+        state.rho[3, 3] = -0.5
