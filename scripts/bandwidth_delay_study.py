@@ -5,6 +5,7 @@ Sweeps the band-pass FWHM and reports, per width, the optimal delay, the
 spectral overlap it achieves, and the concurrence of the post-selected
 state. Narrower filters erase more of the walk-off labeling, so the
 overlap climbs toward 1 while the optimum stays pinned near delta*L/2.
+Each row is what `spdcpol delay-scan` reports on the defaults with that filter.
 """
 
 import argparse
@@ -13,17 +14,9 @@ import sys
 
 import numpy as np
 
-from spdcpol import (
-    SpectralFilter,
-    WaveguideDispersion,
-    build_jsa,
-    concurrence,
-    default_grid,
-    optimal_delay,
-    overlap_scan,
-    post_selected_state,
-)
-from spdcpol.state import DELAY_HALF_WIDTH
+from spdcpol.config import ScenarioConfig, base_config_dict
+from spdcpol.runners import run_delay_scan
+from spdcpol.units import to_fs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -34,32 +27,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--center-nm", type=float, default=1555.9)
     args = parser.parse_args(argv)
 
-    disp = WaveguideDispersion(
-        length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, lambda_deg=1555.9e-9
-    )
-    half_walkoff = disp.half_walkoff
-    tau_max = abs(half_walkoff) + DELAY_HALF_WIDTH  # the reach of the delay search
-
-    rows = []
+    rows = [["fwhm_nm", "tau_star_fs", "v_int_abs", "concurrence", "grid_points"]]
     for fwhm_nm in np.arange(10.0, 121.0, 10.0):
-        filt = SpectralFilter(
-            shape=args.shape, center_lambda=args.center_nm * 1e-9, fwhm_lambda=fwhm_nm * 1e-9
-        )
-        jsa = build_jsa(disp, filt, default_grid(disp, filt, tau_max))
-        tau_star = optimal_delay(jsa, half_walkoff)
-        v_int = overlap_scan(jsa, tau_star, 0.0, 1)[0]
-        c = concurrence(post_selected_state(v_int))
-        rows.append([fwhm_nm, round(tau_star * 1e15, 2), abs(v_int), c, jsa.grid.n_points])
-        print(
-            f"fwhm={fwhm_nm:6.1f} nm  tau*={tau_star * 1e15:7.2f} fs  "
-            f"|V|={abs(v_int):.6f}  C={c:.6f}  N={jsa.grid.n_points}"
-        )
-    print(f"(delta*L/2 = {half_walkoff * 1e15:.2f} fs)")
+        filt = {"shape": args.shape, "center_nm": args.center_nm, "fwhm_nm": float(fwhm_nm)}
+        cfg = ScenarioConfig(data={**base_config_dict(), "filter": filt})
+        cfg.validate()
+        s = run_delay_scan(cfg).scalars
+        tau, v, c = s["tau_star_fs"], s["v_int_abs_at_star"], s["concurrence_at_star"]
+        n = s["grid_points"]
+        rows.append([fwhm_nm, tau, v, c, n])
+        print(f"fwhm={fwhm_nm:6.1f} nm  tau*={tau:7.2f} fs  |V|={v:.6f}  C={c:.6f}  N={n}")
+    print(f"(delta*L/2 = {to_fs(cfg.dispersion().half_walkoff):.2f} fs)")
 
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fwhm_nm", "tau_star_fs", "v_int_abs", "concurrence", "grid_points"])
-        writer.writerows(rows)
+        csv.writer(fh).writerows(rows)
     print(f"wrote {args.out}")
     return 0
 

@@ -17,13 +17,15 @@ The matrix, each case one spdcpol.cli.main call unless said otherwise:
     the five commands; each preset with fringe, chsh, s-curve and
     delay-scan at --runs 300
   - delay-scan, fringe and chsh on a 16385-point grid, on a 12 mm guide, with
-    an even count of delays (800) and on a 4099-point grid, whose (N - 1)/2
-    is odd
+    an even count of delays (800), on a 4099-point grid, whose (N - 1)/2
+    is odd, and through a gaussian filter
   - chsh and s-curve with CHSH settings no preset or configs/ file sets:
     explicit angles with a negative signed S, chsh_theta_deg 67.5, an
     off-lattice S(theta) grid, explicit angles on a spectral state
-  - known defects: angles and delays echoed as configured, the fringe grid
-    checked at load, and a run.chsh_theta_deg whose angle 3t overflows
+  - known defects and error exits: angles and delays echoed as configured,
+    the fringe grid checked at load, a run.chsh_theta_deg whose angle 3t
+    overflows, a budget whose duty cycle overflows, and a top-hat band that
+    misses the degenerate wavelength
   - one sequence case: delay-scan, fringe and chsh on 4097-, 16385- and then
     8193-point grids through spdcpol.cli.main, one output directory per
     step, so that a call runs after the state earlier calls left behind
@@ -48,29 +50,42 @@ import numpy
 
 COMMANDS = ("fringe", "delay-scan", "chsh", "s-curve", "budget")
 SPECTRAL_COMMANDS = ("delay-scan", "fringe", "chsh")
-GENERATED = {
-    "grid16385": {"grid": {"n_points": 16385}},
-    "guide12mm": {"dispersion": {"length_mm": 12.0}},
-    "delays800": {"run": {"delay_scan_fs": {"start": -178.0, "stop": 221.5, "step": 0.5}}},
-    "grid4099": {"grid": {"n_points": 4099}},
-}
 CHSH_COMMANDS = ("chsh", "s-curve")
-CHSH_GENERATED = {
-    "chsh-angles-negative": {
-        "preset": "raw-visibility",
-        "run": {"chsh_angles_deg": {"theta1": 90, "theta1p": 45, "theta2": 22.5, "theta2p": 67.5}},
-    },
-    "chsh-theta67": {"preset": "paper-calibrated", "run": {"chsh_theta_deg": 67.5}},
-    "s-curve-offlattice": {
-        "state": {"phi_bs_rad": 0.7},
-        "run": {"s_curve_theta_deg": {"start": -37.1, "stop": 91.3, "step": 1.3}},
-    },
-    "chsh-spectral-tau": {
-        "state": {"tau_fs": 25.0},
-        "run": {"chsh_angles_deg": {"theta1": 10, "theta1p": -35, "theta2": -22.5, "theta2p": 22}},
-    },
-}
-DEFECT_GENERATED = {  # stem -> (scenario, commands)
+GENERATED = {  # stem -> (scenario, commands)
+    "grid16385": ({"grid": {"n_points": 16385}}, SPECTRAL_COMMANDS),
+    "guide12mm": ({"dispersion": {"length_mm": 12.0}}, SPECTRAL_COMMANDS),
+    "delays800": (
+        {"run": {"delay_scan_fs": {"start": -178.0, "stop": 221.5, "step": 0.5}}},
+        SPECTRAL_COMMANDS,
+    ),
+    "grid4099": ({"grid": {"n_points": 4099}}, SPECTRAL_COMMANDS),
+    "gaussian-filter": ({"filter": {"shape": "gaussian"}}, SPECTRAL_COMMANDS),
+    "chsh-angles-negative": (
+        {
+            "preset": "raw-visibility",
+            "run": {"chsh_angles_deg": dict(theta1=90, theta1p=45, theta2=22.5, theta2p=67.5)},
+        },
+        CHSH_COMMANDS,
+    ),
+    "chsh-theta67": (
+        {"preset": "paper-calibrated", "run": {"chsh_theta_deg": 67.5}},
+        CHSH_COMMANDS,
+    ),
+    "s-curve-offlattice": (
+        {
+            "state": {"phi_bs_rad": 0.7},
+            "run": {"s_curve_theta_deg": {"start": -37.1, "stop": 91.3, "step": 1.3}},
+        },
+        CHSH_COMMANDS,
+    ),
+    "chsh-spectral-tau": (
+        {
+            "state": {"tau_fs": 25.0},
+            "run": {"chsh_angles_deg": dict(theta1=10, theta1p=-35, theta2=-22.5, theta2p=22)},
+        },
+        CHSH_COMMANDS,
+    ),
+    # known defects and error exits
     "fringe-theta1-12": ({"run": {"fringe_theta1_deg": [0, 12]}}, ("fringe",)),
     "chsh-theta1-12": (
         {"run": {"chsh_angles_deg": dict(theta1=12, theta1p=-45, theta2=22.5, theta2p=67.5)}},
@@ -86,6 +101,11 @@ DEFECT_GENERATED = {  # stem -> (scenario, commands)
         ("delay-scan",),
     ),
     "chsh-theta-overflow": ({"run": {"chsh_theta_deg": 1e308}}, ("chsh",)),
+    "duty-cycle-overflow": (
+        {"detector": {"trigger_rate_hz": 1e308, "gate_width_ns": 1e308}},
+        ("budget",),
+    ),
+    "band-off-degeneracy": ({"filter": {"center_nm": 1540.0, "fwhm_nm": 2.0}}, ("delay-scan",)),
 }
 SCRIPTS = ("bandwidth_delay_study", "reproduce_results")
 SEQUENCE_GRIDS = (4097, 16385, 8193)  # grows, then shrinks, what one process keeps
@@ -132,12 +152,7 @@ def cases(config_dir: Path) -> dict[str, tuple[Main, list[str]]]:
     for name in sorted(PRESETS):
         for command in ("fringe", "chsh", "s-curve", "delay-scan"):
             matrix[f"{name}-{command}"] = (cli.main, [command, "--preset", name, "--runs", "300"])
-    generated = [
-        *((stem, scenario, SPECTRAL_COMMANDS) for stem, scenario in GENERATED.items()),
-        *((stem, scenario, CHSH_COMMANDS) for stem, scenario in CHSH_GENERATED.items()),
-        *((stem, *scenario_commands) for stem, scenario_commands in DEFECT_GENERATED.items()),
-    ]
-    for stem, scenario, commands in generated:
+    for stem, (scenario, commands) in GENERATED.items():
         path = config_dir / f"{stem}.json"
         path.write_text(json.dumps(scenario))
         for command in commands:

@@ -392,11 +392,10 @@ class ScenarioConfig:
     def detector(self) -> DetectorModel:
         return DetectorModel(**self._si("detector"))
 
-    def pair_rate(self) -> float:
-        return float(self.data["run"]["pair_rate_hz"])
-
-    def integration_time(self) -> float:
-        return float(self.data["run"]["integration_time_s"])
+    def counting(self) -> tuple[DetectorModel, float, float]:
+        """What the expected counts take: (detector, pair rate Hz, integration time s)."""
+        run = self.data["run"]
+        return self.detector(), float(run["pair_rate_hz"]), float(run["integration_time_s"])
 
     def seed(self) -> int:
         return self.data["run"]["seed"]

@@ -30,7 +30,7 @@ from .counting import (
     poisson_counts,
     subtract_accidentals,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateDataError
 from .polarimetry import (
     ChshSettings,
     chsh_estimate,
@@ -199,9 +199,7 @@ class _RunMoments:
 def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
     """Coincidence fringes versus theta2: model, raw, accidental, subtracted."""
     state, info = cfg.resolve_state()
-    model = cfg.detector()
-    pair_rate = cfg.pair_rate()
-    t_int = cfg.integration_time()
+    model, pair_rate, t_int = cfg.counting()
     seed = cfg.seed()
     runs = cfg.runs()
     grid_deg = cfg.fringe_theta2_deg()
@@ -285,9 +283,7 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
     state, info = cfg.resolve_state()
     settings = cfg.chsh_settings()
     settings_deg = cfg.chsh_angles_deg()
-    model = cfg.detector()
-    pair_rate = cfg.pair_rate()
-    t_int = cfg.integration_time()
+    model, pair_rate, t_int = cfg.counting()
     seed = cfg.seed()
     runs = cfg.runs()
 
@@ -336,9 +332,7 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
 def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     """Signed CHSH sweep over the canonical settings family with MC points."""
     state, info = cfg.resolve_state()
-    model = cfg.detector()
-    pair_rate = cfg.pair_rate()
-    t_int = cfg.integration_time()
+    model, pair_rate, t_int = cfg.counting()
     seed = cfg.seed()
     thetas_deg = cfg.s_curve_theta_deg()
     thetas = np.radians(thetas_deg)
@@ -382,11 +376,14 @@ def run_budget(cfg: ScenarioConfig) -> ResultRecord:
         raise ConfigurationError(f"budget: {exc}") from exc
     record = ResultRecord(command="budget", config=cfg.to_dict(), scalars={})
     record.scalars = {
-        "pump_power_in_mw": inputs["pump_power_in"] * 1e3,
+        "pump_power_in_mw": float(record.config["budget"]["pump_power_mw"]),  # as configured
         "power_in_guide_mw": power_in_guide * 1e3,
         "inferred_pair_rate_hz": pair_rate,
         "spdc_efficiency": efficiency,
         "duty_cycle": model.trigger_rate * model.gate_width,
         "measured_cc_rate_hz": inputs["measured_cc_rate"],
     }
+    for key, value in record.scalars.items():  # Python floats overflow without raising
+        if not math.isfinite(value):
+            raise DegenerateDataError(f"budget: {key} is {value}, not a finite number")
     return record

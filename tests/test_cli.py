@@ -285,6 +285,30 @@ def test_undrawable_means_over_many_blocks_exit_3(tmp_path, command, run_cli):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (
+            {"detector": {"trigger_rate_hz": 1e308, "gate_width_ns": 1e308}},
+            "budget: duty_cycle is inf, not a finite number",
+        ),
+        (
+            {"budget": {"pump_power_mw": 1e308, "measured_cc_rate_hz": 1e308}},
+            "budget: inferred_pair_rate_hz is inf, not a finite number",
+        ),
+    ],
+)
+def test_budget_overflow_exits_3(tmp_path, run_cli, scenario, message):
+    # Python floats overflow to inf without raising, outside np.errstate's reach
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(scenario))
+    out = tmp_path / "o"
+    result = run_cli("budget", "--config", str(cfg), "--out", str(out))
+    assert result.returncode == 3
+    assert result.stderr == f"NUMERICAL_ERROR: {message}\n"
+    assert not out.exists()
+
+
 def test_grid_beyond_max_points_exits_3_unless_its_points_are_set(tmp_path, run_cli):
     # 1/v_te = 1e3 s/m puts about 1e10 rad of sinc phase across the band
     cfg = tmp_path / "slow.json"

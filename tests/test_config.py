@@ -44,7 +44,7 @@ def test_preset_bundles():
     raw = load_scenario(preset="raw-visibility")
     assert raw.data["state"]["visibility_z"] == 0.80
     assert raw.data["detector"]["gate_width_ns"] == 20.0
-    assert raw.pair_rate() == 0.6
+    assert raw.counting()[1:] == (0.6, 120.0)
 
     off = load_scenario(preset="gvd-off")
     assert off.dispersion().gvd_D == 0.0

@@ -406,7 +406,8 @@ def test_propagated_sigma_s_covers_the_spread_of_s(scale, bound):
     cfg = load_scenario(preset="raw-visibility")
     state, _ = cfg.resolve_state()
     probs = chsh_table(state, [cfg.chsh_settings()])[0]
-    means = mean_counts(probs, cfg.detector(), cfg.pair_rate(), scale * cfg.integration_time())
+    model, pair_rate, t_int = cfg.counting()
+    means = mean_counts(probs, model, pair_rate, scale * t_int)
     assert_allclose(means.mean(), 18.0 * scale, rtol=1e-12)
     s, sigma = chsh_from_counts(poisson_counts(np.broadcast_to(means, (100_000, 4, 4)), seed=1))
     assert abs(np.mean(sigma) / np.std(s) - 1.0) < bound

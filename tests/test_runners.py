@@ -212,6 +212,7 @@ def test_spectral_records_certify_their_grid():
 def test_budget_runner_scalars():
     cfg = load_scenario(preset="raw-visibility")
     record = run_budget(cfg)
+    assert record.scalars["pump_power_in_mw"] == 13.0  # as configured, not 13.000000000000002
     assert_allclose(record.scalars["power_in_guide_mw"], 1.3286, rtol=1e-6)
     assert_allclose(record.scalars["inferred_pair_rate_hz"], 4.8e5, rtol=1e-6)
     assert 1e-11 < record.scalars["spdc_efficiency"] < 1e-9
@@ -237,13 +238,15 @@ def _draw(seed, means, *indices):
 
 def _means(cfg, state, theta1, theta2):
     p = coincidence_probs(state, theta1, theta2)
-    return (cfg.pair_rate() * p + accidental_rate(cfg.detector())) * cfg.integration_time()
+    model, pair_rate, t_int = cfg.counting()
+    return (pair_rate * p + accidental_rate(model)) * t_int
 
 
 def test_first_run_counts_follow_the_seed_tree():
     cfg = load_scenario(preset="paper-calibrated", seed=17, runs=3)
     state, _ = cfg.resolve_state()
-    seed, t_int = cfg.seed(), cfg.integration_time()
+    seed = cfg.seed()
+    _, _, t_int = cfg.counting()
 
     # fringe: raw counts from (seed, 0, basis, run), accidentals from (seed, 1, basis, run)
     grid = np.radians(cfg.fringe_theta2_deg())
@@ -292,7 +295,8 @@ def test_runs_are_consecutive_rows_of_the_run_0_stream(monkeypatch):
     cfg = load_scenario(preset="paper-calibrated", seed=23, runs=runs)
     state, _ = cfg.resolve_state()
     seed, grid = cfg.seed(), np.radians(cfg.fringe_theta2_deg())
-    acc_mean = accidental_rate(cfg.detector()) * cfg.integration_time()
+    model, _, t_int = cfg.counting()
+    acc_mean = accidental_rate(model) * t_int
 
     fits = _spy(monkeypatch, "fit_fringe", 1)
     record = run_fringe(cfg)

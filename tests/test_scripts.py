@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from spdcpol import cli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,6 +27,23 @@ def test_bandwidth_delay_study_writes_one_row_per_width(tmp_path, capsys):
         assert row["tau_star_fs"] == "22.25"
         assert float(row["v_int_abs"]) <= 1.0
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_bandwidth_delay_study_rows_equal_delay_scan_records(tmp_path, capsys):
+    out = tmp_path / "bandwidth_delay.csv"
+    _script("bandwidth_delay_study").main(["--out", str(out)])
+    with open(out, newline="") as fh:
+        row = next(r for r in csv.DictReader(fh) if r["fwhm_nm"] == "30.0")
+    config = tmp_path / "filter.json"
+    config.write_text(
+        json.dumps({"filter": {"shape": "top_hat", "center_nm": 1555.9, "fwhm_nm": 30.0}})
+    )
+    assert cli.main(["delay-scan", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    scalars = json.loads((tmp_path / "o" / "delay_scan.json").read_text())["scalars"]
+    assert float(row["tau_star_fs"]) == scalars["tau_star_fs"]
+    assert float(row["v_int_abs"]) == scalars["v_int_abs_at_star"]
+    assert float(row["concurrence"]) == scalars["concurrence_at_star"]
+    assert int(row["grid_points"]) == scalars["grid_points"]
 
 
 def test_reproduce_results_writes_every_job(tmp_path, capsys):
