@@ -30,7 +30,8 @@ The matrix, each case one spdcpol.cli.main call unless said otherwise:
     8193-point grids through spdcpol.cli.main, one output directory per
     step, so that a call runs after the state earlier calls left behind
   - scripts/bandwidth_delay_study.py and scripts/reproduce_results.py, each
-    through its main(argv)
+    through its main(argv), and the study with a NaN filter centre, which
+    exits 2
 """
 
 import argparse
@@ -107,7 +108,11 @@ GENERATED = {  # stem -> (scenario, commands)
     ),
     "band-off-degeneracy": ({"filter": {"center_nm": 1540.0, "fwhm_nm": 2.0}}, ("delay-scan",)),
 }
-SCRIPTS = ("bandwidth_delay_study", "reproduce_results")
+SCRIPTS = {  # stem -> (script, its arguments without --out)
+    "bandwidth_delay_study": ("bandwidth_delay_study", []),
+    "bandwidth_delay_study-center-nan": ("bandwidth_delay_study", ["--center-nm", "nan"]),
+    "reproduce_results": ("reproduce_results", []),
+}
 SEQUENCE_GRIDS = (4097, 16385, 8193)  # grows, then shrinks, what one process keeps
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -164,8 +169,8 @@ def cases(config_dir: Path) -> dict[str, tuple[Main, list[str]]]:
         for command in SPECTRAL_COMMANDS:
             steps += [command, str(path)]
     matrix["sequence-in-one-process"] = (run_sequence, steps)
-    for script in SCRIPTS:
-        matrix[f"script-{script}"] = (script_main(script), [])
+    for stem, (script, argv) in SCRIPTS.items():
+        matrix[f"script-{stem}"] = (script_main(script), argv)
     return matrix
 
 

@@ -18,11 +18,11 @@ from .counting import (
 )
 from .errors import ConfigurationError, DegenerateDataError
 from .polarimetry import (
-    ChshSettings,
     FringeResult,
+    canonical_settings,
+    chsh_arm_angles,
     chsh_estimate,
     chsh_table,
-    chsh_table_angles,
     coincidence_probs,
     fit_fringe,
     fringe_scan,

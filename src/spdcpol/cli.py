@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import NoReturn
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
@@ -81,20 +81,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run_guarded(compute: Callable[[], Any]) -> tuple[Any, int]:
+    """compute() with overflow and NaN raising: (its value, EXIT_OK), or, after
+    one CONFIG_ERROR or NUMERICAL_ERROR line on stderr, (None, EXIT_CONFIG or
+    EXIT_NUMERICAL)."""
     try:
         with np.errstate(all="raise", under="ignore"):  # overflow and NaN: exit 3, not a warning
-            cfg = load_scenario(
-                config_path=args.config, preset=args.preset, seed=args.seed, runs=args.runs
-            )
-            record = _RUNNERS[args.command](cfg)
+            return compute(), EXIT_OK
     except ConfigurationError as exc:  # messages may quote keys holding line breaks: join them
         print("CONFIG_ERROR:", *str(exc).splitlines(), file=sys.stderr)
-        return EXIT_CONFIG
+        return None, EXIT_CONFIG
     except (DegenerateDataError, ArithmeticError) as exc:  # FloatingPointError, OverflowError, ...
         print("NUMERICAL_ERROR:", *str(exc).splitlines(), file=sys.stderr)
-        return EXIT_NUMERICAL
+        return None, EXIT_NUMERICAL
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    scenario = functools.partial(
+        load_scenario, config_path=args.config, preset=args.preset, seed=args.seed, runs=args.runs
+    )
+    record, code = run_guarded(lambda: _RUNNERS[args.command](scenario()))
+    if code != EXIT_OK:
+        return code
     try:
         written = record.write(args.out)
     except OSError as exc:  # --out names a file, or a directory that cannot be written

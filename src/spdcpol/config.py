@@ -28,7 +28,7 @@ import numpy as np
 from . import spectral, state as state_mod
 from .counting import DetectorModel
 from .errors import ConfigurationError
-from .polarimetry import ChshSettings, check_theta2_grid
+from .polarimetry import canonical_settings, check_theta2_grid
 from .units import fs, to_fs
 
 __all__ = ["PRESETS", "SCHEMA", "ScenarioConfig", "load_scenario", "base_config_dict"]
@@ -433,20 +433,18 @@ class ScenarioConfig:
         block = self.delay_scan_fs()
         return _scan_values(block), float(block["step"])
 
-    def chsh_angles_deg(self) -> dict[str, float]:
-        """The four CHSH angles (degrees): run.chsh_angles_deg, or the canonical
-        (0, -2t, t, 3t) of t = run.chsh_theta_deg."""
+    def chsh_settings(self) -> tuple[dict[str, float], np.ndarray]:
+        """The CHSH setting (theta1, theta1p, theta2, theta2p): its angles in degrees
+        as configured, and its (1, 4) row in radians. The canonical family of
+        t = run.chsh_theta_deg is built from t in each unit."""
         run = self.data["run"]
         if run["chsh_angles_deg"] is None:
             t = float(run["chsh_theta_deg"])
-            return {"theta1": 0.0, "theta1p": -2.0 * t, "theta2": t, "theta2p": 3.0 * t}
-        return {name: float(run["chsh_angles_deg"][name]) for name in CHSH_ANGLES}
-
-    def chsh_settings(self) -> ChshSettings:
-        """chsh_angles_deg in radians; the canonical family is built from t in radians."""
-        if self.data["run"]["chsh_angles_deg"] is None:
-            return ChshSettings.canonical(math.radians(float(self.data["run"]["chsh_theta_deg"])))
-        return ChshSettings(**{k: math.radians(deg) for k, deg in self.chsh_angles_deg().items()})
+            deg, rad = canonical_settings(t), canonical_settings([math.radians(t)])
+        else:
+            deg = np.array([float(run["chsh_angles_deg"][name]) for name in CHSH_ANGLES])
+            rad = np.radians(deg[None])
+        return dict(zip(CHSH_ANGLES, deg.tolist())), rad
 
     # -- budget ----------------------------------------------------------------
     def budget_inputs(self) -> dict[str, float]:

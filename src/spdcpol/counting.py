@@ -55,18 +55,18 @@ class DetectorModel:
     accidental_calibration: float = 1.0  # alpha
 
     def __post_init__(self) -> None:
-        if self.trigger_rate <= 0:
+        if not self.trigger_rate > 0:  # written so that NaN fails, as in every check below
             raise ValueError(f"trigger_rate must be positive, got {self.trigger_rate}")
-        if self.gate_width <= 0:
+        if not self.gate_width > 0:
             raise ValueError(f"gate_width must be positive, got {self.gate_width}")
-        if self.coincidence_window <= 0:
+        if not self.coincidence_window > 0:
             raise ValueError(f"coincidence_window must be positive, got {self.coincidence_window}")
         for eff in (self.efficiency_1, self.efficiency_2):
             if not 0.0 <= eff <= 1.0:
                 raise ValueError(f"detector efficiency {eff} outside [0, 1]")
-        if self.singles_rate_1 < 0 or self.singles_rate_2 < 0:
+        if not (self.singles_rate_1 >= 0 and self.singles_rate_2 >= 0):
             raise ValueError("singles rates must be nonnegative")
-        if self.accidental_calibration < 0:
+        if not self.accidental_calibration >= 0:
             raise ValueError("accidental_calibration must be nonnegative")
 
 
@@ -140,9 +140,9 @@ def subtract_accidentals(raw, accidentals) -> NDArray[np.float64]:
 
 
 def chsh_from_counts(
-    counts: ArrayLike, signed: bool = False
+    counts: ArrayLike,
 ) -> tuple[float, float] | tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """CHSH parameter and its propagated standard deviation from raw counts.
+    """Signed CHSH sum S and its propagated standard deviation from raw counts.
 
     `counts` is one 4x4 table (floats returned) or a batch of shape
     (..., 4, 4) (arrays of the leading shape returned), none negative, in
@@ -162,8 +162,6 @@ def chsh_from_counts(
         np.float_power(1.0 - e, 2) * plus + np.float_power(1.0 + e, 2) * minus
     ) / np.float_power(denom, 2)
     v11, v12, v21, v22 = var
-    if not signed:
-        s = np.abs(s)
     sigma = np.sqrt(v11 + v12 + v21 + v22)
     return (float(s), float(sigma)) if s.ndim == 0 else (s, sigma)
 

@@ -16,9 +16,11 @@ with tp = t + 90 deg, and the CHSH sum is
 
     S = |E(t1,t2) - E(t1,t2') + E(t1',t2) + E(t1',t2')|.
 
-The single-angle family t1 = 0, t2 = t, t1' = -2t, t2' = 3t satisfies
-t = t2 - t1 = t2' + t1' = -t2 - t1' and turns the ideal signed sum into
-3 cos(2t) - cos(6t), maximal (2 sqrt 2) at t = 22.5 degrees.
+A CHSH setting is one row (t1, t1', t2, t2') and K settings one (K, 4)
+array. The single-angle family t1 = 0, t2 = t, t1' = -2t, t2' = 3t of
+canonical_settings satisfies t = t2 - t1 = t2' + t1' = -t2 - t1' and turns
+the ideal signed sum into 3 cos(2t) - cos(6t), maximal (2 sqrt 2) at
+t = 22.5 degrees.
 """
 
 from __future__ import annotations
@@ -34,38 +36,18 @@ from .errors import ConfigurationError, DegenerateDataError
 from .state import TwoQubitState
 
 __all__ = [
-    "ChshSettings",
     "FringeResult",
     "FringeFit",
     "coincidence_probs",
     "fit_fringe",
     "fringe_scan",
-    "chsh_table_angles",
+    "canonical_settings",
+    "chsh_arm_angles",
     "chsh_table",
     "chsh_estimate",
 ]
 
 _QUARTER_TURN = 0.5 * np.pi
-
-
-@dataclass(frozen=True)
-class ChshSettings:
-    """The four analyzer angles of a CHSH measurement, radians."""
-
-    theta1: float
-    theta1p: float
-    theta2: float
-    theta2p: float
-
-    def __post_init__(self) -> None:
-        for v in (self.theta1, self.theta1p, self.theta2, self.theta2p):
-            if not np.isfinite(v):
-                raise ValueError("CHSH angles must be finite")
-
-    @classmethod
-    def canonical(cls, theta: float) -> "ChshSettings":
-        """Single-angle family (0, -2t, t, 3t)."""
-        return cls(theta1=0.0, theta1p=-2.0 * theta, theta2=theta, theta2p=3.0 * theta)
 
 
 def coincidence_probs(
@@ -177,19 +159,27 @@ def fringe_scan(
 _BLOCK_CELLS = np.array([[0, 2, 8, 10], [5, 7, 13, 15], [4, 6, 12, 14], [1, 3, 9, 11]])
 
 
-def chsh_table_angles(
-    settings: Sequence[ChshSettings],
+def canonical_settings(theta: ArrayLike) -> NDArray[np.float64]:
+    """Settings (0, -2t, t, 3t) of the single-angle family, one row per angle t, in t's unit."""
+    t = np.asarray(theta, dtype=float)
+    return np.stack([np.zeros_like(t), -2.0 * t, t, 3.0 * t], -1)
+
+
+def chsh_arm_angles(
+    settings: ArrayLike, quarter: float
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Arm-1 and arm-2 analyzer angles (radians) of the 4x4 tables of K settings, (K, 4) each."""
-    angles = [(s.theta1, s.theta1p, s.theta2, s.theta2p) for s in settings]
-    t1, t1p, t2, t2p = np.array(angles, dtype=float).T
-    q = _QUARTER_TURN
+    """Arm-1 (t1, t1+q, t1', t1'+q) and arm-2 (t2, t2+q, t2', t2'+q) analyzer angles
+    of the 4x4 tables of settings (..., 4), q the quarter turn in their unit."""
+    t1, t1p, t2, t2p = np.moveaxis(np.asarray(settings, dtype=float), -1, 0)
+    q = quarter
     return np.stack([t1, t1 + q, t1p, t1p + q], -1), np.stack([t2, t2 + q, t2p, t2p + q], -1)
 
 
-def chsh_table(state: TwoQubitState, settings: Sequence[ChshSettings]) -> NDArray[np.float64]:
-    """Coincidence probabilities of the 4x4 table, one (K, 4, 4) array for K settings."""
-    a_angles, b_angles = chsh_table_angles(settings)
+def chsh_table(state: TwoQubitState, settings: ArrayLike) -> NDArray[np.float64]:
+    """Coincidence probabilities of the 4x4 tables of K settings (K, 4) in radians, (K, 4, 4)."""
+    if not np.all(np.isfinite(settings)):
+        raise ValueError("CHSH angles must be finite")
+    a_angles, b_angles = chsh_arm_angles(settings, _QUARTER_TURN)
     return coincidence_probs(state, a_angles[:, :, None], b_angles[:, None, :])
 
 

@@ -32,7 +32,8 @@ from .counting import (
 )
 from .errors import ConfigurationError, DegenerateDataError
 from .polarimetry import (
-    ChshSettings,
+    canonical_settings,
+    chsh_arm_angles,
     chsh_estimate,
     chsh_table,
     fit_fringe,
@@ -281,13 +282,12 @@ def run_delay_scan(cfg: ScenarioConfig) -> ResultRecord:
 def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
     """Single-point CHSH: exact model value and simulated counts with sigma."""
     state, info = cfg.resolve_state()
-    settings = cfg.chsh_settings()
-    settings_deg = cfg.chsh_angles_deg()
+    settings_deg, settings = cfg.chsh_settings()
     model, pair_rate, t_int = cfg.counting()
     seed = cfg.seed()
     runs = cfg.runs()
 
-    probs = chsh_table(state, [settings])
+    probs = chsh_table(state, settings)
     s_model = abs(float(chsh_estimate(probs)[0][0]))
     expected = mean_counts(probs[0], model, pair_rate, t_int)
     stream = np.random.default_rng(derive_seed(seed, 2, 0))
@@ -295,21 +295,22 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
     for b, n in enumerate(_blocks(runs)):
         counts = poisson_counts(np.broadcast_to(expected, (n, 4, 4)), stream)
         s_block, sigma_block = chsh_from_counts(counts)
+        s_block = np.abs(s_block)  # |S|, as s_model
         s_runs.add(s_block)
         sigma_runs.add(sigma_block)
         if b == 0:
             first_counts = counts[0].copy()
             s_first, sigma_first = float(s_block[0]), float(sigma_block[0])
 
-    t1, t1p, t2, t2p = settings_deg.values()
+    angle1_deg, angle2_deg = chsh_arm_angles(list(settings_deg.values()), 90.0)
     record = ResultRecord(command="chsh", config=cfg.to_dict(), scalars={})
     record.add_table(
         "counts",
         {  # row 4 * ia + ib: arm-1 setting ia, arm-2 setting ib
             "arm1_index": np.repeat(np.arange(4), 4),
             "arm2_index": np.tile(np.arange(4), 4),
-            "angle1_deg": np.repeat([t1, t1 + 90.0, t1p, t1p + 90.0], 4),
-            "angle2_deg": np.tile([t2, t2 + 90.0, t2p, t2p + 90.0], 4),
+            "angle1_deg": np.repeat(angle1_deg, 4),
+            "angle2_deg": np.tile(angle2_deg, 4),
             "counts": first_counts.ravel(),
         },
     )
@@ -335,15 +336,14 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     model, pair_rate, t_int = cfg.counting()
     seed = cfg.seed()
     thetas_deg = cfg.s_curve_theta_deg()
-    thetas = np.radians(thetas_deg)
 
-    probs = chsh_table(state, [ChshSettings.canonical(theta) for theta in thetas])
+    probs = chsh_table(state, canonical_settings(np.radians(thetas_deg)))
     model_curve = chsh_estimate(probs)[0]
     expected = mean_counts(probs, model, pair_rate, t_int)
     counts = np.stack(
         [poisson_counts(means, derive_seed(seed, 3, k)) for k, means in enumerate(expected)]
     )
-    s_sim, sigma = chsh_from_counts(counts, signed=True)
+    s_sim, sigma = chsh_from_counts(counts)
 
     record = ResultRecord(command="s-curve", config=cfg.to_dict(), scalars={})
     record.add_table(

@@ -70,12 +70,14 @@ class WaveguideDispersion:
     delta0: float = 0.0  # 1/m
 
     def __post_init__(self) -> None:
-        if self.length_L <= 0:
+        if not self.length_L > 0:  # written so that NaN fails, as in every check below
             raise ValueError(f"length_L must be positive, got {self.length_L}")
-        if self.v_te <= 0 or self.v_tm <= 0:
+        if not (self.v_te > 0 and self.v_tm > 0):
             raise ValueError("group velocities must be positive")
-        if self.lambda_deg <= 0:
+        if not self.lambda_deg > 0:
             raise ValueError(f"lambda_deg must be positive, got {self.lambda_deg}")
+        if not np.isfinite(self.gvd_D):
+            raise ValueError("gvd_D must be finite")
         if not np.isfinite(self.delta0):
             raise ValueError("delta0 must be finite")
 
@@ -132,9 +134,9 @@ class SpectralFilter:
     def __post_init__(self) -> None:
         if self.shape not in FILTER_SHAPES:
             raise ValueError(f"shape must be one of {FILTER_SHAPES}, got {self.shape!r}")
-        if self.fwhm_lambda <= 0:
+        if not self.fwhm_lambda > 0:
             raise ValueError(f"fwhm_lambda must be positive, got {self.fwhm_lambda}")
-        if self.center_lambda <= 0:
+        if not self.center_lambda > 0:
             raise ValueError(f"center_lambda must be positive, got {self.center_lambda}")
         if self.fwhm_lambda >= 2.0 * self.center_lambda:
             raise ValueError("filter band extends to non-positive wavelengths")
@@ -177,7 +179,7 @@ class SpectralGrid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if self.omega_max <= 0:
+        if not self.omega_max > 0:
             raise ValueError(f"omega_max must be positive, got {self.omega_max}")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError(f"n_points must be odd and >= 3, got {self.n_points}")

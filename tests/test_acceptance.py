@@ -10,11 +10,11 @@ import numpy as np
 
 from conftest import norm_sq, random_density_batch, search_grid
 from spdcpol import (
-    ChshSettings,
     DetectorModel,
     SpectralFilter,
     WaveguideDispersion,
     build_jsa,
+    canonical_settings,
     chsh_estimate,
     chsh_from_counts,
     chsh_table,
@@ -87,7 +87,7 @@ def _batched_E(rhos, t1, t2):
 
 
 def _signed_s(state, settings):
-    """Signed CHSH sums of the tables of a list of settings."""
+    """Signed CHSH sums of the tables of settings (K, 4)."""
     return chsh_estimate(chsh_table(state, settings))[0]
 
 
@@ -96,10 +96,10 @@ def _signed_s(state, settings):
 
 def test_criterion_1_ideal_s_curve_identity():
     thetas = np.arange(0.0, 360.0 + 0.5, 1.0) * DEG
-    curve = _signed_s(post_selected_state(1.0), [ChshSettings.canonical(t) for t in thetas])
+    curve = _signed_s(post_selected_state(1.0), canonical_settings(thetas))
     ideal = 3.0 * np.cos(2.0 * thetas) - np.cos(6.0 * thetas)
     max_err = float(np.max(np.abs(curve - ideal)))
-    peak = _signed_s(post_selected_state(1.0), [ChshSettings.canonical(22.5 * DEG)])[0]
+    peak = _signed_s(post_selected_state(1.0), canonical_settings([22.5 * DEG]))[0]
     peak_err = abs(peak - 2.0 * SQRT2)
     _verdict(
         1,
@@ -126,7 +126,7 @@ def test_criterion_2_ideal_fringe_identity():
 
 def test_criterion_3_x_state_closed_forms():
     rng = np.random.default_rng(2024)
-    settings = ChshSettings.canonical(22.5 * DEG)
+    settings = canonical_settings([22.5 * DEG])
     worst_e = worst_s = 0.0
     for _ in range(100):
         c = rng.uniform(0.0, 1.0)
@@ -134,9 +134,9 @@ def test_criterion_3_x_state_closed_forms():
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
         e_closed = np.cos(2 * t1) * np.cos(2 * t2) - c * np.sin(2 * t1) * np.sin(2 * t2)
         # E(t1, t2) is block 0 of the table whose first settings are t1 and t2
-        e = chsh_estimate(chsh_table(state, [ChshSettings(t1, 0.0, t2, 0.0)]))[1][0, 0]
+        e = chsh_estimate(chsh_table(state, [[t1, 0.0, t2, 0.0]]))[1][0, 0]
         worst_e = max(worst_e, abs(e - e_closed))
-        worst_s = max(worst_s, abs(abs(_signed_s(state, [settings])[0]) - SQRT2 * (1.0 + c)))
+        worst_s = max(worst_s, abs(abs(_signed_s(state, settings)[0]) - SQRT2 * (1.0 + c)))
     _verdict(
         3,
         "X-state E and S closed forms (100 random c)",
@@ -213,11 +213,11 @@ def test_criterion_5_delay_compensation():
 
 
 def _expected_table(state, settings, model, pair_rate, t_int):
-    return mean_counts(chsh_table(state, [settings]), model, pair_rate, t_int)[0]
+    return mean_counts(chsh_table(state, settings), model, pair_rate, t_int)[0]
 
 
 def test_criterion_6_chsh_from_counts():
-    settings = ChshSettings.canonical(22.5 * DEG)
+    settings = canonical_settings([22.5 * DEG])
     model_clean = _detector(accidental_calibration=0.0)
 
     # noiseless tables reproduce the model S for assorted states
@@ -225,7 +225,7 @@ def test_criterion_6_chsh_from_counts():
     for state in (post_selected_state(1.0), post_selected_state(0.91), visibility_state(0.8, 0.77)):
         table = _expected_table(state, settings, model_clean, 6.0, 60.0)
         s_counts, _ = chsh_from_counts(table)
-        worst = max(worst, abs(s_counts - abs(_signed_s(state, [settings])[0])))
+        worst = max(worst, abs(s_counts - abs(_signed_s(state, settings)[0])))
     noiseless_ok = worst < 1e-9
 
     # raw-visibility working point: between 2 and the uncorrected lab value
@@ -337,7 +337,7 @@ def test_criterion_8_property_suites():
     # seed determinism of the counting simulation
     state = post_selected_state(0.91)
     model = _detector(accidental_calibration=0.026)
-    settings = ChshSettings.canonical(22.5 * DEG)
+    settings = canonical_settings([22.5 * DEG])
     expected = _expected_table(state, settings, model, 6.0, 60.0)
     t_a = poisson_counts(expected, seed=5)
     t_b = poisson_counts(expected, seed=5)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -184,11 +185,8 @@ def test_angle_grids_resolved_in_radians():
     assert grid.size == 37
     assert_allclose(grid[-1], 2 * np.pi)
     assert_allclose(np.radians(cfg.fringe_theta1_deg()), [0.0, np.pi / 4])
-    settings = cfg.chsh_settings()
-    assert_allclose(
-        np.degrees([settings.theta1, settings.theta1p, settings.theta2, settings.theta2p]),
-        [0.0, -45.0, 22.5, 67.5],
-    )
+    _, settings = cfg.chsh_settings()
+    assert_allclose(np.degrees(settings), [[0.0, -45.0, 22.5, 67.5]])
 
 
 def test_explicit_chsh_angles(tmp_path):
@@ -198,9 +196,34 @@ def test_explicit_chsh_angles(tmp_path):
             {"run": {"chsh_angles_deg": {"theta1": 10, "theta1p": 55, "theta2": 32.5, "theta2p": 77.5}}}
         )
     )
-    settings = load_scenario(config_path=path).chsh_settings()
-    assert_allclose(np.degrees(settings.theta1), 10.0)
-    assert_allclose(np.degrees(settings.theta2p), 77.5)
+    _, settings = load_scenario(config_path=path).chsh_settings()
+    assert_allclose(np.degrees(settings[0, 0]), 10.0)
+    assert_allclose(np.degrees(settings[0, 3]), 77.5)
+
+
+@pytest.mark.parametrize("t", [22.5, 67.5, -37.1, 1e-300, 3.3e307, 0.1])
+def test_canonical_chsh_settings_built_from_t_in_each_unit(t):
+    cfg = load_scenario()
+    cfg.data["run"]["chsh_theta_deg"] = t
+    deg, rad = cfg.chsh_settings()
+    assert deg == {"theta1": 0.0, "theta1p": -2.0 * t, "theta2": t, "theta2p": 3.0 * t}
+    r = math.radians(t)  # not radians(3t): the two can differ in the last bit
+    assert rad.shape == (1, 4) and rad.tolist() == [[0.0, -2.0 * r, r, 3.0 * r]]
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [
+        {"theta1": 10, "theta1p": 55, "theta2": 32.5, "theta2p": 77.5},
+        {"theta1": 12, "theta1p": -61.3, "theta2": 1e-300, "theta2p": -1.7e308},
+    ],
+)
+def test_explicit_chsh_settings_are_each_angle_in_radians(angles):
+    cfg = load_scenario()
+    cfg.data["run"]["chsh_angles_deg"] = angles
+    deg, rad = cfg.chsh_settings()
+    assert deg == angles and all(type(v) is float for v in deg.values())
+    assert rad.tolist() == [[math.radians(angles[k]) for k in deg]]
 
 
 def test_echo_reloads_identically(tmp_path):

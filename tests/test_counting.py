@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spdcpol import (
-    ChshSettings,
     ConfigurationError,
     DegenerateDataError,
     DetectorModel,
     accidental_rate,
+    canonical_settings,
     chsh_estimate,
     chsh_from_counts,
     chsh_table,
@@ -76,6 +76,23 @@ def test_detector_model_validation():
         _fringe_model(efficiency_1=1.2)
     with pytest.raises(ValueError):
         _fringe_model(coincidence_window=-1e-9)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("trigger_rate", "trigger_rate must be positive, got nan"),
+        ("gate_width", "gate_width must be positive, got nan"),
+        ("coincidence_window", "coincidence_window must be positive, got nan"),
+        ("efficiency_1", r"detector efficiency nan outside \[0, 1\]"),
+        ("singles_rate_1", "singles rates must be nonnegative"),
+        ("singles_rate_2", "singles rates must be nonnegative"),
+        ("accidental_calibration", "accidental_calibration must be nonnegative"),
+    ],
+)
+def test_detector_model_rejects_nan(field, message):
+    with pytest.raises(ValueError, match=message):
+        _fringe_model(**{field: np.nan})
 
 
 # --- mean_counts: (pair_rate * p + R_acc) * T ------------------------------------
@@ -244,7 +261,7 @@ def test_subtraction_then_fit_unbiased_over_ensemble():
 
 def _noiseless_table(state, theta=22.5 * DEG, pair_rate=6.0, t_int=60.0, alpha=0.0):
     model = _fringe_model(accidental_calibration=alpha)
-    probs = chsh_table(state, [ChshSettings.canonical(theta)])
+    probs = chsh_table(state, canonical_settings([theta]))
     return mean_counts(probs, model, pair_rate, t_int)[0]
 
 
@@ -258,8 +275,8 @@ def test_chsh_from_counts_matches_model_on_noiseless_tables():
     for state in states:
         theta = rng.uniform(0, np.pi)
         s_counts, _ = chsh_from_counts(_noiseless_table(state, theta=theta))
-        s_model = chsh_estimate(chsh_table(state, [ChshSettings.canonical(theta)]))[0][0]
-        assert_allclose(s_counts, abs(s_model), atol=1e-9)
+        s_model = chsh_estimate(chsh_table(state, canonical_settings([theta])))[0][0]
+        assert_allclose(s_counts, s_model, atol=1e-9)  # both signed
 
 
 def test_chsh_from_counts_ideal_value():
@@ -328,9 +345,10 @@ def test_batched_chsh_equals_per_table_loop(seed, lead, signed):
         want = [_oracle_chsh(counts[idx], signed) for idx in np.ndindex(*lead)]
     except DegenerateDataError:
         with pytest.raises(DegenerateDataError):
-            chsh_from_counts(counts, signed=signed)
+            chsh_from_counts(counts)
         return
-    s, sigma = chsh_from_counts(counts, signed=signed)
+    s, sigma = chsh_from_counts(counts)
+    s = s if signed else np.abs(s)
     assert np.shape(s) == np.shape(sigma) == tuple(lead)
     s, sigma = np.asarray(s), np.asarray(sigma)
     assert [(float(s[idx]), float(sigma[idx])) for idx in np.ndindex(*lead)] == want
@@ -351,7 +369,7 @@ def test_zero_denominator_anywhere_in_a_batch_rejected(bad):
     with pytest.raises(DegenerateDataError):
         chsh_from_counts(counts)
     with pytest.raises(DegenerateDataError):
-        chsh_from_counts(counts.reshape(2, 5, 4, 4), signed=True)
+        chsh_from_counts(counts.reshape(2, 5, 4, 4))
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (2, 5, 4, 4)])
@@ -361,7 +379,7 @@ def test_negative_count_rejected(shape):
     with pytest.raises(ValueError, match="nonnegative"):
         chsh_from_counts(counts)
     with pytest.raises(ValueError, match="nonnegative"):
-        chsh_from_counts(counts, signed=True)
+        chsh_from_counts(counts[None])
 
 
 def test_sigma_scale_covariance():
@@ -376,7 +394,7 @@ def test_sigma_scale_covariance():
 def test_expected_tables_match_one_table_per_settings():
     state = visibility_state(0.8, 0.77)
     model = _fringe_model(accidental_calibration=0.026)
-    settings = [ChshSettings.canonical(t) for t in np.arange(-90.0, 91.0, 15.0) * DEG]
+    settings = canonical_settings(np.arange(-90.0, 91.0, 15.0) * DEG)
     tables = mean_counts(chsh_table(state, settings), model, 6.0, 60.0)
     assert tables.shape == (len(settings), 4, 4)
     for table, s in zip(tables, settings):
@@ -405,7 +423,7 @@ def test_propagated_sigma_s_covers_the_spread_of_s(scale, bound):
     # 1.0000 +- 0.0014; one 100,000-run ratio scatters by about 0.002.
     cfg = load_scenario(preset="raw-visibility")
     state, _ = cfg.resolve_state()
-    probs = chsh_table(state, [cfg.chsh_settings()])[0]
+    probs = chsh_table(state, cfg.chsh_settings()[1])[0]
     model, pair_rate, t_int = cfg.counting()
     means = mean_counts(probs, model, pair_rate, scale * t_int)
     assert_allclose(means.mean(), 18.0 * scale, rtol=1e-12)

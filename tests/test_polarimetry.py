@@ -6,10 +6,11 @@ from numpy.testing import assert_allclose
 
 from conftest import random_density_matrix
 from spdcpol import (
-    ChshSettings,
     ConfigurationError,
     DegenerateDataError,
     TwoQubitState,
+    canonical_settings,
+    chsh_arm_angles,
     chsh_estimate,
     chsh_table,
     coincidence_probs,
@@ -228,12 +229,12 @@ def test_fit_rejects_mismatched_angles():
 
 def _correlation(state, theta1, theta2):
     """E at analyzer angles (theta1, theta2): block 0 of the table with t1 = theta1, t2 = theta2."""
-    table = chsh_table(state, [ChshSettings(theta1, 0.0, theta2, 0.0)])
+    table = chsh_table(state, [[theta1, 0.0, theta2, 0.0]])
     return float(chsh_estimate(table)[1][0, 0])
 
 
 def _signed_s(state, settings):
-    """Signed CHSH sum of one table."""
+    """Signed CHSH sum of the table of one setting (t1, t1', t2, t2')."""
     return float(chsh_estimate(chsh_table(state, [settings]))[0][0])
 
 
@@ -244,7 +245,7 @@ def _chsh_s(state, settings):
 
 def _s_curve(state, theta_grid):
     """Signed CHSH sums along the canonical family (0, -2t, t, 3t)."""
-    return chsh_estimate(chsh_table(state, [ChshSettings.canonical(t) for t in theta_grid]))[0]
+    return chsh_estimate(chsh_table(state, canonical_settings(theta_grid)))[0]
 
 
 def test_correlation_ideal_values():
@@ -284,22 +285,42 @@ def test_correlation_bounded_random_states():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_correlation_rejects_nonfinite_angle(bad):
-    # the angles reach a table only through ChshSettings, which rejects them
+    # chsh_table rejects the settings before any table is built
     for t1, t2 in ((bad, 0.0), (0.0, bad)):
         with pytest.raises(ValueError, match="finite"):
-            ChshSettings(theta1=t1, theta1p=0.0, theta2=t2, theta2p=0.0)
+            chsh_table(post_selected_state(1.0), [[t1, 0.0, t2, 0.0]])
 
 
 # --- CHSH -------------------------------------------------------------------------
 
 
+@given(t=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8))
+@settings(max_examples=50, deadline=None)
+def test_canonical_settings_rows_are_the_family_bit_for_bit(t):
+    rows = canonical_settings(t)
+    assert rows.shape == (len(t), 4)
+    assert rows.tolist() == [[0.0, -2.0 * x, x, 3.0 * x] for x in t]
+    assert canonical_settings(t[0]).tolist() == rows[0].tolist()  # a scalar gives one row
+    assert canonical_settings(np.reshape(t * 2, (2, -1))).shape == (2, len(t), 4)
+
+
+def test_chsh_arm_angles_layout_in_each_unit():
+    settings = [[10.0, -35.0, -22.5, 22.0], [0.0, -45.0, 22.5, 67.5]]
+    arm1, arm2 = chsh_arm_angles(settings, 90.0)
+    assert arm1.tolist() == [[10.0, 100.0, -35.0, 55.0], [0.0, 90.0, -45.0, 45.0]]
+    assert arm2.tolist() == [[-22.5, 67.5, 22.0, 112.0], [22.5, 112.5, 67.5, 157.5]]
+    rad1, rad2 = chsh_arm_angles(np.radians(settings), np.pi / 2)
+    assert_allclose(np.degrees(rad1), arm1, atol=1e-12)
+    assert_allclose(np.degrees(rad2), arm2, atol=1e-12)
+
+
 def _canonical_225():
-    return ChshSettings.canonical(22.5 * DEG)
+    return canonical_settings(22.5 * DEG)
 
 
 def test_chsh_maximal_violation_settings():
     s = _canonical_225()
-    assert_allclose(np.degrees([s.theta1, s.theta1p, s.theta2, s.theta2p]), [0, -45, 22.5, 67.5])
+    assert_allclose(np.degrees(s), [0, -45, 22.5, 67.5])
     assert_allclose(_chsh_s(post_selected_state(1.0), s), 2.0 * np.sqrt(2.0), atol=1e-9)
 
 
@@ -335,7 +356,7 @@ def test_tsirelson_bound_random_states_and_settings():
     for _ in range(1000):
         state = TwoQubitState(rho=random_density_matrix(rng))
         t = rng.uniform(0.0, 2 * np.pi, size=4)
-        s = _chsh_s(state, ChshSettings(theta1=t[0], theta1p=t[1], theta2=t[2], theta2p=t[3]))
+        s = _chsh_s(state, t)
         assert s <= bound
 
 
@@ -366,13 +387,13 @@ def test_s_curve_equals_pointwise_chsh_signed():
     thetas = rng.uniform(-np.pi, np.pi, size=25)
     for _ in range(20):
         state = TwoQubitState(rho=random_density_matrix(rng))
-        pointwise = [_signed_s(state, ChshSettings.canonical(t)) for t in thetas]
+        pointwise = [_signed_s(state, canonical_settings(t)) for t in thetas]
         assert_allclose(_s_curve(state, thetas), pointwise, rtol=0.0, atol=1e-12)
 
 
 def test_signed_vs_absolute():
     state = post_selected_state(1.0)
-    settings_neg = ChshSettings.canonical(112.5 * DEG)
+    settings_neg = canonical_settings(112.5 * DEG)
     assert _signed_s(state, settings_neg) < 0
     assert_allclose(_chsh_s(state, settings_neg), -_signed_s(state, settings_neg), atol=1e-12)
 

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spdcpol import (
-    ChshSettings,
     JointSpectralAmplitude,
     SpectralGrid,
+    canonical_settings,
+    chsh_arm_angles,
     chsh_from_counts,
-    chsh_table_angles,
     cli,
     coincidence_probs,
     filter_amplitude,
@@ -260,7 +260,7 @@ def test_first_run_counts_follow_the_seed_tree():
         assert [row[3] for row in table["rows"]] == acc.tolist()
 
     # chsh: the 4x4 table from (seed, 2, run)
-    (a,), (b,) = chsh_table_angles([cfg.chsh_settings()])
+    (a,), (b,) = chsh_arm_angles(cfg.chsh_settings()[1], np.pi / 2)
     counts = _draw(seed, _means(cfg, state, a[:, None], b[None, :]), 2, 0)
     chsh = run_chsh(cfg)
     assert [row[4] for row in chsh.tables["counts"]["rows"]] == counts.ravel().tolist()
@@ -268,10 +268,9 @@ def test_first_run_counts_follow_the_seed_tree():
     # s-curve: one table per angle k from (seed, 3, k)
     rows = run_s_curve(cfg).tables["curve"]["rows"]
     for k, theta in enumerate(np.radians(cfg.s_curve_theta_deg())):
-        settings = ChshSettings.canonical(theta)
-        (a,), (b,) = chsh_table_angles([settings])
+        a, b = chsh_arm_angles(canonical_settings(theta), np.pi / 2)
         drawn = _draw(seed, _means(cfg, state, a[:, None], b[None, :]), 3, k)
-        assert rows[k][2:] == list(chsh_from_counts(drawn, signed=True))
+        assert rows[k][2:] == list(chsh_from_counts(drawn))
 
 
 # --- Monte-Carlo streams: one run-0 child per (tag, basis), runs are its rows -------
@@ -316,11 +315,11 @@ def test_runs_are_consecutive_rows_of_the_run_0_stream(monkeypatch):
 
     tables = _spy(monkeypatch, "chsh_from_counts", 0)
     record = run_chsh(cfg)
-    (a,), (b,) = chsh_table_angles([cfg.chsh_settings()])
+    (a,), (b,) = chsh_arm_angles(cfg.chsh_settings()[1], np.pi / 2)
     means = _means(cfg, state, a[:, None], b[None, :])
     counts = _draw(seed, np.broadcast_to(means, (runs, 4, 4)), 2, 0)
     assert np.array_equal(np.concatenate(tables), counts)
-    s = [chsh_from_counts(table)[0] for table in counts]
+    s = [abs(chsh_from_counts(table)[0]) for table in counts]  # the record's S is |S|
     assert_allclose(record.scalars["s_counts_mean"], np.mean(s), rtol=0, atol=1e-12)
     assert_allclose(record.scalars["s_counts_std"], np.std(s), rtol=0, atol=1e-12)
 

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from spdcpol import cli
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -44,6 +46,23 @@ def test_bandwidth_delay_study_rows_equal_delay_scan_records(tmp_path, capsys):
     assert float(row["v_int_abs"]) == scalars["v_int_abs_at_star"]
     assert float(row["concurrence"]) == scalars["concurrence_at_star"]
     assert int(row["grid_points"]) == scalars["grid_points"]
+
+
+@pytest.mark.parametrize(
+    "center_nm, code, line",
+    [
+        ("nan", 2, "CONFIG_ERROR: filter: center_lambda must be positive, got nan"),
+        ("-5", 2, "CONFIG_ERROR: filter: center_lambda must be positive, got -5e-09"),
+        ("1e400", 3, "NUMERICAL_ERROR: the top-hat band does not pass the degenerate"),
+    ],
+)
+def test_bandwidth_delay_study_errors_are_one_stderr_line(tmp_path, capsys, center_nm, code, line):
+    out = tmp_path / "bandwidth_delay.csv"
+    argv = ["--center-nm", center_nm, "--out", str(out)]
+    assert _script("bandwidth_delay_study").main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(line)
+    assert captured.err.count("\n") == 1 and not out.exists()
 
 
 def test_reproduce_results_writes_every_job(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -161,6 +162,34 @@ def test_grid_rejects_even_or_tiny():
         SpectralGrid(omega_max=1e13, n_points=8192)
     with pytest.raises(ValueError):
         SpectralGrid(omega_max=1e13, n_points=1)
+
+
+def test_grid_rejects_nan_span():
+    with pytest.raises(ValueError, match="omega_max must be positive, got nan"):
+        SpectralGrid(omega_max=math.nan, n_points=1025)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("length_L", math.nan, "length_L must be positive, got nan"),
+        ("v_te", math.nan, "group velocities must be positive"),
+        ("v_tm", math.nan, "group velocities must be positive"),
+        ("lambda_deg", math.nan, "lambda_deg must be positive, got nan"),
+        ("gvd_D", math.nan, "gvd_D must be finite"),
+        ("gvd_D", -math.inf, "gvd_D must be finite"),
+        ("delta0", math.nan, "delta0 must be finite"),
+    ],
+)
+def test_dispersion_rejects_nan(paper_disp, field, value, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(paper_disp, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["center_lambda", "fwhm_lambda"])
+def test_filter_rejects_nan(top_hat_filter, field):
+    with pytest.raises(ValueError, match=f"{field} must be positive, got nan"):
+        dataclasses.replace(top_hat_filter, **{field: math.nan})
 
 
 def test_default_grid_width(paper_disp, top_hat_filter):
