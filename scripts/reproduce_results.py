@@ -8,7 +8,6 @@ sweep, and the pump/efficiency budget. Each job runs through spdcpol.cli.main;
 the first that fails ends the run with its exit code.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ JOBS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli.Parser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=2024)
     args = parser.parse_args(argv)

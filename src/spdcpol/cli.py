@@ -26,16 +26,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_RUNNERS = {
-    "fringe": run_fringe,
-    "delay-scan": run_delay_scan,
-    "chsh": run_chsh,
-    "s-curve": run_s_curve,
-    "budget": run_budget,
+_COMMANDS = {  # subcommand: (runner, its --help line)
+    "fringe": (run_fringe, "coincidence fringes and visibilities (raw / accidental / subtracted)"),
+    "delay-scan": (run_delay_scan, "|V_int(tau)| curve and the optimal compensation delay"),
+    "chsh": (run_chsh, "single-point CHSH parameter with counts and sigma_S"),
+    "s-curve": (run_s_curve, "S(theta) sweep: model curve plus Monte-Carlo points"),
+    "budget": (run_budget, "pump-power chain and conversion-efficiency estimate"),
 }
+# main calls the runners through a dict of functions: perfbench/spans.py rebinds those
+_RUNNERS = {name: runner for name, (runner, _) in _COMMANDS.items()}
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one CONFIG_ERROR line, exit 2."""
 
     def error(self, message: str) -> NoReturn:
@@ -50,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parse_args leaves a parser unchanged, so one parser serves every main()
     call of a process; each call gets a fresh namespace of defaults.
     """
-    parser = _Parser(
+    parser = Parser(
         prog="spdcpol",
         description=(
             "Simulate and analyze polarization-entangled photon pairs from a "
@@ -59,14 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "fringe": "coincidence fringes and visibilities (raw / accidental / subtracted)",
-        "delay-scan": "|V_int(tau)| curve and the optimal compensation delay",
-        "chsh": "single-point CHSH parameter with counts and sigma_S",
-        "s-curve": "S(theta) sweep: model curve plus Monte-Carlo points",
-        "budget": "pump-power chain and conversion-efficiency estimate",
-    }
-    for name, help_text in descriptions.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", default=None, help="scenario JSON file")
         p.add_argument("--out", metavar="DIR", default="out", help="output directory (default: out)")

@@ -1,12 +1,12 @@
-"""Scenario configuration: JSON in, validated domain objects out.
+"""Scenario configuration: JSON in, checked domain objects out.
 
 One JSON file describes one scenario. A "preset" key (or --preset on the
 command line) expands a named bundle first; explicit keys in the file then
 override it, and command-line --seed/--runs override both.
 
-SCHEMA declares every key once. load_scenario checks the assembled scenario
-against it, so an unknown key, a wrong type, an out-of-range value or a scan
-of more than MAX_POINTS points fails at load, naming the key's full path.
+SCHEMA declares every key once. A ScenarioConfig checks its data against it
+when it is built, so an unknown key, a wrong type, an out-of-range value or a
+scan of more than MAX_POINTS points fails there, naming the key's full path.
 Interface units are the quoted lab units (nm, fs, ns, mW, degrees,
 ps/(nm km)), named in the keys; conversion to SI happens once, here, but for
 the angles records echo: their accessors return the degrees as configured.
@@ -285,6 +285,33 @@ class ScenarioConfig:
 
     data: dict[str, Any]
 
+    def __post_init__(self) -> None:
+        """Check every block against SCHEMA and the rules that span keys; then build
+        each domain object once, and its own checks catch the ranges that span keys
+        (the filter band against its centre, visibility_d against visibility_z)."""
+        for block, keys in SCHEMA.items():
+            _check_object(self.data.get(block), {n: key.check for n, key in keys.items()}, block)
+        for block in self.data:
+            if block not in SCHEMA:
+                raise ConfigurationError(f"unknown config key: {block}")
+        s = self.data["state"]
+        if (s["visibility_z"] is None) != (s["visibility_d"] is None):
+            raise ConfigurationError("state.visibility_z and visibility_d must be set together")
+        if s["coherence"] is not None and s["visibility_z"] is not None:
+            raise ConfigurationError(
+                "state: coherence and visibility_z/visibility_d are mutually exclusive"
+            )
+        for block, build in (
+            ("dispersion", self.dispersion),
+            ("filter", self.spectral_filter),
+            ("detector", self.detector),
+            ("state", self._override_state),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigurationError(f"{block}: {exc}") from exc
+
     def _si(self, block: str) -> dict[str, Any]:
         """The block as the keyword arguments of its domain object, in SI units."""
         values = self.data[block]
@@ -454,28 +481,6 @@ class ScenarioConfig:
         """Fully resolved echo, suitable for byte-identical re-runs."""
         return copy.deepcopy(self.data)
 
-    def validate(self) -> None:
-        """Rules that span keys; then each domain object is built once, and its
-        own checks catch the ranges that span keys (the filter band against its
-        centre, visibility_d against visibility_z)."""
-        s = self.data["state"]
-        if (s["visibility_z"] is None) != (s["visibility_d"] is None):
-            raise ConfigurationError("state.visibility_z and visibility_d must be set together")
-        if s["coherence"] is not None and s["visibility_z"] is not None:
-            raise ConfigurationError(
-                "state: coherence and visibility_z/visibility_d are mutually exclusive"
-            )
-        for block, build in (
-            ("dispersion", self.dispersion),
-            ("filter", self.spectral_filter),
-            ("detector", self.detector),
-            ("state", self._override_state),
-        ):
-            try:
-                build()
-            except ValueError as exc:
-                raise ConfigurationError(f"{block}: {exc}") from exc
-
 
 def load_scenario(
     config_path: str | Path | None = None,
@@ -483,7 +488,7 @@ def load_scenario(
     seed: int | None = None,
     runs: int | None = None,
 ) -> ScenarioConfig:
-    """Assemble a scenario: defaults <- preset <- file <- CLI overrides."""
+    """Assemble a scenario, defaults <- preset <- file <- CLI overrides, and build it."""
     data = base_config_dict()
 
     file_dict: dict[str, Any] = {}
@@ -493,6 +498,8 @@ def load_scenario(
             raise ConfigurationError(f"config file not found: {path}")
         try:
             file_dict = json.loads(path.read_text())
+        except OSError as exc:  # a file that exists but cannot be read
+            raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             # RecursionError: arrays or objects nested deeper than json.loads can follow
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
@@ -509,15 +516,7 @@ def load_scenario(
         _merge(data, copy.deepcopy(PRESETS[preset_name]))
 
     _merge(data, file_dict)
-    for block in data:
-        if block not in SCHEMA:
-            raise ConfigurationError(f"unknown config key: {block}")
-        _check_object(data[block], {name: key.check for name, key in SCHEMA[block].items()}, block)
     for key, value in (("seed", seed), ("runs", runs)):
-        if value is not None:
-            SCHEMA["run"][key].check(int(value), f"run.{key}")
+        if value is not None and isinstance(data["run"], dict):  # else the check rejects run
             data["run"][key] = int(value)
-
-    cfg = ScenarioConfig(data=data)
-    cfg.validate()
-    return cfg
+    return ScenarioConfig(data=data)

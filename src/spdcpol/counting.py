@@ -69,6 +69,11 @@ class DetectorModel:
         if not self.accidental_calibration >= 0:
             raise ValueError("accidental_calibration must be nonnegative")
 
+    @property
+    def duty_cycle(self) -> float:
+        """Fraction of the time the gates are open: trigger rate x gate width."""
+        return self.trigger_rate * self.gate_width
+
 
 def derive_seed(seed: int, *indices: int) -> int:
     """Deterministic child seed for (seed, run/setting indices)."""
@@ -203,12 +208,11 @@ def efficiency_budget(
     power_in_guide = pump_power_in * objective_T * facet_T * overlap
     if power_in_guide <= 0:
         raise ValueError("no pump power reaches the guide; budget undefined")
-    duty = model.trigger_rate * model.gate_width
-    if duty <= 0:
+    if model.duty_cycle <= 0:
         raise ValueError("gate duty cycle must be positive")
     if model.efficiency_1 <= 0 or model.efficiency_2 <= 0:
         raise ValueError("detector efficiencies must be positive to unfold a pair rate")
-    detected = model.efficiency_1 * model.efficiency_2 * duty * 0.5
+    detected = model.efficiency_1 * model.efficiency_2 * model.duty_cycle * 0.5
     pair_rate = measured_cc_rate / detected / collection_T_per_arm**2
     pump_flux = power_in_guide / (HBAR * omega_from_lambda(pump_lambda))
     return power_in_guide, pair_rate, pair_rate / pump_flux

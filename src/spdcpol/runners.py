@@ -380,7 +380,7 @@ def run_budget(cfg: ScenarioConfig) -> ResultRecord:
         "power_in_guide_mw": power_in_guide * 1e3,
         "inferred_pair_rate_hz": pair_rate,
         "spdc_efficiency": efficiency,
-        "duty_cycle": model.trigger_rate * model.gate_width,
+        "duty_cycle": model.duty_cycle,
         "measured_cc_rate_hz": inputs["measured_cc_rate"],
     }
     for key, value in record.scalars.items():  # Python floats overflow without raising

@@ -261,6 +261,23 @@ def test_deeply_nested_config_exits_2(tmp_path, run_cli):
     assert "Traceback" not in result.stderr
 
 
+def test_unreadable_config_exits_2(tmp_path, run_cli, monkeypatch):
+    cfg = tmp_path / "locked.json"
+    cfg.write_text("{}")
+
+    def refuse(path, *args, **kwargs):  # as for a file of mode 000, or /proc/self/mem
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    out = tmp_path / "o"
+    result = run_cli("budget", "--config", str(cfg), "--out", str(out))
+    assert _single_config_error(result) == (
+        f"CONFIG_ERROR: cannot read config file {cfg}: [Errno 13] Permission denied: '{cfg}'"
+    )
+    assert "Traceback" not in result.stderr and result.stdout == ""
+    assert not out.exists()
+
+
 def test_out_naming_a_file_exits_2(tmp_path, run_cli):
     out = tmp_path / "taken"
     out.write_text("not a directory\n")

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -11,7 +12,7 @@ from spdcpol import state as state_mod
 from spdcpol.config import PRESETS, ScenarioConfig, base_config_dict, load_scenario
 
 
-def test_defaults_load_and_validate():
+def test_defaults_load_and_build():
     cfg = load_scenario()
     disp = cfg.dispersion()
     assert_allclose(disp.length_L, 1.2e-3)
@@ -70,6 +71,68 @@ def test_cli_overrides_take_precedence(tmp_path):
     cfg = load_scenario(config_path=path, seed=99, runs=5)
     assert cfg.seed() == 99
     assert cfg.runs() == 5
+
+
+def _write(tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"detector": {"gate_widht_ns": 1.0}}, "unknown config key: detector.gate_widht_ns"),
+        ({"detectors": {}}, "unknown config key: detectors"),
+        ({"filter": {"fwhm_nm": -3}}, "filter.fwhm_nm must be a number in (0, inf), got -3"),
+        ({"state": {"visibility_z": 0.8}}, "state.visibility_z and visibility_d must be set together"),
+        ({"run": 5}, "run must be an object, got 5"),
+    ],
+)
+def test_scenario_config_checks_itself_on_construction(tmp_path, scenario, message):
+    # with no further call, building it raises what load_scenario raises for the same scenario
+    data = base_config_dict()
+    config._merge(data, copy.deepcopy(scenario))
+    path = _write(tmp_path, scenario)
+    for build in (lambda: ScenarioConfig(data), lambda: load_scenario(config_path=path)):
+        with pytest.raises(ConfigurationError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_scenario_config_without_a_block_names_it():
+    data = base_config_dict()
+    del data["budget"]
+    with pytest.raises(ConfigurationError, match=r"^budget must be an object, got null$"):
+        ScenarioConfig(data)
+
+
+def test_flags_are_checked_in_the_scenario_that_runs(tmp_path):
+    # a file value a flag overrides is never checked: the merged scenario is
+    path = _write(tmp_path, {"run": {"seed": -1}})
+    assert load_scenario(config_path=path, seed=5).seed() == 5
+    with pytest.raises(ConfigurationError, match=r"^run\.seed must be an integer"):
+        load_scenario(config_path=path)
+
+
+@pytest.mark.parametrize(
+    "scenario, flags, first",
+    [  # the first error follows SCHEMA order, whether it came from the file or a flag
+        ({"budget": {"pump_power_mw": -1}}, {"seed": -1}, "run.seed"),
+        ({"run": {"runs": 0}}, {"seed": -1}, "run.seed"),
+        ({"run": {"seed": -1}}, {"runs": 0}, "run.seed"),
+        ({"dispersion": {"length_mm": -1}}, {"runs": 0}, "dispersion.length_mm"),
+    ],
+)
+def test_first_error_of_file_and_flags_follows_schema_order(tmp_path, scenario, flags, first):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(first)} must be"):
+        load_scenario(config_path=_write(tmp_path, scenario), **flags)
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_non_object_block_is_reported_with_or_without_a_flag(tmp_path, seed):
+    with pytest.raises(ConfigurationError, match=r"^run must be an object, got 5$"):
+        load_scenario(config_path=_write(tmp_path, {"run": 5}), seed=seed)
 
 
 def test_invalid_values_fail_at_load(tmp_path):

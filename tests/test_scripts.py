@@ -50,10 +50,10 @@ def test_bandwidth_delay_study_rows_equal_delay_scan_records(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "center_nm, code, line",
-    [
-        ("nan", 2, "CONFIG_ERROR: filter: center_lambda must be positive, got nan"),
-        ("-5", 2, "CONFIG_ERROR: filter: center_lambda must be positive, got -5e-09"),
-        ("1e400", 3, "NUMERICAL_ERROR: the top-hat band does not pass the degenerate"),
+    [  # the lines `spdcpol` prints for the same filter.center_nm
+        ("nan", 2, "CONFIG_ERROR: filter.center_nm must be a number in (0, inf), got NaN"),
+        ("-5", 2, "CONFIG_ERROR: filter.center_nm must be a number in (0, inf), got -5.0"),
+        ("1e400", 2, "CONFIG_ERROR: filter.center_nm must be a number in (0, inf), got Infinity"),
     ],
 )
 def test_bandwidth_delay_study_errors_are_one_stderr_line(tmp_path, capsys, center_nm, code, line):
@@ -63,6 +63,29 @@ def test_bandwidth_delay_study_errors_are_one_stderr_line(tmp_path, capsys, cent
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(line)
     assert captured.err.count("\n") == 1 and not out.exists()
+
+
+def test_bandwidth_delay_study_out_naming_a_directory_exits_2(tmp_path, capsys):
+    assert _script("bandwidth_delay_study").main(["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG_ERROR: cannot write --out: ") and err.count("\n") == 1
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "script, argv, line",
+    [
+        ("bandwidth_delay_study", ["--center-nm", "abc"], "argument --center-nm: invalid float"),
+        ("reproduce_results", ["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    ],
+)
+def test_bad_flag_value_is_one_config_error_line(tmp_path, capsys, script, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        _script(script).main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"CONFIG_ERROR: {line}")
+    assert captured.err.count("\n") == 1 and list(tmp_path.iterdir()) == []
 
 
 def test_reproduce_results_writes_every_job(tmp_path, capsys):
