@@ -4,9 +4,10 @@ One JSON file describes one scenario. A "preset" key (or --preset on the
 command line) expands a named bundle first; explicit keys in the file then
 override it, and command-line --seed/--runs override both.
 
-SCHEMA declares every key once. A ScenarioConfig checks its data against it
-when it is built, so an unknown key, a wrong type, an out-of-range value or a
-scan of more than MAX_POINTS points fails there, naming the key's full path.
+SCHEMA declares every key once. A ScenarioConfig checks a private copy of its
+data against it when it is built, so an unknown key, a wrong type, an
+out-of-range value or a scan of more than MAX_POINTS points fails there, naming
+the key's full path. It holds the domain objects it built; accessors return them.
 Interface units are the quoted lab units (nm, fs, ns, mW, degrees,
 ps/(nm km)), named in the keys; conversion to SI happens once, here, but for
 the angles records echo: their accessors return the degrees as configured.
@@ -19,7 +20,6 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -279,42 +279,42 @@ def _merge(base: dict[str, Any], override: dict[str, Any]) -> None:
 _last_delay_search: tuple[tuple[Any, ...], float] | None = None
 
 
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario; accessors build the SI domain objects."""
+    """Fully resolved scenario: a private copy of its data and the SI domain objects it built."""
 
-    data: dict[str, Any]
-
-    def __post_init__(self) -> None:
-        """Check every block against SCHEMA and the rules that span keys; then build
-        each domain object once, and its own checks catch the ranges that span keys
-        (the filter band against its centre, visibility_d against visibility_z)."""
+    def __init__(self, data: dict[str, Any]) -> None:
+        """Check a private copy of data against SCHEMA and the rules that span keys; then
+        build and keep each domain object, whose own checks catch the ranges that span
+        keys (the filter band against its centre, visibility_d against visibility_z)."""
+        self._data = data = copy.deepcopy(data)
         for block, keys in SCHEMA.items():
-            _check_object(self.data.get(block), {n: key.check for n, key in keys.items()}, block)
-        for block in self.data:
+            _check_object(data.get(block), {n: key.check for n, key in keys.items()}, block)
+        for block in data:
             if block not in SCHEMA:
                 raise ConfigurationError(f"unknown config key: {block}")
-        s = self.data["state"]
+        s = data["state"]
         if (s["visibility_z"] is None) != (s["visibility_d"] is None):
             raise ConfigurationError("state.visibility_z and visibility_d must be set together")
         if s["coherence"] is not None and s["visibility_z"] is not None:
             raise ConfigurationError(
                 "state: coherence and visibility_z/visibility_d are mutually exclusive"
             )
+        built = []
         for block, build in (
-            ("dispersion", self.dispersion),
-            ("filter", self.spectral_filter),
-            ("detector", self.detector),
-            ("state", self._override_state),
+            ("dispersion", spectral.WaveguideDispersion),
+            ("filter", spectral.SpectralFilter),
+            ("detector", DetectorModel),
+            ("state", None),  # the override state, or None
         ):
             try:
-                build()
+                built.append(self._override_state() if build is None else build(**self._si(block)))
             except ValueError as exc:
                 raise ConfigurationError(f"{block}: {exc}") from exc
+        self._dispersion, self._filter, self._detector, self._override = built
 
     def _si(self, block: str) -> dict[str, Any]:
         """The block as the keyword arguments of its domain object, in SI units."""
-        values = self.data[block]
+        values = self._data[block]
         return {
             key.field: values[name] if key.si is None else float(values[name]) * key.si
             for name, key in SCHEMA[block].items()
@@ -322,18 +322,18 @@ class ScenarioConfig:
 
     # -- spectral ------------------------------------------------------------
     def dispersion(self) -> spectral.WaveguideDispersion:
-        return spectral.WaveguideDispersion(**self._si("dispersion"))
+        return self._dispersion
 
     def spectral_filter(self) -> spectral.SpectralFilter:
-        return spectral.SpectralFilter(**self._si("filter"))
+        return self._filter
 
     def grid(self) -> spectral.SpectralGrid:
         """spectral.default_grid for the delays this config can ask for, up to _tau_max()."""
-        g = self.data["grid"]
+        g = self._data["grid"]
         omega_max = g["omega_max_rad_s"]
         return spectral.default_grid(
-            self.dispersion(),
-            self.spectral_filter(),
+            self._dispersion,
+            self._filter,
             self._tau_max(),
             None if omega_max is None else float(omega_max),
             g["n_points"],
@@ -345,16 +345,16 @@ class ScenarioConfig:
         scan and a configured state.tau_fs. From the config alone, so that every
         command builds one grid."""
         scan = self.delay_scan_fs()
-        tau = self.data["state"]["tau_fs"]
+        tau = self._data["state"]["tau_fs"]
         return max(
-            abs(self.dispersion().half_walkoff) + state_mod.DELAY_HALF_WIDTH,
+            abs(self._dispersion.half_walkoff) + state_mod.DELAY_HALF_WIDTH,
             fs(abs(float(scan["start"]))),
             fs(abs(float(scan["stop"]))),
             0.0 if tau == "optimize" else fs(abs(float(tau))),
         )
 
     def build_jsa(self) -> spectral.JointSpectralAmplitude:
-        return spectral.build_jsa(self.dispersion(), self.spectral_filter(), self.grid())
+        return spectral.build_jsa(self._dispersion, self._filter, self.grid())
 
     def optimal_delay(self, jsa: spectral.JointSpectralAmplitude) -> float:
         """state.optimal_delay of jsa, which must be this scenario's build_jsa(),
@@ -366,24 +366,23 @@ class ScenarioConfig:
         raises is not kept, so it raises again when repeated.
         """
         global _last_delay_search
-        disp = self.dispersion()
         fields = (
-            *dataclasses.astuple(disp),
-            *dataclasses.astuple(self.spectral_filter()),
+            *dataclasses.astuple(self._dispersion),
+            *dataclasses.astuple(self._filter),
             *dataclasses.astuple(jsa.grid),
         )
         key = tuple(v.hex() if isinstance(v, float) else v for v in fields)  # 0.0 != -0.0 here
         if _last_delay_search is None or _last_delay_search[0] != key:
-            _last_delay_search = (key, state_mod.optimal_delay(jsa, disp.half_walkoff))
+            _last_delay_search = (key, state_mod.optimal_delay(jsa, self._dispersion.half_walkoff))
         return _last_delay_search[1]
 
     # -- state ---------------------------------------------------------------
     def phi_bs(self) -> float:
-        return float(self.data["state"]["phi_bs_rad"])
+        return float(self._data["state"]["phi_bs_rad"])
 
     def _override_state(self) -> tuple[state_mod.TwoQubitState, dict[str, Any]] | None:
         """The state set directly by the visibility pair or the coherence, if either is."""
-        s = self.data["state"]
+        s = self._data["state"]
         if s["visibility_z"] is not None:
             v_z, v_d = float(s["visibility_z"]), float(s["visibility_d"])
             info = {"state_source": "visibility_override", "visibility_z": v_z, "visibility_d": v_d}
@@ -396,11 +395,10 @@ class ScenarioConfig:
 
     def resolve_state(self) -> tuple[state_mod.TwoQubitState, dict[str, Any]]:
         """Two-qubit state plus a scalar report of how it was obtained."""
-        override = self._override_state()
-        if override is not None:
-            return override
+        if self._override is not None:  # a copy of info, so that callers cannot edit the kept one
+            return self._override[0], dict(self._override[1])
         jsa = self.build_jsa()
-        tau = self.data["state"]["tau_fs"]
+        tau = self._data["state"]["tau_fs"]
         optimize = tau == "optimize"
         delay = self.optimal_delay(jsa) if optimize else fs(float(tau))
         v_int = state_mod.overlap_scan(jsa, delay, 0.0, 1)[0]
@@ -417,35 +415,35 @@ class ScenarioConfig:
 
     # -- detector / run --------------------------------------------------------
     def detector(self) -> DetectorModel:
-        return DetectorModel(**self._si("detector"))
+        return self._detector
 
     def counting(self) -> tuple[DetectorModel, float, float]:
         """What the expected counts take: (detector, pair rate Hz, integration time s)."""
-        run = self.data["run"]
-        return self.detector(), float(run["pair_rate_hz"]), float(run["integration_time_s"])
+        run = self._data["run"]
+        return self._detector, float(run["pair_rate_hz"]), float(run["integration_time_s"])
 
     def seed(self) -> int:
-        return self.data["run"]["seed"]
+        return self._data["run"]["seed"]
 
     def runs(self) -> int:
-        return self.data["run"]["runs"]
+        return self._data["run"]["runs"]
 
     def fringe_theta1_deg(self) -> list[float]:
-        return [float(t) for t in self.data["run"]["fringe_theta1_deg"]]
+        return [float(t) for t in self._data["run"]["fringe_theta1_deg"]]
 
     def fringe_theta2_deg(self) -> np.ndarray:
-        return _scan_values(self.data["run"]["fringe_theta2_deg"])
+        return _scan_values(self._data["run"]["fringe_theta2_deg"])
 
     def s_curve_theta_deg(self) -> np.ndarray:
-        return _scan_values(self.data["run"]["s_curve_theta_deg"])
+        return _scan_values(self._data["run"]["s_curve_theta_deg"])
 
     def delay_scan_fs(self) -> dict[str, Any]:
         """run.delay_scan_fs; null is DELAY_SCAN_HALF_WIDTH_FS either side of the point
         of the DELAY_SCAN_STEP_FS lattice nearest delta*L/2."""
-        block = self.data["run"]["delay_scan_fs"]
+        block = self._data["run"]["delay_scan_fs"]
         if block is not None:
             return block
-        steps = to_fs(self.dispersion().half_walkoff) / DELAY_SCAN_STEP_FS
+        steps = to_fs(self._dispersion.half_walkoff) / DELAY_SCAN_STEP_FS
         if not abs(steps) < 2**52:  # else the window's lattice points are not all floats
             raise ConfigurationError(
                 f"delta*L/2 = {steps * DELAY_SCAN_STEP_FS:.3e} fs is too large to centre "
@@ -464,7 +462,7 @@ class ScenarioConfig:
         """The CHSH setting (theta1, theta1p, theta2, theta2p): its angles in degrees
         as configured, and its (1, 4) row in radians. The canonical family of
         t = run.chsh_theta_deg is built from t in each unit."""
-        run = self.data["run"]
+        run = self._data["run"]
         if run["chsh_angles_deg"] is None:
             t = float(run["chsh_theta_deg"])
             deg, rad = canonical_settings(t), canonical_settings([math.radians(t)])
@@ -479,7 +477,7 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Fully resolved echo, suitable for byte-identical re-runs."""
-        return copy.deepcopy(self.data)
+        return copy.deepcopy(self._data)
 
 
 def load_scenario(
@@ -518,5 +516,5 @@ def load_scenario(
     _merge(data, file_dict)
     for key, value in (("seed", seed), ("runs", runs)):
         if value is not None and isinstance(data["run"], dict):  # else the check rejects run
-            data["run"][key] = int(value)
+            data["run"][key] = value  # as given: the check rejects 2.7, True and "abc"
     return ScenarioConfig(data=data)

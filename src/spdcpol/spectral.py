@@ -23,7 +23,7 @@ there to compensate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -269,11 +269,12 @@ def _grid_points(disp: WaveguideDispersion, omega_max: float, tau_max: float) ->
     carries at most MAX_PHASE_STEP of sinc phase and of delay phase 2*Omega*tau_max.
 
     phi = c1*Omega + c2*Omega^2 + const, so its steepest slope on the span,
-    |c1| + 2|c2|W, is read off phase_mismatch at -W and W without delta0, which
-    only adds a constant (and would drown the terms in Omega in rounding).
+    |c1| + 2|c2|W, is read off phi at -W and W without delta0, which only adds a
+    constant (and would drown the terms in Omega in rounding).
     Raises DegenerateDataError when that takes more than MAX_POINTS points.
     """
-    phi_lo, phi_hi = phase_mismatch(np.array([-omega_max, omega_max]), replace(disp, delta0=0.0))
+    omega = np.array([-omega_max, omega_max])
+    phi_lo, phi_hi = (-disp.delta * omega - disp.beta2 * omega**2) * (disp.length_L / 2.0)
     slope = (0.5 * abs(phi_hi - phi_lo) + abs(phi_hi + phi_lo)) / omega_max
     steps = max(slope, 2.0 * tau_max) * omega_max / MAX_PHASE_STEP  # per half-span
     finite = math.isfinite(steps)  # NaN and inf: no count is enough

@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import math
@@ -10,6 +11,8 @@ from numpy.testing import assert_allclose
 from spdcpol import ConfigurationError, DegenerateDataError, config, spectral
 from spdcpol import state as state_mod
 from spdcpol.config import PRESETS, ScenarioConfig, base_config_dict, load_scenario
+from spdcpol.counting import DetectorModel
+from spdcpol.runners import run_budget, run_chsh, run_delay_scan, run_fringe
 
 
 def test_defaults_load_and_build():
@@ -40,12 +43,12 @@ def test_unknown_top_level_key(tmp_path):
 
 def test_preset_bundles():
     cal = load_scenario(preset="paper-calibrated")
-    assert cal.data["state"]["coherence"] == 0.91
-    assert cal.data["detector"]["accidental_calibration"] == 0.026
+    assert cal.to_dict()["state"]["coherence"] == 0.91
+    assert cal.to_dict()["detector"]["accidental_calibration"] == 0.026
 
     raw = load_scenario(preset="raw-visibility")
-    assert raw.data["state"]["visibility_z"] == 0.80
-    assert raw.data["detector"]["gate_width_ns"] == 20.0
+    assert raw.to_dict()["state"]["visibility_z"] == 0.80
+    assert raw.to_dict()["detector"]["gate_width_ns"] == 20.0
     assert raw.counting()[1:] == (0.6, 120.0)
 
     off = load_scenario(preset="gvd-off")
@@ -56,7 +59,7 @@ def test_preset_key_inside_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"preset": "paper-ideal", "run": {"seed": 7}}))
     cfg = load_scenario(config_path=path)
-    assert cfg.data["state"]["coherence"] == 1.0
+    assert cfg.to_dict()["state"]["coherence"] == 1.0
     assert cfg.seed() == 7
 
 
@@ -127,6 +130,14 @@ def test_flags_are_checked_in_the_scenario_that_runs(tmp_path):
 def test_first_error_of_file_and_flags_follows_schema_order(tmp_path, scenario, flags, first):
     with pytest.raises(ConfigurationError, match=f"^{re.escape(first)} must be"):
         load_scenario(config_path=_write(tmp_path, scenario), **flags)
+
+
+@pytest.mark.parametrize("key", ["seed", "runs"])
+@pytest.mark.parametrize("value", [2.7, True, "abc"])
+def test_seed_and_runs_flags_are_checked_as_given(key, value):
+    # not converted first: int() made 2.7 seed 2 and True one run, and "abc" a bare ValueError
+    with pytest.raises(ConfigurationError, match=rf"^run\.{key} must be an integer in"):
+        load_scenario(**{key: value})
 
 
 @pytest.mark.parametrize("seed", [None, 5])
@@ -216,12 +227,14 @@ def test_default_delay_scan_is_centred_on_half_walkoff():
     taus, step = cfg.delay_scan_grid_fs()
     assert taus.size == 801 and step == 0.5
     data["run"]["delay_scan_fs"] = {"start": -1.0, "stop": 1.0, "step": 0.5}
-    assert cfg.delay_scan_fs() == {"start": -1.0, "stop": 1.0, "step": 0.5}
+    assert ScenarioConfig(data=data).delay_scan_fs() == {"start": -1.0, "stop": 1.0, "step": 0.5}
     data["run"]["delay_scan_fs"] = None
-    for length_mm in (1e15, float("inf")):  # walk-offs beyond the reach of a 0.5 fs lattice
-        data["dispersion"]["length_mm"] = length_mm
-        with pytest.raises(ConfigurationError, match="too large to centre"):
-            cfg.delay_scan_fs()
+    data["dispersion"]["length_mm"] = 1e15  # a walk-off beyond the reach of a 0.5 fs lattice
+    with pytest.raises(ConfigurationError, match="too large to centre"):
+        ScenarioConfig(data=data).delay_scan_fs()
+    data["dispersion"]["length_mm"] = float("inf")  # an infinite one fails the check first
+    with pytest.raises(ConfigurationError, match=r"dispersion\.length_mm must be a number in"):
+        ScenarioConfig(data=data)
 
 
 def test_state_tau_string_only_optimize(tmp_path):
@@ -266,9 +279,9 @@ def test_explicit_chsh_angles(tmp_path):
 
 @pytest.mark.parametrize("t", [22.5, 67.5, -37.1, 1e-300, 3.3e307, 0.1])
 def test_canonical_chsh_settings_built_from_t_in_each_unit(t):
-    cfg = load_scenario()
-    cfg.data["run"]["chsh_theta_deg"] = t
-    deg, rad = cfg.chsh_settings()
+    data = base_config_dict()
+    data["run"]["chsh_theta_deg"] = t
+    deg, rad = ScenarioConfig(data=data).chsh_settings()
     assert deg == {"theta1": 0.0, "theta1p": -2.0 * t, "theta2": t, "theta2p": 3.0 * t}
     r = math.radians(t)  # not radians(3t): the two can differ in the last bit
     assert rad.shape == (1, 4) and rad.tolist() == [[0.0, -2.0 * r, r, 3.0 * r]]
@@ -282,9 +295,9 @@ def test_canonical_chsh_settings_built_from_t_in_each_unit(t):
     ],
 )
 def test_explicit_chsh_settings_are_each_angle_in_radians(angles):
-    cfg = load_scenario()
-    cfg.data["run"]["chsh_angles_deg"] = angles
-    deg, rad = cfg.chsh_settings()
+    data = base_config_dict()
+    data["run"]["chsh_angles_deg"] = angles
+    deg, rad = ScenarioConfig(data=data).chsh_settings()
     assert deg == angles and all(type(v) is float for v in deg.values())
     assert rad.tolist() == [[math.radians(angles[k]) for k in deg]]
 
@@ -296,6 +309,40 @@ def test_echo_reloads_identically(tmp_path):
     path.write_text(json.dumps(echo))
     again = load_scenario(config_path=path)
     assert again.to_dict() == echo
+
+
+def test_a_checked_scenario_builds_each_domain_object_once(monkeypatch):
+    built = collections.Counter()
+    for cls in (spectral.WaveguideDispersion, spectral.SpectralFilter, DetectorModel):
+
+        def counted(self, *args, init=cls.__init__, **kwargs):
+            built[type(self).__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    cfg = load_scenario()
+    for run in (run_delay_scan, run_fringe, run_chsh, run_budget):
+        run(cfg)
+    assert built == {"WaveguideDispersion": 1, "SpectralFilter": 1, "DetectorModel": 1}
+    assert cfg.dispersion() is cfg.dispersion() and cfg.detector() is cfg.counting()[0]
+
+
+@pytest.mark.parametrize("preset", [None, "paper-calibrated"])  # a spectral, an override state
+def test_a_checked_scenario_cannot_change_after_construction(preset):
+    data = load_scenario(preset=preset).to_dict()
+    cfg = ScenarioConfig(data=data)
+    data["state"]["coherence"] = 0.3
+    data["run"]["chsh_theta_deg"] = 10.0
+    data["detector"]["accidental_calibration"] = 2.0
+    echo = cfg.to_dict()
+    echo["state"]["phi_bs_rad"] = 1.0
+    echo["run"]["seed"] = 7
+    cfg.resolve_state()[1]["state_source"] = "edited"
+    fresh = ScenarioConfig(data=load_scenario(preset=preset).to_dict())
+    assert cfg.to_dict() == fresh.to_dict()
+    (state, info), (fresh_state, fresh_info) = cfg.resolve_state(), fresh.resolve_state()
+    assert info == fresh_info and np.array_equal(state.rho, fresh_state.rho)
+    assert run_chsh(cfg) == run_chsh(fresh)
 
 
 def test_base_dict_is_a_copy():

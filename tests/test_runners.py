@@ -23,9 +23,17 @@ from spdcpol import (
     phase_mismatch,
     runners,
 )
-from spdcpol.config import load_scenario
+from spdcpol.config import ScenarioConfig, base_config_dict, load_scenario
 from spdcpol.counting import accidental_rate, derive_seed
 from spdcpol.runners import run_budget, run_chsh, run_delay_scan, run_fringe, run_s_curve
+
+
+def scenario(**edits):
+    """The default scenario with each block's keys updated from edits."""
+    data = base_config_dict()
+    for block, values in edits.items():
+        data[block].update(values)
+    return ScenarioConfig(data=data)
 
 
 def test_fringe_ideal_unit_visibility_both_bases():
@@ -50,9 +58,7 @@ def test_chsh_ideal_maximal_violation():
 
 
 def test_chsh_zero_coherence():
-    cfg = load_scenario()
-    cfg.data["state"]["coherence"] = 0.0
-    record = run_chsh(cfg)
+    record = run_chsh(scenario(state={"coherence": 0.0}))
     assert_allclose(record.scalars["s_model"], np.sqrt(2.0), atol=1e-9)
 
 
@@ -65,9 +71,7 @@ def test_chsh_raw_visibility_model_point():
 def test_chsh_explicit_angles_on_coherence_state():
     c = 0.83
     angles = {"theta1": 12.0, "theta1p": -61.0, "theta2": 33.5, "theta2p": 101.0}
-    cfg = load_scenario()
-    cfg.data["state"]["coherence"] = c
-    cfg.data["run"]["chsh_angles_deg"] = angles
+    cfg = scenario(state={"coherence": c}, run={"chsh_angles_deg": angles})
     t1, t1p, t2, t2p = np.radians([angles[k] for k in ("theta1", "theta1p", "theta2", "theta2p")])
 
     def e(a, b):
@@ -82,10 +86,8 @@ def test_chsh_explicit_angles_on_coherence_state():
 def test_angles_are_echoed_as_configured():
     # degrees(radians(x)) is not always x: 12 became 12.000000000000002, 30 (a fringe
     # lattice point) 29.999999999999996 and -62.5 (an S(theta) point) -62.50000000000001
-    cfg = load_scenario()
-    cfg.data["run"]["fringe_theta1_deg"] = [0, 12]
     angles = {"theta1": 12, "theta1p": -61, "theta2": 30, "theta2p": 101}
-    cfg.data["run"]["chsh_angles_deg"] = angles
+    cfg = scenario(run={"fringe_theta1_deg": [0, 12], "chsh_angles_deg": angles})
     fringe = run_fringe(cfg)
     assert [basis["theta1_deg"] for basis in fringe.scalars["bases"]] == [0.0, 12.0]
     for table in fringe.tables.values():
@@ -104,13 +106,11 @@ def test_angles_are_echoed_as_configured():
 def test_delays_are_echoed_as_configured():
     # to_fs(fs(x)) is not always x: the optimum 22.25 became 22.250000000000004, a
     # configured 30.1 fs 30.100000000000005 and -178 (a curve point) -178.00000000000003
-    cfg = load_scenario()
-    scan = run_delay_scan(cfg)
+    scan = run_delay_scan(load_scenario())
     curve = scan.tables["curve"]["rows"]
     assert [row[0] for row in curve] == [-178.0 + 0.5 * k for k in range(801)]
     assert scan.scalars["tau_star_fs"] == 22.25
-    cfg.data["state"]["tau_fs"] = 30.1
-    chsh = run_chsh(cfg)
+    chsh = run_chsh(scenario(state={"tau_fs": 30.1}))
     assert chsh.scalars["tau_source"] == "configured"
     assert chsh.scalars["tau_fs"] == 30.1
 
