@@ -23,7 +23,8 @@ The matrix, each case one spdcpol.cli.main call unless said otherwise:
     explicit angles with a negative signed S, chsh_theta_deg 67.5, an
     off-lattice S(theta) grid, explicit angles on a spectral state
   - known defects and error exits: angles and delays echoed as configured,
-    the fringe grid checked at load, a run.chsh_theta_deg whose angle 3t
+    the fringe grid checked at load (too short, or a 90-degree step on which
+    the fit design is singular), a run.chsh_theta_deg whose angle 3t
     overflows, a budget whose duty cycle overflows, and a top-hat band that
     misses the degenerate wavelength
   - one sequence case: delay-scan, fringe and chsh on 4097-, 16385- and then
@@ -95,6 +96,10 @@ GENERATED = {  # stem -> (scenario, commands)
     "short-fringe-grid": (
         {"run": {"fringe_theta2_deg": {"start": 0, "stop": 90, "step": 10}}},
         ("budget", "delay-scan"),
+    ),
+    "fringe-grid-90deg": (
+        {"run": {"fringe_theta2_deg": {"start": 0, "stop": 360, "step": 90}}},
+        ("fringe",),
     ),
     "tau-30.1": ({"state": {"tau_fs": 30.1}}, ("fringe",)),
     "delays-10.1": (

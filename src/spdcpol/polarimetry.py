@@ -26,6 +26,7 @@ t = 22.5 degrees.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -73,14 +74,27 @@ class FringeFit(NamedTuple):
     visibility: float | NDArray[np.float64]
 
 
+# Scale-free 4 det(G) / n^3 of the fit design's Gram matrix G: 1 on a uniform full
+# turn, about 1e-31 where every 2 theta is 0 or pi and the design has rank 2.
+DESIGN_DET_FLOOR = 1e-6
+
+
 # Keyed by the angles' bytes and kept for the last grid only: a runner fits
-# every fringe on one grid, so one SVD serves all of its fits.
+# every fringe on one grid, so one inverse serves all of its fits.
 @functools.lru_cache(maxsize=1)
 def _design_pinv(theta_bytes: bytes) -> NDArray[np.float64]:
-    """Pseudo-inverse of the [1, cos 2theta, sin 2theta] design, shape (3, n)."""
+    """Pseudo-inverse G^-1 D^T of the design D = [1, cos 2theta, sin 2theta], shape (3, n), from
+    math.fsum sums, cofactors and elementwise products: no CPU-chosen BLAS kernel touches a fit."""
     theta = np.frombuffer(theta_bytes, dtype=np.float64)
-    design = np.column_stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
-    pinv = np.linalg.pinv(design)
+    d = (np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta))
+    g = np.array([[math.fsum(x * y) for y in d] for x in d])
+    cof = np.cross(g[[1, 2, 0]], g[[2, 0, 1]])  # row i: g_i+1 x g_i+2, G's cofactors
+    det = math.fsum(g[0] * cof[0])
+    if not 4.0 * det > DESIGN_DET_FLOOR * theta.size**3:
+        raise DegenerateDataError(
+            f"fringe-fit design is singular on these angles (4 det(G)/n^3 < {DESIGN_DET_FLOOR:g})"
+        )
+    pinv = (cof[:, :1] * d[0] + cof[:, 1:2] * d[1] + cof[:, 2:] * d[2]) / det
     pinv.flags.writeable = False  # shared by every later fit on these angles
     return pinv
 
@@ -96,8 +110,9 @@ def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> Fring
     fringe the same fit whatever batch it is in.
 
     Returns visibility = b / a unclamped, so count-level noise propagates
-    into the estimate without bias. Expects at least 4 samples spanning a
-    full turn for a well-posed fit; callers enforce their own grid rules.
+    into the estimate without bias. Raises DegenerateDataError for angles on
+    which the design is singular, such as a 90-degree step; callers enforce
+    their own grid rules (check_theta2_grid).
     """
     theta = np.asarray(theta, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -126,11 +141,16 @@ class FringeResult:
 
 def check_theta2_grid(grid: NDArray[np.float64]) -> None:
     """Raise ConfigurationError unless the theta2 grid (radians) holds at least 4
-    points and spans a full turn, as fringe_scan's fit needs."""
+    points, spans a full turn and gives fit_fringe a non-singular design, as
+    fringe_scan's fit needs."""
     if grid.size < 4:
         raise ConfigurationError(f"theta2 grid needs at least 4 points, got {grid.size}")
     if grid.max() - grid.min() < 2.0 * np.pi - 1e-9:
         raise ConfigurationError("theta2 grid must span at least 360 degrees")
+    try:
+        _design_pinv(grid.tobytes())
+    except DegenerateDataError as exc:
+        raise ConfigurationError(f"theta2 grid rejected: {exc}") from None
 
 
 def fringe_scan(

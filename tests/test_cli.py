@@ -220,6 +220,8 @@ def test_scalar_fringe_theta1_exits_2(tmp_path, command, run_cli):
     [
         ({"start": 0, "stop": 90, "step": 10}, "must span at least 360 degrees"),
         ({"start": 0, "stop": 360, "step": 180}, "needs at least 4 points, got 3"),
+        # every 2 theta is 0 or pi: the fit design has rank 2
+        ({"start": 0, "stop": 360, "step": 90}, "rejected: fringe-fit design is singular"),
     ],
 )
 def test_short_fringe_theta2_grid_exits_2(tmp_path, command, scan, message, run_cli):

@@ -3,6 +3,10 @@
 import csv
 import importlib.util
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +113,20 @@ def test_cli_outputs_match_the_golden_manifest(tmp_path):
     # every file, stdout, stderr and exit code of every compare_outputs.py case
     problems = _script("compare_outputs").check(tmp_path)
     assert not problems, "outputs do not match golden_outputs.json:\n" + "\n".join(problems)
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS x86-64 kernels only"
+)
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_golden_manifest_holds_under_another_openblas_kernel(coretype):
+    # OpenBLAS picks its kernel when it loads, so each kernel needs a process of its own
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "compare_outputs.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

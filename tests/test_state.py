@@ -432,13 +432,17 @@ def _oracle_concurrence(rho):
     return max(0.0, lam[3] - lam[2] - lam[1] - lam[0])
 
 
-def _x_state_concurrence(rho):
-    """Closed form for X-states: 2 max(0, |rho_HV,VH| - sqrt(rho_HH rho_VV),
-    |rho_HH,VV| - sqrt(rho_HV rho_VH))."""
-    p = np.diag(rho).real
-    return 2.0 * max(
-        0.0, abs(rho[1, 2]) - np.sqrt(p[0] * p[3]), abs(rho[0, 3]) - np.sqrt(p[1] * p[2])
-    )
+def _dilation_concurrence(rho):
+    """Wootters form at full precision: C = max(0, l1 - l2 - l3 - l4) over the
+    descending singular values of R = sqrt(rho) (sy x sy) sqrt(rho)^*, taken as
+    the top four eigenvalues of the Hermitian dilation [[0, R], [R^H, 0]]."""
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    w, u = np.linalg.eigh(rho)
+    sqrt_rho = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    r = sqrt_rho @ np.kron(sy, sy) @ sqrt_rho.conj()
+    dilation = np.block([[np.zeros((4, 4)), r], [r.conj().T, np.zeros((4, 4))]])
+    lam = np.linalg.eigvalsh(dilation)[:3:-1]  # descending: the +singular values
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
 def test_concurrence_matches_x_state_closed_form():
@@ -447,7 +451,13 @@ def test_concurrence_matches_x_state_closed_form():
         v_z = rng.uniform(-1, 1)
         v_d = rng.uniform(0, 0.5 * (1 + v_z))
         state = visibility_state(v_z, v_d, phi_bs=rng.uniform(0, 2 * np.pi))
-        assert_allclose(concurrence(state), _x_state_concurrence(state.rho), rtol=0.0, atol=1e-14)
+        assert_allclose(concurrence(state), _dilation_concurrence(state.rho), rtol=0.0, atol=1e-14)
+
+
+def test_concurrence_rejects_a_state_that_is_not_an_x_state():
+    plus = np.full(4, 0.5, dtype=complex)  # |++>, every entry of rho is 1/4
+    with pytest.raises(ValueError, match="X-state"):
+        concurrence(TwoQubitState(rho=np.outer(plus, plus.conj())))
 
 
 def test_concurrence_maximally_entangled():
