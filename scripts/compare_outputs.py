@@ -23,6 +23,7 @@ The matrix, each case one spdcpol.cli.main call unless said otherwise:
     explicit angles with a negative signed S, chsh_theta_deg 67.5, an
     off-lattice S(theta) grid, explicit angles on a spectral state
   - known defects and error exits: angles and delays echoed as configured,
+    a delay scan whose last delay passes its stop,
     the fringe grid checked at load (too short, or a 90-degree step on which
     the fit design is singular), a run.chsh_theta_deg whose angle 3t
     overflows, a budget whose duty cycle overflows, and a top-hat band that
@@ -104,6 +105,11 @@ GENERATED = {  # stem -> (scenario, commands)
     "tau-30.1": ({"state": {"tau_fs": 30.1}}, ("fringe",)),
     "delays-10.1": (
         {"run": {"delay_scan_fs": {"start": 10.1, "stop": 40.1, "step": 0.1}}},
+        ("delay-scan",),
+    ),
+    # a lattice that passes stop, to 1680 fs: the grid is sized for that delay
+    "delays-past-stop": (
+        {"run": {"delay_scan_fs": {"start": 0, "stop": 1400, "step": 840}}},
         ("delay-scan",),
     ),
     "chsh-theta-overflow": ({"run": {"chsh_theta_deg": 1e308}}, ("chsh",)),

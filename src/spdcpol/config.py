@@ -299,6 +299,7 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "state: coherence and visibility_z/visibility_d are mutually exclusive"
             )
+        self._phi_bs = float(s["phi_bs_rad"])
         built = []
         for block, build in (
             ("dispersion", spectral.WaveguideDispersion),
@@ -341,15 +342,15 @@ class ScenarioConfig:
 
     def _tau_max(self) -> float:
         """Largest |delay| (s) a command on this config evaluates the overlap at: the
-        delay search's reach |delta*L/2| + DELAY_HALF_WIDTH, the ends of the delay
-        scan and a configured state.tau_fs. From the config alone, so that every
-        command builds one grid."""
-        scan = self.delay_scan_fs()
+        delay search's reach |delta*L/2| + DELAY_HALF_WIDTH, the first and last delays
+        of the delay scan's lattice and a configured state.tau_fs. From the config
+        alone, so that every command builds one grid."""
+        taus_fs, _ = self.delay_scan_fs()
         tau = self._data["state"]["tau_fs"]
         return max(
             abs(self._dispersion.half_walkoff) + state_mod.DELAY_HALF_WIDTH,
-            fs(abs(float(scan["start"]))),
-            fs(abs(float(scan["stop"]))),
+            fs(abs(float(taus_fs[0]))),
+            fs(abs(float(taus_fs[-1]))),
             0.0 if tau == "optimize" else fs(abs(float(tau))),
         )
 
@@ -377,28 +378,31 @@ class ScenarioConfig:
         return _last_delay_search[1]
 
     # -- state ---------------------------------------------------------------
-    def phi_bs(self) -> float:
-        return float(self._data["state"]["phi_bs_rad"])
-
     def _override_state(self) -> tuple[state_mod.TwoQubitState, dict[str, Any]] | None:
         """The state set directly by the visibility pair or the coherence, if either is."""
         s = self._data["state"]
         if s["visibility_z"] is not None:
             v_z, v_d = float(s["visibility_z"]), float(s["visibility_d"])
             info = {"state_source": "visibility_override", "visibility_z": v_z, "visibility_d": v_d}
-            return state_mod.visibility_state(v_z, v_d, self.phi_bs()), info
+            return state_mod.visibility_state(v_z, v_d, self._phi_bs), info
         if s["coherence"] is not None:
             c = float(s["coherence"])
             info = {"state_source": "coherence_override", "coherence": c}
-            return state_mod.post_selected_state(c, self.phi_bs()), info
+            return state_mod.post_selected_state(c, self._phi_bs), info
         return None
 
     def resolve_state(self) -> tuple[state_mod.TwoQubitState, dict[str, Any]]:
         """Two-qubit state plus a scalar report of how it was obtained."""
         if self._override is not None:  # a copy of info, so that callers cannot edit the kept one
             return self._override[0], dict(self._override[1])
-        jsa = self.build_jsa()
-        tau = self._data["state"]["tau_fs"]
+        return self.spectral_state(self.build_jsa(), self._data["state"]["tau_fs"])
+
+    def spectral_state(
+        self, jsa: spectral.JointSpectralAmplitude, tau: float | str = "optimize"
+    ) -> tuple[state_mod.TwoQubitState, dict[str, Any]]:
+        """The post-selected state of jsa, which must be this scenario's build_jsa(),
+        at delay tau (fs) or, for "optimize", at optimal_delay(jsa); plus a scalar
+        report of the delay, |V_int| there, its error estimate and the grid size."""
         optimize = tau == "optimize"
         delay = self.optimal_delay(jsa) if optimize else fs(float(tau))
         v_int = state_mod.overlap_scan(jsa, delay, 0.0, 1)[0]
@@ -411,12 +415,9 @@ class ScenarioConfig:
             "v_int_abs_error_estimate": state_mod.halving_error(jsa, delay, v_int),
             "grid_points": jsa.grid.n_points,
         }
-        return state_mod.post_selected_state(v_int, self.phi_bs()), info
+        return state_mod.post_selected_state(v_int, self._phi_bs), info
 
     # -- detector / run --------------------------------------------------------
-    def detector(self) -> DetectorModel:
-        return self._detector
-
     def counting(self) -> tuple[DetectorModel, float, float]:
         """What the expected counts take: (detector, pair rate Hz, integration time s)."""
         run = self._data["run"]
@@ -437,25 +438,21 @@ class ScenarioConfig:
     def s_curve_theta_deg(self) -> np.ndarray:
         return _scan_values(self._data["run"]["s_curve_theta_deg"])
 
-    def delay_scan_fs(self) -> dict[str, Any]:
-        """run.delay_scan_fs; null is DELAY_SCAN_HALF_WIDTH_FS either side of the point
-        of the DELAY_SCAN_STEP_FS lattice nearest delta*L/2."""
+    def delay_scan_fs(self) -> tuple[np.ndarray, float]:
+        """The delay scan's lattice (fs) and its step (fs): run.delay_scan_fs, or for
+        null DELAY_SCAN_HALF_WIDTH_FS either side of the point of the
+        DELAY_SCAN_STEP_FS lattice nearest delta*L/2."""
         block = self._data["run"]["delay_scan_fs"]
-        if block is not None:
-            return block
-        steps = to_fs(self._dispersion.half_walkoff) / DELAY_SCAN_STEP_FS
-        if not abs(steps) < 2**52:  # else the window's lattice points are not all floats
-            raise ConfigurationError(
-                f"delta*L/2 = {steps * DELAY_SCAN_STEP_FS:.3e} fs is too large to centre "
-                "the default run.delay_scan_fs on; set it"
-            )
-        center = round(steps) * DELAY_SCAN_STEP_FS
-        half = DELAY_SCAN_HALF_WIDTH_FS
-        return {"start": center - half, "stop": center + half, "step": DELAY_SCAN_STEP_FS}
-
-    def delay_scan_grid_fs(self) -> tuple[np.ndarray, float]:
-        """The delay scan's lattice (fs) and its step (fs), as configured."""
-        block = self.delay_scan_fs()
+        if block is None:
+            steps = to_fs(self._dispersion.half_walkoff) / DELAY_SCAN_STEP_FS
+            if not abs(steps) < 2**52:  # else the window's lattice points are not all floats
+                raise ConfigurationError(
+                    f"delta*L/2 = {steps * DELAY_SCAN_STEP_FS:.3e} fs is too large to centre "
+                    "the default run.delay_scan_fs on; set it"
+                )
+            center = round(steps) * DELAY_SCAN_STEP_FS
+            half = DELAY_SCAN_HALF_WIDTH_FS
+            block = {"start": center - half, "stop": center + half, "step": DELAY_SCAN_STEP_FS}
         return _scan_values(block), float(block["step"])
 
     def chsh_settings(self) -> tuple[dict[str, float], np.ndarray]:

@@ -39,8 +39,8 @@ from .polarimetry import (
     fit_fringe,
     fringe_scan,
 )
-from .state import concurrence, halving_error, overlap_scan, post_selected_state
-from .units import fs, to_fs
+from .state import concurrence, overlap_scan
+from .units import fs
 
 __all__ = [
     "ResultRecord",
@@ -258,19 +258,17 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
 def run_delay_scan(cfg: ScenarioConfig) -> ResultRecord:
     """|V_int(tau)| over the configured window plus the located optimum."""
     jsa = cfg.build_jsa()
-    taus_fs, step_fs = cfg.delay_scan_grid_fs()
+    taus_fs, step_fs = cfg.delay_scan_fs()
     mags = np.abs(overlap_scan(jsa, fs(taus_fs[0]), fs(step_fs), taus_fs.size))
-    tau_star = cfg.optimal_delay(jsa)
-    v_star = overlap_scan(jsa, tau_star, 0.0, 1)[0]
-    state_star = post_selected_state(v_star, cfg.phi_bs())
+    state_star, info = cfg.spectral_state(jsa)
 
     record = ResultRecord(command="delay-scan", config=cfg.to_dict(), scalars={})
     record.add_table("curve", {"tau_fs": taus_fs, "v_int_abs": mags})
     record.scalars = {
-        "tau_star_fs": round(to_fs(tau_star), 2),  # optimal_delay reports to 0.01 fs
-        "v_int_abs_at_star": abs(v_star),
-        "v_int_abs_error_estimate": halving_error(jsa, tau_star, v_star),
-        "grid_points": jsa.grid.n_points,
+        "tau_star_fs": info["tau_fs"],
+        "v_int_abs_at_star": info["v_int_abs"],
+        "v_int_abs_error_estimate": info["v_int_abs_error_estimate"],
+        "grid_points": info["grid_points"],
         "concurrence_at_star": concurrence(state_star),
         "reference_delay_experiment_fs": REFERENCE_DELAY_EXPERIMENT_FS,
         "reference_delay_calculated_fs": REFERENCE_DELAY_CALCULATED_FS,
@@ -369,7 +367,7 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
 def run_budget(cfg: ScenarioConfig) -> ResultRecord:
     """Pump-power chain and inferred conversion efficiency."""
     inputs = cfg.budget_inputs()
-    model = cfg.detector()
+    model = cfg.counting()[0]
     try:
         power_in_guide, pair_rate, efficiency = efficiency_budget(model=model, **inputs)
     except ValueError as exc:

@@ -22,8 +22,9 @@ def test_defaults_load_and_build():
     assert_allclose(disp.lambda_deg, 1555.9e-9)
     assert_allclose(cfg.spectral_filter().fwhm_lambda, 45e-9)
     assert cfg.grid().n_points == 1025
-    assert cfg.delay_scan_fs() == {"start": -178.0, "stop": 222.0, "step": 0.5}
-    assert cfg.detector().singles_rate_1 == 3550.0
+    taus, step = cfg.delay_scan_fs()
+    assert (taus[0], taus[-1], step) == (-178.0, 222.0, 0.5)
+    assert cfg.counting()[0].singles_rate_1 == 3550.0
     assert cfg.seed() == 12345
 
 
@@ -219,15 +220,34 @@ def test_grid_serves_every_delay_the_config_can_ask_for():
     assert grid(grid={"n_points": 33}) == spectral.SpectralGrid(default.omega_max, 33)
 
 
+@pytest.mark.parametrize(
+    "edits", [{}, {"filter": {"shape": "gaussian"}}, {"dispersion": {"length_mm": 12.0}}]
+)
+def test_grid_keeps_the_delay_phase_step_at_a_scan_delay_past_stop(edits):
+    # np.arange(start, stop + step/2, step) can pass stop by up to half a step: this
+    # lattice ends at 1680 fs. A grid sized for stop = 1400 fs has 4097 points at the
+    # defaults, 0.021 rad of delay phase per step at 1680 fs.
+    data = base_config_dict()
+    for block, values in edits.items():
+        data[block].update(values)
+    data["run"]["delay_scan_fs"] = {"start": 0, "stop": 1400, "step": 840}
+    cfg = ScenarioConfig(data=data)
+    taus = [row[0] for row in run_delay_scan(cfg).tables["curve"]["rows"]]  # as scanned
+    assert taus == [0.0, 840.0, 1680.0]
+    grid = cfg.grid()
+    assert 2.0 * grid.step * max(map(abs, taus)) * 1e-15 <= spectral.MAX_PHASE_STEP
+
+
 def test_default_delay_scan_is_centred_on_half_walkoff():
     data = base_config_dict()
     data["dispersion"]["length_mm"] = 12.0  # delta*L/2 = 222.47 fs
     cfg = ScenarioConfig(data=data)
-    assert cfg.delay_scan_fs() == {"start": 22.5, "stop": 422.5, "step": 0.5}
-    taus, step = cfg.delay_scan_grid_fs()
-    assert taus.size == 801 and step == 0.5
+    taus, step = cfg.delay_scan_fs()
+    assert (taus[0], taus[-1], step) == (22.5, 422.5, 0.5)
+    assert taus.size == 801
     data["run"]["delay_scan_fs"] = {"start": -1.0, "stop": 1.0, "step": 0.5}
-    assert ScenarioConfig(data=data).delay_scan_fs() == {"start": -1.0, "stop": 1.0, "step": 0.5}
+    taus, step = ScenarioConfig(data=data).delay_scan_fs()
+    assert taus.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0] and step == 0.5
     data["run"]["delay_scan_fs"] = None
     data["dispersion"]["length_mm"] = 1e15  # a walk-off beyond the reach of a 0.5 fs lattice
     with pytest.raises(ConfigurationError, match="too large to centre"):
@@ -324,7 +344,7 @@ def test_a_checked_scenario_builds_each_domain_object_once(monkeypatch):
     for run in (run_delay_scan, run_fringe, run_chsh, run_budget):
         run(cfg)
     assert built == {"WaveguideDispersion": 1, "SpectralFilter": 1, "DetectorModel": 1}
-    assert cfg.dispersion() is cfg.dispersion() and cfg.detector() is cfg.counting()[0]
+    assert cfg.dispersion() is cfg.dispersion() and cfg.counting()[0] is cfg.counting()[0]
 
 
 @pytest.mark.parametrize("preset", [None, "paper-calibrated"])  # a spectral, an override state

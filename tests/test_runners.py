@@ -17,6 +17,7 @@ from spdcpol import (
     chsh_from_counts,
     cli,
     coincidence_probs,
+    concurrence,
     filter_amplitude,
     fit_fringe,
     overlap_scan,
@@ -190,11 +191,33 @@ def test_default_delay_scan_curve_matches_a_dense_support_grid():
     g_pair = filter_amplitude(omega0 + om, filt) * filter_amplitude(omega0 - om, filt)
     assert np.all(g_pair == 1.0)
     dense = JointSpectralAmplitude(grid, np.sinc(phi / np.pi) * np.exp(1j * phi))
-    taus, step = cfg.delay_scan_grid_fs()
+    taus, step = cfg.delay_scan_fs()
     reference = np.abs(overlap_scan(dense, taus[0] * 1e-15, step * 1e-15, taus.size))
     rows = np.array(run_delay_scan(cfg).tables["curve"]["rows"], dtype=float)
     assert_allclose(rows[:, 0], taus, rtol=1e-12)
     assert np.max(np.abs(rows[:, 1] - reference)) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {},
+        {"filter": {"shape": "gaussian"}},
+        {"dispersion": {"length_mm": 12.0}},
+        {"grid": {"n_points": 4099}},  # no error estimate: (N - 1)/2 is odd
+    ],
+)
+def test_delay_scan_reports_the_state_resolve_state_builds(edits):
+    # one evaluation serves both, so they agree bit for bit, not to a tolerance
+    cfg = scenario(**edits)
+    scan = run_delay_scan(cfg).scalars
+    state, info = cfg.resolve_state()
+    assert info["tau_source"] == "optimized"
+    assert scan["tau_star_fs"] == info["tau_fs"]
+    assert scan["v_int_abs_at_star"] == info["v_int_abs"]
+    assert scan["v_int_abs_error_estimate"] == info["v_int_abs_error_estimate"]
+    assert scan["grid_points"] == info["grid_points"]
+    assert scan["concurrence_at_star"] == concurrence(state)
 
 
 def test_spectral_records_certify_their_grid():
@@ -251,7 +274,7 @@ def test_first_run_counts_follow_the_seed_tree():
     # fringe: raw counts from (seed, 0, basis, run), accidentals from (seed, 1, basis, run)
     grid = np.radians(cfg.fringe_theta2_deg())
     fringe = run_fringe(cfg)
-    acc_mean = accidental_rate(cfg.detector()) * t_int
+    acc_mean = accidental_rate(cfg.counting()[0]) * t_int
     theta1s = np.radians(cfg.fringe_theta1_deg())
     for i, (theta1, table) in enumerate(zip(theta1s, fringe.tables.values())):
         raw = _draw(seed, _means(cfg, state, theta1, grid), 0, i, 0)
