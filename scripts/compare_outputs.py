@@ -28,9 +28,10 @@ The matrix, each case one spdcpol.cli.main call unless said otherwise:
     the fit design is singular), a run.chsh_theta_deg whose angle 3t
     overflows, a budget whose duty cycle overflows, and a top-hat band that
     misses the degenerate wavelength
-  - one sequence case: delay-scan, fringe and chsh on 4097-, 16385- and then
-    8193-point grids through spdcpol.cli.main, one output directory per
-    step, so that a call runs after the state earlier calls left behind
+  - one sequence case: delay-scan, fringe and chsh on 4097-, 16385-, 8193- and
+    again 4097-point grids through spdcpol.cli.main, one output directory per
+    step, so that a call runs after the state earlier calls left behind and
+    the last steps search a spectrum again after larger scans evicted it
   - scripts/bandwidth_delay_study.py and scripts/reproduce_results.py, each
     through its main(argv), and the study with a NaN filter centre, which
     exits 2
@@ -124,7 +125,7 @@ SCRIPTS = {  # stem -> (script, its arguments without --out)
     "bandwidth_delay_study-center-nan": ("bandwidth_delay_study", ["--center-nm", "nan"]),
     "reproduce_results": ("reproduce_results", []),
 }
-SEQUENCE_GRIDS = (4097, 16385, 8193)  # grows, then shrinks, what one process keeps
+SEQUENCE_GRIDS = (4097, 16385, 8193, 4097)  # grows, shrinks, then revisits a spectrum
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 GOLDEN = REPO / "tests" / "golden_outputs.json"

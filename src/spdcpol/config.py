@@ -16,7 +16,6 @@ the angles records echo: their accessors return the degrees as configured.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import math
 import sys
@@ -274,11 +273,6 @@ def _merge(base: dict[str, Any], override: dict[str, Any]) -> None:
             base[key] = value
 
 
-# The last delay search of this process: (its key, its result). One entry and
-# no arrays, so it holds one spectrum at most and a few hundred bytes.
-_last_delay_search: tuple[tuple[Any, ...], float] | None = None
-
-
 class ScenarioConfig:
     """Fully resolved scenario: a private copy of its data and the SI domain objects it built."""
 
@@ -357,26 +351,6 @@ class ScenarioConfig:
     def build_jsa(self) -> spectral.JointSpectralAmplitude:
         return spectral.build_jsa(self._dispersion, self._filter, self.grid())
 
-    def optimal_delay(self, jsa: spectral.JointSpectralAmplitude) -> float:
-        """state.optimal_delay of jsa, which must be this scenario's build_jsa(),
-        about the stationary-phase centre delta*L/2.
-
-        The dispersion, filter and grid determine jsa, so the commands of one
-        process that share a spectrum share one search: the last result is
-        kept, keyed bitwise on those three, which fix the centre. A search that
-        raises is not kept, so it raises again when repeated.
-        """
-        global _last_delay_search
-        fields = (
-            *dataclasses.astuple(self._dispersion),
-            *dataclasses.astuple(self._filter),
-            *dataclasses.astuple(jsa.grid),
-        )
-        key = tuple(v.hex() if isinstance(v, float) else v for v in fields)  # 0.0 != -0.0 here
-        if _last_delay_search is None or _last_delay_search[0] != key:
-            _last_delay_search = (key, state_mod.optimal_delay(jsa, self._dispersion.half_walkoff))
-        return _last_delay_search[1]
-
     # -- state ---------------------------------------------------------------
     def _override_state(self) -> tuple[state_mod.TwoQubitState, dict[str, Any]] | None:
         """The state set directly by the visibility pair or the coherence, if either is."""
@@ -400,11 +374,13 @@ class ScenarioConfig:
     def spectral_state(
         self, jsa: spectral.JointSpectralAmplitude, tau: float | str = "optimize"
     ) -> tuple[state_mod.TwoQubitState, dict[str, Any]]:
-        """The post-selected state of jsa, which must be this scenario's build_jsa(),
-        at delay tau (fs) or, for "optimize", at optimal_delay(jsa); plus a scalar
-        report of the delay, |V_int| there, its error estimate and the grid size."""
+        """The post-selected state of jsa, a spectrum of this scenario's dispersion, at
+        delay tau (fs) or, for "optimize", at state.optimal_delay about its delta*L/2;
+        plus a scalar report of the delay, |V_int| there, its error estimate and the
+        grid size."""
         optimize = tau == "optimize"
-        delay = self.optimal_delay(jsa) if optimize else fs(float(tau))
+        center = self._dispersion.half_walkoff
+        delay = state_mod.optimal_delay(jsa, center) if optimize else fs(float(tau))
         v_int = state_mod.overlap_scan(jsa, delay, 0.0, 1)[0]
         info = {
             "tau_source": "optimized" if optimize else "configured",

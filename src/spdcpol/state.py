@@ -18,6 +18,7 @@ rescaled, which is what coincidence post-selection does to the statistics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -213,19 +214,13 @@ def halving_error(jsa: JointSpectralAmplitude, tau: float, v_int: complex) -> fl
     return abs(abs(v_int) - abs(coarse)) / 3.0
 
 
-def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> float:
-    """Delay (s; positive delays V) maximizing |V_int| within DELAY_HALF_WIDTH of center.
-
-    center is the stationary-phase estimate delta*L/2. The window is scanned
-    on the DELAY_STEP lattice (multiples of 0.1 fs); the vertex of a parabola
-    through the best three points is reported, rounded to 0.01 fs. Scanning
-    tolerates the ripples the sinc lobes put on |V_int|, which defeat
-    derivative methods. An optimum on the window edge, or a non-finite
-    |V_int| anywhere in it, raises DegenerateDataError rather than being
-    reported.
-    """
-    if not np.isfinite(center / DELAY_STEP):  # the window must be countable in steps
-        raise ConfigurationError(f"delay window center {center} s is beyond 0.1 fs steps")
+# Keyed by the search's exact inputs, the spectrum's grid and bytes and the centre,
+# and kept for the last one only: the commands of one process that share a spectrum
+# share one search. A search that raises is not kept, so it raises again when repeated.
+@functools.lru_cache(maxsize=1)
+def _delay_search(grid: SpectralGrid, amplitude: bytes, center: float) -> float:
+    """optimal_delay of the spectrum (grid, amplitude bytes) about a finite center."""
+    jsa = JointSpectralAmplitude(grid, np.frombuffer(amplitude, dtype=np.complex128))
     half = round(DELAY_HALF_WIDTH / DELAY_STEP)
     first = round(center / DELAY_STEP) - half
     mags = np.abs(overlap_scan(jsa, first * DELAY_STEP, DELAY_STEP, 2 * half + 1))
@@ -242,6 +237,22 @@ def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> float:
     if denom < 0.0:
         tau_star += 0.5 * DELAY_STEP * (y0 - y2) / denom
     return round(tau_star / 1e-17) * 1e-17  # report to 0.01 fs
+
+
+def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> float:
+    """Delay (s; positive delays V) maximizing |V_int| within DELAY_HALF_WIDTH of center.
+
+    center is the stationary-phase estimate delta*L/2. The window is scanned
+    on the DELAY_STEP lattice (multiples of 0.1 fs); the vertex of a parabola
+    through the best three points is reported, rounded to 0.01 fs. Scanning
+    tolerates the ripples the sinc lobes put on |V_int|, which defeat
+    derivative methods. An optimum on the window edge, or a non-finite
+    |V_int| anywhere in it, raises DegenerateDataError rather than being
+    reported.
+    """
+    if not np.isfinite(center / DELAY_STEP):  # the window must be countable in steps
+        raise ConfigurationError(f"delay window center {center} s is beyond 0.1 fs steps")
+    return _delay_search(jsa.grid, jsa.amplitude.tobytes(), center)
 
 
 def _x_state(p_same: float, p_cross: float, kappa: complex) -> TwoQubitState:

@@ -420,22 +420,18 @@ def test_range_error_names_the_key_and_value_as_written(tmp_path, run_cli, scena
 
 # --- state kept between cli.main calls of one process ------------------------------
 
-def test_commands_sharing_a_spectrum_write_what_fresh_processes_write(
-    tmp_path, run_cli, monkeypatch
-):
-    # a spectrum no other test uses, so the first command's search is a miss
+def test_commands_sharing_a_spectrum_write_what_fresh_processes_write(tmp_path, run_cli):
+    # a spectrum no other test uses, searched from an empty cache: the first search misses
     cfg = tmp_path / "spectrum.json"
     cfg.write_text(json.dumps({"dispersion": {"length_mm": 1.37}, "grid": {"n_points": 2049}}))
-    searches = []
-    search = state_mod.optimal_delay
-    monkeypatch.setattr(state_mod, "optimal_delay", lambda *a: searches.append(a) or search(*a))
+    state_mod._delay_search.cache_clear()
     for command in ("delay-scan", "fringe", "chsh"):
         out = tmp_path / "in_process" / command
         assert run_cli(command, "--config", str(cfg), "--out", str(out)).returncode == 0
         fresh = tmp_path / "fresh" / command
         result = run_process(command, "--config", str(cfg), "--out", str(fresh))
         assert result.returncode == 0, result.stderr
-    assert len(searches) == 1
+    assert state_mod._delay_search.cache_info().misses == 1
     files = sorted(p.relative_to(tmp_path / "fresh") for p in (tmp_path / "fresh").rglob("*.*"))
     assert len(files) == 2 + 3 + 2  # delay-scan, fringe and chsh: their JSON and CSV files
     for rel in files:

@@ -391,22 +391,29 @@ def _spectrum(**edits):
 
 
 @pytest.fixture
-def searches(monkeypatch):
-    """Arguments of each delay search run from here on, starting from an empty memo."""
-    calls = []
-    search = state_mod.optimal_delay
-    monkeypatch.setattr(state_mod, "optimal_delay", lambda *a: calls.append(a) or search(*a))
-    monkeypatch.setattr(config, "_last_delay_search", None)
-    return calls
+def searches():
+    """The number of delay searches run from here on, starting from an empty cache."""
+    cache = state_mod._delay_search
+    cache.cache_clear()
+    return lambda: cache.cache_info().misses
+
+
+def _optimal_delay(cfg):
+    """state.optimal_delay of cfg's spectrum about its delta*L/2, as spectral_state runs it."""
+    return state_mod.optimal_delay(cfg.build_jsa(), cfg.dispersion().half_walkoff)
 
 
 def test_delay_search_runs_once_for_one_spectrum(searches):
     first, second = _spectrum(), _spectrum(run={"seed": 3})
     jsa = first.build_jsa()
-    delay = first.optimal_delay(jsa)
-    assert second.optimal_delay(second.build_jsa()) is delay
+    delay = _optimal_delay(first)
+    assert _optimal_delay(second) is delay
     assert second.resolve_state()[1]["tau_fs"] == first.resolve_state()[1]["tau_fs"]
-    assert len(searches) == 1
+    # -0.0 equals 0.0, and its spectrum is the default's bit for bit: one search serves both
+    signed_zero = _spectrum(dispersion={"delta0_per_m": -0.0})
+    assert signed_zero.build_jsa().amplitude.tobytes() == jsa.amplitude.tobytes()
+    assert _optimal_delay(signed_zero) is delay
+    assert searches() == 1
     disp = first.dispersion()
     assert delay == state_mod.optimal_delay(jsa, disp.delta * disp.length_L / 2)
 
@@ -415,7 +422,7 @@ def test_delay_search_runs_once_for_one_spectrum(searches):
     "edits",
     [
         {"dispersion": {"length_mm": float(np.nextafter(1.2, 2.0))}},
-        {"dispersion": {"delta0_per_m": -0.0}},  # equal to 0.0, but not bit for bit
+        {"dispersion": {"delta0_per_m": 1.0}},  # another spectrum about the same delta*L/2
         {"dispersion": {"gvd_D_ps_nm_km": -800.0}},
         {"filter": {"shape": "gaussian"}},
         {"filter": {"fwhm_nm": 44.0}},
@@ -425,20 +432,34 @@ def test_delay_search_runs_once_for_one_spectrum(searches):
 )
 def test_another_spectrum_misses_and_replaces_the_kept_search(searches, edits):
     base, other = _spectrum(), _spectrum(**edits)
-    for cfg in (base, other, base):  # the memo holds one spectrum: base is searched twice
-        cfg.optimal_delay(cfg.build_jsa())
-    assert len(searches) == 3
+    for cfg in (base, other, base):  # the cache holds one spectrum: base is searched twice
+        _optimal_delay(cfg)
+    assert searches() == 3
 
 
 def test_search_that_raises_is_not_kept(searches, monkeypatch):
     cfg = _spectrum()
-    jsa = cfg.build_jsa()
     scan = state_mod.overlap_scan
     monkeypatch.setattr(state_mod, "overlap_scan", lambda *args: scan(*args) * np.nan)
     for _ in range(2):
         with pytest.raises(DegenerateDataError, match="not finite"):
-            cfg.optimal_delay(jsa)
-    assert config._last_delay_search is None
+            _optimal_delay(cfg)
+    assert state_mod._delay_search.cache_info().currsize == 0
     monkeypatch.setattr(state_mod, "overlap_scan", scan)
-    cfg.optimal_delay(jsa)
-    assert len(searches) == 3
+    _optimal_delay(cfg)
+    assert searches() == 3
+
+
+def test_spectral_state_searches_the_spectrum_it_is_given():
+    # one dispersion and grid, two filters: b's spectrum passed to a is searched as b's
+    def scenario(shape):
+        data = base_config_dict()
+        data["dispersion"]["delta0_per_m"] = -1.0e4
+        data["filter"]["shape"] = shape
+        data["grid"] = {"omega_max_rad_s": 1.3e14, "n_points": 4097}
+        return ScenarioConfig(data=data)
+
+    a, b = scenario("gaussian"), scenario("top_hat")
+    assert a.spectral_state(a.build_jsa())[1]["tau_fs"] == 95.02
+    tau_fs = a.spectral_state(b.build_jsa())[1]["tau_fs"]
+    assert tau_fs == b.spectral_state(b.build_jsa())[1]["tau_fs"] == 22.25

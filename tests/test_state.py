@@ -354,6 +354,48 @@ def test_optimal_delay_edge_optimum_raises():
         optimal_delay(jsa, 0.0)
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The delay-window scans run from here on, starting from an empty search cache."""
+    state_mod._delay_search.cache_clear()
+    calls = []
+    scan = state_mod.overlap_scan
+    monkeypatch.setattr(state_mod, "overlap_scan", lambda *a: calls.append(a) or scan(*a))
+    return calls
+
+
+def test_optimal_delay_of_a_spectrum_rebuilt_bit_for_bit_scans_once(scans):
+    disp, jsa = _paper_jsa()
+    _, rebuilt = _paper_jsa()
+    assert rebuilt.amplitude is not jsa.amplitude
+    assert rebuilt.amplitude.tobytes() == jsa.amplitude.tobytes()
+    tau_star = optimal_delay(jsa, _half_walkoff(disp))
+    assert optimal_delay(rebuilt, _half_walkoff(disp)) is tau_star
+    assert len(scans) == 1
+
+
+def test_optimal_delay_of_another_amplitude_or_center_scans_again(scans):
+    disp, jsa = _paper_jsa()
+    center = _half_walkoff(disp)
+    amplitude = jsa.amplitude.copy()
+    k = amplitude.size // 2
+    amplitude[k] = complex(np.nextafter(amplitude[k].real, np.inf), amplitude[k].imag)
+    nudged = JointSpectralAmplitude(grid=jsa.grid, amplitude=amplitude)
+    optimal_delay(jsa, center)
+    optimal_delay(nudged, center)  # one sample one ulp away
+    optimal_delay(nudged, center + state_mod.DELAY_STEP)
+    assert len(scans) == 3
+
+
+def test_optimal_delay_that_raises_is_not_cached(scans):
+    _, jsa = _long_guide_jsa()
+    for _ in range(2):
+        with pytest.raises(DegenerateDataError, match="edge"):
+            optimal_delay(jsa, 0.0)
+        assert state_mod._delay_search.cache_info().currsize == 0
+    assert len(scans) == 2
+
+
 # --- post_selected_state ---------------------------------------------------------
 
 
