@@ -22,6 +22,7 @@ The matrix, each case one spdcpol.cli.main call unless said otherwise:
   - chsh and s-curve with CHSH settings no preset or configs/ file sets:
     explicit angles with a negative signed S, chsh_theta_deg 67.5, an
     off-lattice S(theta) grid, explicit angles on a spectral state
+  - fringe in five analyzer bases, one batch of model fringes
   - known defects and error exits: angles and delays echoed as configured,
     a delay scan whose last delay passes its stop,
     the fringe grid checked at load (too short, or a 90-degree step on which
@@ -88,6 +89,13 @@ GENERATED = {  # stem -> (scenario, commands)
             "run": {"chsh_angles_deg": dict(theta1=10, theta1p=-35, theta2=-22.5, theta2p=22)},
         },
         CHSH_COMMANDS,
+    ),
+    "fringe-five-bases": (
+        {
+            "preset": "raw-visibility",
+            "run": {"fringe_theta1_deg": [-30, 0, 22.5, 45, 90], "runs": 300},
+        },
+        ("fringe",),
     ),
     # known defects and error exits
     "fringe-theta1-12": ({"run": {"fringe_theta1_deg": [0, 12]}}, ("fringe",)),

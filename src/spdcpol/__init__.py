@@ -18,14 +18,12 @@ from .counting import (
 )
 from .errors import ConfigurationError, DegenerateDataError
 from .polarimetry import (
-    FringeResult,
     canonical_settings,
     chsh_arm_angles,
     chsh_estimate,
     chsh_table,
     coincidence_probs,
     fit_fringe,
-    fringe_scan,
 )
 from .spectral import (
     JointSpectralAmplitude,

@@ -144,14 +144,12 @@ def subtract_accidentals(raw, accidentals) -> NDArray[np.float64]:
     return raw - accidentals
 
 
-def chsh_from_counts(
-    counts: ArrayLike,
-) -> tuple[float, float] | tuple[NDArray[np.float64], NDArray[np.float64]]:
+def chsh_from_counts(counts: ArrayLike) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Signed CHSH sum S and its propagated standard deviation from raw counts.
 
-    `counts` is one 4x4 table (floats returned) or a batch of shape
-    (..., 4, 4) (arrays of the leading shape returned), none negative, in
-    the layout of polarimetry.chsh_table; S and each correlation fraction E
+    `counts` is a batch of tables of shape (..., 4, 4), none negative, in
+    the layout of polarimetry.chsh_table; S and sigma_S are arrays of the
+    leading shape, 0-d for one table. S and each correlation fraction E
     come from polarimetry.chsh_estimate. Each E comes with variance
     [(1-E)^2 (C1+C2) + (1+E)^2 (C3+C4)] / D^2 assuming independent Poisson
     counts; sigma_S adds the four block variances in quadrature.
@@ -168,7 +166,7 @@ def chsh_from_counts(
     ) / np.float_power(denom, 2)
     v11, v12, v21, v22 = var
     sigma = np.sqrt(v11 + v12 + v21 + v22)
-    return (float(s), float(sigma)) if s.ndim == 0 else (s, sigma)
+    return s, sigma
 
 
 def efficiency_budget(

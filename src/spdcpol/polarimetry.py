@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -37,11 +36,9 @@ from .errors import ConfigurationError, DegenerateDataError
 from .state import TwoQubitState
 
 __all__ = [
-    "FringeResult",
     "FringeFit",
     "coincidence_probs",
     "fit_fringe",
-    "fringe_scan",
     "canonical_settings",
     "chsh_arm_angles",
     "chsh_table",
@@ -65,13 +62,13 @@ def coincidence_probs(
 class FringeFit(NamedTuple):
     """Least-squares fit of y = offset + amplitude * cos(2 theta + phase).
 
-    Floats for one fringe; arrays of the leading shape for a batch.
+    Arrays of the fitted values' leading shape, 0-d for one fringe.
     """
 
-    offset: float | NDArray[np.float64]
-    amplitude: float | NDArray[np.float64]
-    phase: float | NDArray[np.float64]
-    visibility: float | NDArray[np.float64]
+    offset: NDArray[np.float64]
+    amplitude: NDArray[np.float64]
+    phase: NDArray[np.float64]
+    visibility: NDArray[np.float64]
 
 
 # Scale-free 4 det(G) / n^3 of the fit design's Gram matrix G: 1 on a uniform full
@@ -109,8 +106,9 @@ def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> Fring
     unlike a BLAS matmul whose kernel follows the batch shape, gives a
     fringe the same fit whatever batch it is in.
 
-    Returns visibility = b / a unclamped, so count-level noise propagates
-    into the estimate without bias. Raises DegenerateDataError for angles on
+    Returns a FringeFit of arrays of the leading shape, 0-d for one fringe,
+    with visibility = b / a unclamped, so count-level noise propagates into
+    the estimate without bias. Raises DegenerateDataError for angles on
     which the design is singular, such as a 90-degree step; callers enforce
     their own grid rules (check_theta2_grid).
     """
@@ -127,22 +125,13 @@ def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> Fring
             f"fringe offset {np.min(a):.3e} is not positive; nothing to normalize by"
         )
     amplitude = np.hypot(p, q)
-    fit = FringeFit(a, amplitude, np.arctan2(-q, p), amplitude / a)
-    return FringeFit(*map(float, fit)) if a.ndim == 0 else fit
-
-
-@dataclass(frozen=True)
-class FringeResult:
-    """Model fringe over a theta2 grid with its fitted visibility."""
-
-    probabilities: NDArray[np.float64]
-    visibility: float
+    return FringeFit(a, amplitude, np.arctan2(-q, p), amplitude / a)
 
 
 def check_theta2_grid(grid: NDArray[np.float64]) -> None:
     """Raise ConfigurationError unless the theta2 grid (radians) holds at least 4
-    points, spans a full turn and gives fit_fringe a non-singular design, as
-    fringe_scan's fit needs."""
+    points, spans a full turn and gives fit_fringe a non-singular design. The
+    scenario checks its fringe grid with this once, at load."""
     if grid.size < 4:
         raise ConfigurationError(f"theta2 grid needs at least 4 points, got {grid.size}")
     if grid.max() - grid.min() < 2.0 * np.pi - 1e-9:
@@ -151,23 +140,6 @@ def check_theta2_grid(grid: NDArray[np.float64]) -> None:
         _design_pinv(grid.tobytes())
     except DegenerateDataError as exc:
         raise ConfigurationError(f"theta2 grid rejected: {exc}") from None
-
-
-def fringe_scan(
-    state: TwoQubitState, theta1: float, theta2_grid: Sequence[float]
-) -> FringeResult:
-    """Coincidence probabilities versus theta2 at fixed theta1, with visibility.
-
-    Visibility comes from the sinusoidal least-squares fit, not raw
-    max/min; on noiseless model output the two agree. The grid must pass
-    check_theta2_grid.
-    """
-    grid = np.asarray(theta2_grid, dtype=float)
-    check_theta2_grid(grid)
-    probs = coincidence_probs(state, theta1, grid)
-    # model probabilities keep b <= a; clip the roundoff excursion only
-    vis = float(np.clip(fit_fringe(grid, probs).visibility, 0.0, 1.0))
-    return FringeResult(probabilities=probs, visibility=vis)
 
 
 # --- CHSH tables ----------------------------------------------------------------

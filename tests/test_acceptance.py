@@ -22,7 +22,6 @@ from spdcpol import (
     concurrence,
     efficiency_budget,
     fit_fringe,
-    fringe_scan,
     mean_counts,
     measure_accidentals,
     optimal_delay,
@@ -71,18 +70,18 @@ def _detector(**overrides):
 def _batched_E(rhos, t1, t2):
     """Vectorized correlation fraction for batches of states and angles."""
     q = 0.5 * np.pi
+    # (cos, sin) of each analyzer angle, taken once: arm 1 at t1, t1 + q; arm 2 at t2, t2 + q
+    a, a_q, b, b_q = ((np.cos(t), np.sin(t)) for t in (t1, t1 + q, t2, t2 + q))
 
-    def prob(a, b):
-        v = np.stack(
-            [np.cos(a) * np.sin(b), np.cos(a) * np.cos(b), -np.sin(a) * np.sin(b), -np.sin(a) * np.cos(b)],
-            axis=1,
-        )
+    def prob(arm1, arm2):
+        (ca, sa), (cb, sb) = arm1, arm2
+        v = np.stack([ca * sb, ca * cb, -sa * sb, -sa * cb], axis=1)
         return np.real(np.einsum("ni,nij,nj->n", v, rhos, v))
 
-    p1 = prob(t1, t2)
-    p2 = prob(t1 + q, t2 + q)
-    p3 = prob(t1 + q, t2)
-    p4 = prob(t1, t2 + q)
+    p1 = prob(a, b)
+    p2 = prob(a_q, b_q)
+    p3 = prob(a_q, b)
+    p4 = prob(a, b_q)
     return (p1 + p2 - p3 - p4) / (p1 + p2 + p3 + p4)
 
 
@@ -153,7 +152,7 @@ def test_criterion_4_visibilities():
     state = post_selected_state(0.91)
 
     # noiseless path: subtracted visibility at 45 degrees is the coherence
-    vis_45 = fringe_scan(state, 45.0 * DEG, theta2).visibility
+    vis_45 = fit_fringe(theta2, coincidence_probs(state, 45.0 * DEG, theta2)).visibility
     noiseless_ok = abs(vis_45 - 0.91) < 1e-9
 
     # calibrated accidental preset: raw visibilities over >= 200 seeds
@@ -161,7 +160,7 @@ def test_criterion_4_visibilities():
     t_int, pair_rate, n_seeds = 60.0, 6.0, 200
     means = {}
     for offset, (label, theta1, target) in enumerate((("z", 0.0, 0.80), ("d", 45.0 * DEG, 0.77))):
-        probs = fringe_scan(state, theta1, theta2).probabilities
+        probs = coincidence_probs(state, theta1, theta2)
         counts_mean = mean_counts(probs, model, pair_rate, t_int)
         fits = [
             fit_fringe(theta2, poisson_counts(counts_mean, seed=10_000 * offset + s)).visibility

@@ -242,9 +242,7 @@ def test_subtraction_then_fit_unbiased_over_ensemble():
     state = post_selected_state(0.91)
     model = _fringe_model(accidental_calibration=0.026)
     theta = np.arange(0.0, 360.0 + 5.0, 10.0) * DEG
-    from spdcpol import fringe_scan
-
-    probs = fringe_scan(state, 45.0 * DEG, theta).probabilities
+    probs = coincidence_probs(state, 45.0 * DEG, theta)
     means = mean_counts(probs, model, 6.0, 60.0)
     fitted = []
     for seed in range(500):
@@ -354,10 +352,10 @@ def test_batched_chsh_equals_per_table_loop(seed, lead, signed):
     assert [(float(s[idx]), float(sigma[idx])) for idx in np.ndindex(*lead)] == want
 
 
-def test_single_table_returns_floats_equal_to_the_batch():
+def test_single_table_returns_0d_arrays_equal_to_row_0_of_the_batch():
     table = _noiseless_table(post_selected_state(0.91))
     s, sigma = chsh_from_counts(table)
-    assert type(s) is float and type(sigma) is float
+    assert s.shape == sigma.shape == () and s.dtype == sigma.dtype == np.float64
     batch_s, batch_sigma = chsh_from_counts(table[None])
     assert batch_s.tolist() == [s] and batch_sigma.tolist() == [sigma]
 

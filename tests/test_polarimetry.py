@@ -15,11 +15,10 @@ from spdcpol import (
     chsh_table,
     coincidence_probs,
     fit_fringe,
-    fringe_scan,
     post_selected_state,
     visibility_state,
 )
-from spdcpol.polarimetry import _design_pinv
+from spdcpol.polarimetry import _design_pinv, check_theta2_grid
 
 DEG = np.pi / 180.0
 
@@ -113,40 +112,45 @@ def _full_turn(step_deg=10.0):
     return np.arange(0.0, 360.0 + step_deg / 2, step_deg) * DEG
 
 
+def _model_fringe(state, theta1, grid):
+    """Model fringe at theta1 over the theta2 grid and its fitted visibility."""
+    probs = coincidence_probs(state, theta1, grid)
+    return probs, fit_fringe(grid, probs)
+
+
 def test_ideal_fringe_scan():
     grid = _full_turn()
-    res = fringe_scan(post_selected_state(1.0), 0.0, grid)
-    assert_allclose(res.probabilities, 0.5 * np.cos(grid) ** 2, atol=1e-12)
-    assert_allclose(res.visibility, 1.0, atol=1e-9)
-    assert abs(fit_fringe(grid, res.probabilities).phase) < 1e-9
+    probs, fit = _model_fringe(post_selected_state(1.0), 0.0, grid)
+    assert_allclose(probs, 0.5 * np.cos(grid) ** 2, atol=1e-12)
+    assert_allclose(fit.visibility, 1.0, atol=1e-9)
+    assert abs(fit.phase) < 1e-9
 
 
 def test_fringe_visibility_reads_coherence_in_diagonal_basis():
     state = post_selected_state(0.91)
-    res = fringe_scan(state, 45.0 * DEG, _full_turn())
-    assert_allclose(res.visibility, 0.91, atol=1e-9)
+    _, fit = _model_fringe(state, 45.0 * DEG, _full_turn())
+    assert_allclose(fit.visibility, 0.91, atol=1e-9)
 
 
 def test_fringe_visibility_insensitive_in_hv_basis():
     state = post_selected_state(0.91)
-    res = fringe_scan(state, 0.0, _full_turn())
-    assert_allclose(res.visibility, 1.0, atol=1e-9)
+    _, fit = _model_fringe(state, 0.0, _full_turn())
+    assert_allclose(fit.visibility, 1.0, atol=1e-9)
 
 
 def test_fringe_grid_rules():
-    state = post_selected_state(1.0)
     with pytest.raises(ConfigurationError):
-        fringe_scan(state, 0.0, np.array([0.0, 1.0, 2.0]))
+        check_theta2_grid(np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ConfigurationError):
-        fringe_scan(state, 0.0, np.linspace(0.0, np.pi, 10))
+        check_theta2_grid(np.linspace(0.0, np.pi, 10))
 
 
 def test_max_min_estimator_agrees_on_noiseless_fringe():
     state = post_selected_state(0.8)
-    res = fringe_scan(state, 45.0 * DEG, _full_turn(step_deg=5.0))
+    probs, fit = _model_fringe(state, 45.0 * DEG, _full_turn(step_deg=5.0))
     # 5 deg grid hits the extrema of a 90-degree-period fringe exactly
-    hi, lo = res.probabilities.max(), res.probabilities.min()
-    assert_allclose((hi - lo) / (hi + lo), res.visibility, atol=1e-9)
+    hi, lo = probs.max(), probs.min()
+    assert_allclose((hi - lo) / (hi + lo), fit.visibility, atol=1e-9)
 
 
 def test_fit_fringe_recovers_planted_sinusoid():
@@ -155,7 +159,8 @@ def test_fit_fringe_recovers_planted_sinusoid():
     fit = fit_fringe(theta, y)
     assert_allclose([fit.offset, fit.amplitude, fit.phase], [3.0, 1.2, 0.4], atol=1e-10)
     assert_allclose(fit.visibility, 0.4, atol=1e-10)
-    assert all(isinstance(v, float) for v in fit)  # one fringe: plain floats
+    # one fringe: 0-d values of the batch's dtype, not Python floats
+    assert all(v.shape == () and v.dtype == np.float64 for v in fit)
 
 
 def _oracle_fit(theta, row):

@@ -296,6 +296,21 @@ def test_first_run_counts_follow_the_seed_tree():
         assert rows[k][2:] == list(chsh_from_counts(drawn))
 
 
+@pytest.mark.parametrize("preset", [None, "raw-visibility"])
+def test_a_basis_model_fringe_does_not_depend_on_its_batch(tmp_path, preset):
+    # the defaults resolve a spectral-model state; raw-visibility sets its own
+    model = []
+    for theta1_deg in ([45], [0, 12, 45, -30]):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"run": {"fringe_theta1_deg": theta1_deg}}))
+        record = run_fringe(load_scenario(path, preset=preset))
+        basis = record.scalars["bases"][theta1_deg.index(45)]
+        table = record.tables["theta1_45"]
+        prob_model = [row[table["columns"].index("prob_model")] for row in table["rows"]]
+        model.append(np.array([*prob_model, basis["visibility_model"]]).tobytes())
+    assert model[0] == model[1]  # bit for bit
+
+
 # --- Monte-Carlo streams: one run-0 child per (tag, basis), runs are its rows -------
 
 
@@ -322,9 +337,11 @@ def test_runs_are_consecutive_rows_of_the_run_0_stream(monkeypatch):
 
     fits = _spy(monkeypatch, "fit_fringe", 1)
     record = run_fringe(cfg)
-    # per block and basis: raw counts, then raw - accidentals
-    per_basis = len(fits) // len(record.scalars["bases"])
     theta1s = np.radians(cfg.fringe_theta1_deg())
+    # first the model fringes of every basis, one (bases, angles) batch
+    assert np.array_equal(fits.pop(0), coincidence_probs(state, theta1s[:, None], grid))
+    # then per block and basis: raw counts, then raw - accidentals
+    per_basis = len(fits) // len(record.scalars["bases"])
     for i, (theta1, basis) in enumerate(zip(theta1s, record.scalars["bases"])):
         mine = fits[i * per_basis : (i + 1) * per_basis]
         means = np.broadcast_to(_means(cfg, state, theta1, grid), (runs, grid.size))
@@ -358,8 +375,8 @@ def test_block_size_changes_no_result(monkeypatch, block):
         tables = _spy(monkeypatch, "chsh_from_counts", 0)
         fringe, chsh = run_fringe(cfg), run_chsh(cfg)
         monkeypatch.undo()
-        # raw and subtracted fits alternate block by block
-        counts = [np.concatenate(fits[0::2]), np.concatenate(fits[1::2]), np.concatenate(tables)]
+        # after the one model fit, raw and subtracted fits alternate block by block
+        counts = [np.concatenate(fits[1::2]), np.concatenate(fits[2::2]), np.concatenate(tables)]
         results[size] = (fringe, chsh, counts)
     (f0, c0, counts0), (f1, c1, counts1) = results[runs], results[block]
     assert all(np.array_equal(x, y) for x, y in zip(counts0, counts1))
