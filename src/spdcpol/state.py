@@ -18,8 +18,10 @@ rescaled, which is what coincidence post-selection does to the statistics.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Any
 
@@ -102,6 +104,27 @@ def _buffer(name: str, length: int, dtype: type = complex, new: Any = np.empty) 
     return buf[:length]
 
 
+# glibc's dynamic malloc rule (trim at twice the mmap threshold), started at 4 MiB, not at the
+# first large free: pocketfft's per-transform scratch (to 2**18 points) reuses resident pages.
+_malloc_set = False  # True once a process has applied it
+
+
+def _keep_freed_heap() -> None:
+    """Apply that rule once per process through mallopt; a no-op off glibc or without mallopt."""
+    global _malloc_set
+    if _malloc_set:
+        return
+    _malloc_set = True
+    try:
+        if "glibc" not in os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.pythonapi.mallopt  # the process's own symbols, libc's among them
+    except (AttributeError, OSError, TypeError, ValueError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD; each returns 0 if refused, which changes no value
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def _times_temporary(
     x: NDArray[np.complex128], tmp: NDArray[np.complex128], out: NDArray[np.complex128]
 ) -> NDArray[np.complex128]:
@@ -159,6 +182,7 @@ def overlap_scan(
     np.multiply(a, scratch[:m], out=a)
     if n == 1:  # the chirp-z transform at a single point is the plain sum
         return a.sum(keepdims=True) / norm
+    _keep_freed_heap()
     theta = 2.0 * jsa.grid.step * step
     size = 1 << (m + n - 2).bit_length()  # >= N + n - 1: no wrap onto the outputs
     fft = np.fft  # loaded on first use; import numpy does not load it

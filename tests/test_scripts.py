@@ -130,3 +130,25 @@ def test_golden_manifest_holds_under_another_openblas_kernel(coretype):
         timeout=120,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_golden_manifest_holds_without_the_malloc_setting():
+    # state's malloc setting is process-wide and applied once: in a process of its own
+    # marked as having applied it, it never runs, and the outputs must not move
+    script = str(SCRIPTS / "compare_outputs.py")
+    code = (
+        "import runpy, sys\n"
+        "from spdcpol import state\n"
+        "state._malloc_set = True\n"
+        f"sys.argv = [{script!r}]\n"
+        f"runpy.run_path({script!r}, run_name='__main__')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "outputs match" in result.stdout

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +154,41 @@ def test_overlap_bounded_by_one(tau_fs, gvd, v_tm):
     assert abs(ov) <= 1.0 + 1e-10
 
 
+# F(W)F*(-W) = A(W) exp(-i delta L W), A real and even: the GVD and delta0 phases cancel
+# from it. So V(delta L/2 + x) = Sum A(W) cos(2 W x) is even in x and real, whatever the
+# scenario; an oracle that does not go through the chirp-z mirroring.
+@given(
+    length_mm=st.floats(0.3, 12.0),
+    v_tm=st.floats(8.5e7, 9.5e7),
+    gvd_ps_nm_km=st.floats(-20000.0, 2000.0),
+    delta0=st.one_of(st.sampled_from([0.0, 3e3, -1e4]), st.floats(-1e4, 3e3)),
+    shape=st.sampled_from(["top_hat", "gaussian"]),
+    fwhm_nm=st.floats(5.0, 80.0),
+    center_offset=st.floats(-0.4, 0.4),
+    half=st.integers(0, 500),
+    step_fs=st.floats(0.01, 3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_overlap_scan_is_even_about_half_walkoff_and_real_there(
+    length_mm, v_tm, gvd_ps_nm_km, delta0, shape, fwhm_nm, center_offset, half, step_fs
+):
+    disp = WaveguideDispersion(
+        length_L=length_mm * 1e-3,
+        v_te=8.98e7,
+        v_tm=v_tm,
+        gvd_D=gvd_ps_nm_km * 1e-6,
+        lambda_deg=1555.9e-9,
+        delta0=delta0,
+    )
+    center_nm = 1555.9 + center_offset * fwhm_nm  # the band passes the degenerate wavelength
+    filt = SpectralFilter(shape=shape, center_lambda=center_nm * 1e-9, fwhm_lambda=fwhm_nm * 1e-9)
+    jsa = build_jsa(disp, filt, search_grid(disp, filt))
+    step = step_fs * 1e-15
+    v = overlap_scan(jsa, _half_walkoff(disp) - half * step, step, 2 * half + 1)
+    assert_allclose(np.abs(v), np.abs(v[::-1]), rtol=0.0, atol=2e-14)
+    assert abs(v[half].imag) <= 1e-15
+
+
 # --- overlap_scan: bitwise against the allocating evaluation --------------------
 
 
@@ -271,6 +311,113 @@ def test_overlap_scan_overflow_raises_as_the_allocating_evaluation(monkeypatch, 
     assert str(got.value) == str(expected.value)
     for scan in _SCANS:
         _assert_bitwise(large, *scan)
+
+
+# --- overlap_scan: the process-wide malloc setting -------------------------------
+
+
+def _on_glibc():
+    try:
+        return "glibc" in os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, TypeError, ValueError):
+        return False
+
+
+_WARM_SCAN_FAULTS = """
+import resource
+from spdcpol.config import ScenarioConfig, base_config_dict
+from spdcpol.state import overlap_scan
+data = base_config_dict()
+data["grid"]["n_points"] = 16385
+jsa = ScenarioConfig(data).build_jsa()
+for _ in range(2):
+    overlap_scan(jsa, -177.75e-15, 0.1e-15, 4001)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+overlap_scan(jsa, -177.75e-15, 0.1e-15, 4001)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the malloc setting applies to glibc only")
+def test_warm_delay_search_scan_faults_in_no_fresh_pages():
+    # the setting is process-wide and applied once, so a fresh process sees its effect
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _WARM_SCAN_FAULTS],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) <= 64  # minor page faults of the third call
+
+
+class _Libc:
+    """Stands in for ctypes.pythonapi; records each mallopt call."""
+
+    def __init__(self, returns=1):
+        self.calls, self.returns = [], returns
+
+    def mallopt(self, option, value):
+        self.calls.append((option, value))
+        return self.returns
+
+
+@pytest.fixture
+def unset_malloc(monkeypatch):
+    """A process in which the setting has not run yet, on a glibc whose libc is _Libc()."""
+    libc = _Libc()
+    monkeypatch.setattr(state_mod, "_malloc_set", False)
+    monkeypatch.setattr(state_mod.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(state_mod.ctypes, "pythonapi", libc)
+    return libc
+
+
+def _scan_small():
+    """A multi-point scan, bit for bit the allocating evaluation whatever the setting did."""
+    rng = np.random.default_rng(7)
+    grid = SpectralGrid(omega_max=1e13, n_points=129)
+    amp = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
+    _assert_bitwise(JointSpectralAmplitude(grid=grid, amplitude=amp), -20e-15, 0.5e-15, 81)
+
+
+def test_malloc_setting_runs_once_before_the_first_chirp_z_transform(unset_malloc):
+    _overlap_at(_paper_jsa()[1], 22.25e-15)  # a single delay is a plain sum
+    assert unset_malloc.calls == []
+    _scan_small()
+    _scan_small()
+    # glibc's malloc.h: M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD is -1
+    assert unset_malloc.calls == [(-3, 4 * 2**20), (-1, 8 * 2**20)]
+    assert state_mod._malloc_set
+
+
+@pytest.mark.parametrize(
+    "libc",  # what os.confstr("CS_GNU_LIBC_VERSION") returns or raises
+    ["musl 1.2.4", None, ValueError("unrecognized configuration name"), OSError(22, "EINVAL")],
+)
+def test_malloc_setting_is_a_no_op_off_glibc(unset_malloc, monkeypatch, libc):
+    def confstr(name):
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    monkeypatch.setattr(state_mod.os, "confstr", confstr)
+    _scan_small()
+    assert unset_malloc.calls == []
+
+
+def test_malloc_setting_is_a_no_op_without_mallopt(unset_malloc, monkeypatch):
+    monkeypatch.setattr(state_mod.ctypes, "pythonapi", object())
+    _scan_small()
+    assert state_mod._malloc_set
+
+
+def test_malloc_setting_ignores_a_mallopt_that_returns_0(unset_malloc):
+    unset_malloc.returns = 0
+    _scan_small()
+    _scan_small()
+    assert unset_malloc.calls == [(-3, 4 * 2**20), (-1, 8 * 2**20)]
 
 
 # --- halving_error ----------------------------------------------------------------
