@@ -264,6 +264,17 @@ def _default_span(disp: WaveguideDispersion, filt: SpectralFilter) -> float:
     return float(sep * omega0**2 / (a + np.hypot(a, sep * omega0)))
 
 
+def _check_span(disp: WaveguideDispersion, omega_max: float) -> None:
+    """ConfigurationError unless omega0 - omega_max, the grid's lowest absolute
+    frequency, is positive."""
+    omega0 = disp.omega_deg
+    if omega_max >= omega0:
+        raise ConfigurationError(
+            "grid span reaches non-positive absolute frequencies; "
+            f"omega_max={omega_max:.3e} >= omega0={omega0:.3e}"
+        )
+
+
 def _grid_points(disp: WaveguideDispersion, omega_max: float, tau_max: float) -> int:
     """Smallest 2**k + 1 points (k >= 2) on [-omega_max, omega_max] at which a step
     carries at most MAX_PHASE_STEP of sinc phase and of delay phase 2*Omega*tau_max.
@@ -305,10 +316,12 @@ def default_grid(
     (_default_span): on a top-hat's, the jump at the band edge falls on the
     end nodes and the trapezoid rule converges at O(step^2). The count is
     the smallest 2**k + 1 that keeps the sinc and delay phases per step under
-    MAX_PHASE_STEP (_grid_points).
+    MAX_PHASE_STEP (_grid_points). A span reaching omega0 raises
+    ConfigurationError before the count is sized.
     """
     if omega_max is None:
         omega_max = _default_span(disp, filt)
+    _check_span(disp, omega_max)
     if n_points is None:
         n_points = _grid_points(disp, omega_max, tau_max)
     return SpectralGrid(omega_max, n_points)
@@ -330,15 +343,11 @@ def build_jsa(
 
     sinc(x) = sin(x)/x with sinc(0) = 1. Raises ConfigurationError when the
     grid span does not reach the support of g(omega0+Omega) g(omega0-Omega)
-    (to within EDGE_RTOL).
+    (to within EDGE_RTOL), or reaches omega0.
     """
     _check_band_inside_grid(disp, filt, grid)
+    _check_span(disp, grid.omega_max)
     omega0 = disp.omega_deg
-    if grid.omega_max >= omega0:
-        raise ConfigurationError(
-            "grid span reaches non-positive absolute frequencies; "
-            f"omega_max={grid.omega_max:.3e} >= omega0={omega0:.3e}"
-        )
     om = grid.omegas
     phi = phase_mismatch(om, disp)
     # np.sinc is sin(pi x)/(pi x); rescale to sin(x)/x

@@ -23,7 +23,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
@@ -86,26 +85,9 @@ class TwoQubitState:
 # keeps the operand order they had.
 _NUMPY_ELIDE_BYTES = 256 * 1024
 
-# overlap_scan's buffers by name, kept from call to call. Each grows only
-# when a larger scan needs it; smaller scans take prefix views. A scan
-# writes every view before it reads it, so nothing carries from one call to
-# the next, not even from a call that raised part-way. Being one per
-# process, the buffers serve one scan at a time: threads must not scan
-# concurrently.
-_WORKSPACE: dict[str, NDArray[Any]] = {}
-
-
-def _buffer(name: str, length: int, dtype: type = complex, new: Any = np.empty) -> NDArray[Any]:
-    """The first `length` elements of workspace buffer `name`; new(length, dtype=dtype)
-    replaces a buffer that is missing or shorter."""
-    buf = _WORKSPACE.get(name)
-    if buf is None or buf.size < length:
-        buf = _WORKSPACE[name] = new(length, dtype=dtype)
-    return buf[:length]
-
-
 # glibc's dynamic malloc rule (trim at twice the mmap threshold), started at 4 MiB, not at the
-# first large free: pocketfft's per-transform scratch (to 2**18 points) reuses resident pages.
+# first large free: overlap_scan's arrays and pocketfft's per-transform scratch (to 2**18
+# points) reuse resident pages.
 _malloc_set = False  # True once a process has applied it
 
 
@@ -155,31 +137,27 @@ def overlap_scan(
     conjugated, bit for bit the values exp gives for them: (N + 1)/2 +
     (N + n)/2 exponentials for odd n and N + 1 + (N + n - 1)/2 for even n,
     against 3N + 2n - 1 for every value.
-
-    Intermediates go to buffers reused from call to call (_WORKSPACE); the
-    returned array is always a new one.
     """
     f = jsa.amplitude
     m = f.size
-    real = _buffer("real", m + n - 1, float)
-    scratch = _buffer("scratch", m + n - 1)
-    w = _buffer("weights", m, float)
-    w.fill(1.0)
+    w = np.ones(m)
     w[[0, -1]] = 0.5  # trapezoid weights; the grid step cancels in the ratio
-    norm = np.sum(np.multiply(w, np.square(np.abs(f, out=real[:m]), out=real[:m]), out=real[:m]))
+    f2 = np.abs(f)
+    norm = np.sum(np.multiply(w, np.square(f2, out=f2), out=f2))
     if norm <= 0.0:
         raise DegenerateDataError("joint spectral amplitude has zero norm")
     h, c = (m - 1) // 2, 0.5 * (n - 1)
-    ramp = _buffer("ramp", m + n - 1, float, np.arange)  # 0.0, 1.0, 2.0, ...
+    ramp = np.arange(m + n - 1, dtype=float)  # 0.0, 1.0, 2.0, ...
     # a = w * f * conj(F(-Omega)) * exp(2i * Omega * (tau0 + c * step)), one step at a time
-    a = np.multiply(w, f, out=_buffer("v", m))  # in v until the chirp transform replaces it
-    np.multiply(a, np.conjugate(jsa.reflected(), out=scratch[:m]), out=a)
+    a = np.multiply(w, f)
+    np.multiply(a, np.conjugate(jsa.reflected()), out=a)
     # Omega_k = (k - h) * dOmega, as SpectralGrid.omegas computes it, for k >= h; the
     # delay phase is odd in Omega, so k < h takes the conjugate of its mirror image
-    om = np.multiply(ramp[: h + 1], jsa.grid.step, out=real[: h + 1])
-    phase = np.multiply(np.multiply(2j, om, out=scratch[h:m]), tau0 + c * step, out=scratch[h:m])
-    np.conjugate(np.exp(phase, out=phase)[:0:-1], out=scratch[:h])
-    np.multiply(a, scratch[:m], out=a)
+    om = np.multiply(ramp[: h + 1], jsa.grid.step)
+    delay = np.empty(m, dtype=complex)
+    phase = np.multiply(np.multiply(2j, om, out=delay[h:]), tau0 + c * step, out=delay[h:])
+    np.conjugate(np.exp(phase, out=phase)[:0:-1], out=delay[:h])
+    np.multiply(a, delay, out=a)
     if n == 1:  # the chirp-z transform at a single point is the plain sum
         return a.sum(keepdims=True) / norm
     _keep_freed_heap()
@@ -192,17 +170,18 @@ def overlap_scan(
     # its d run from -(h + c) to h + c: exponentiated for d >= 0, from k = mid on, and
     # mirrored onto k < mid.
     mid = h + n // 2
-    d2 = np.square(np.add(ramp[: m + n - 1 - mid], c % 1.0, out=real[mid:]), out=real[mid:])
-    chirp = scratch
+    d2 = np.add(ramp[: m + n - 1 - mid], c % 1.0)
+    np.square(d2, out=d2)
+    chirp = np.empty(m + n - 1, dtype=complex)
     np.exp(np.multiply(-0.5j * theta, d2, out=chirp[mid:]), out=chirp[mid:])
     chirp[:mid] = chirp[::-1][:mid]
     # Conjugating exp(ix) gives exp(-ix) bit for bit but for the sign of a zero
     # imaginary part, where x is 0: at p = 0 and q = 0, and everywhere when theta is 0.
     # The pre- and post-chirp take exp's own value there.
     at_zero = np.exp(np.multiply(0.5j * theta, 0.0))
-    pre = _buffer("u", size)[:m]  # in u until the transform replaces it
+    pre = np.empty(m, dtype=complex)
     if n % 2 == 0:  # p is an integer but d is not: p >= 0 exponentiated, mirrored
-        p2 = np.square(ramp[: h + 1], out=real[: h + 1])
+        p2 = np.square(ramp[: h + 1])
         np.exp(np.multiply(0.5j * theta, p2, out=pre[h:]), out=pre[h:])
         pre[:h] = pre[::-1][:h]
     else:  # the chirp at d = p, conjugated
@@ -210,10 +189,10 @@ def overlap_scan(
         pre[h] = at_zero
         if theta == 0.0:
             pre.fill(at_zero)
-    u = fft.fft(_times_temporary(a, pre, out=a), size, out=_buffer("u", size))
-    v = fft.fft(chirp, size, out=_buffer("v", size))
+    u = fft.fft(_times_temporary(a, pre, out=a), size)
+    v = fft.fft(chirp, size)
     conv = fft.ifft(_times_temporary(u, v, out=u), out=u)[m - 1 : m - 1 + n]
-    post = np.conjugate(chirp[h : h + n], out=v[:n])  # the chirp at d = q, conjugated
+    post = np.conjugate(chirp[h : h + n])  # the chirp at d = q, conjugated
     if n % 2:
         post[n // 2] = at_zero
     if theta == 0.0:

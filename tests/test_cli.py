@@ -343,6 +343,19 @@ def test_grid_beyond_max_points_exits_3_unless_its_points_are_set(tmp_path, run_
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("span", [2e15, 1e200, 1e300])  # all at or beyond omega0 = 1.2e15 rad/s
+@pytest.mark.parametrize("command", ["fringe", "delay-scan", "chsh", "s-curve"])
+def test_grid_span_reaching_omega0_exits_2_at_any_magnitude(tmp_path, run_cli, command, span):
+    cfg = tmp_path / "span.json"
+    cfg.write_text(json.dumps({"grid": {"omega_max_rad_s": span}}))
+    out = tmp_path / "o"
+    result = run_cli(command, "--config", str(cfg), "--out", str(out))
+    assert _single_config_error(result).startswith(
+        f"CONFIG_ERROR: grid span reaches non-positive absolute frequencies; omega_max={span:.3e}"
+    )
+    assert not out.exists()
+
+
 def test_same_seed_reproduces_bytes(tmp_path, run_cli):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

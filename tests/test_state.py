@@ -1,6 +1,9 @@
+import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +196,8 @@ def test_overlap_scan_is_even_about_half_walkoff_and_real_there(
 
 
 def _allocating_overlap_scan(jsa, tau0, step, n):
-    """overlap_scan as written before its workspace: every intermediate a fresh array."""
+    """overlap_scan as whole-array expressions: a temporary for every intermediate and
+    an exponential for every value, nothing mirrored."""
     f = jsa.amplitude
     w = np.ones(f.size)
     w[[0, -1]] = 0.5
@@ -217,8 +221,8 @@ def _allocating_overlap_scan(jsa, tau0, step, n):
 
 # The pre-chirped samples stay below numpy's 256 KiB temporary-elision
 # threshold at 4097 and 8193 points and cross it at 16385; the transforms
-# cross it from 8193 points with n = 801. The grids grow, then shrink, the
-# workspace.
+# cross it from 8193 points with n = 801. The grids grow, then shrink, so each
+# size of scan follows a larger and a smaller one.
 _BITWISE_GRIDS = (4097, 16385, 8193)
 
 
@@ -241,15 +245,13 @@ def _assert_bitwise(jsa, tau0, step, n):
     return got
 
 
-def test_overlap_scan_is_bitwise_the_allocating_evaluation(monkeypatch):
-    monkeypatch.setattr(state_mod, "_WORKSPACE", {})
+def test_overlap_scan_is_bitwise_the_allocating_evaluation():
     for jsa in _bitwise_jsas():
         for scan in _SCANS:
             _assert_bitwise(jsa, *scan)
 
 
-def test_overlap_scan_results_do_not_share_the_workspace(monkeypatch):
-    monkeypatch.setattr(state_mod, "_WORKSPACE", {})
+def test_overlap_scan_results_do_not_share_memory():
     jsa = _bitwise_jsas()[0]
     first = overlap_scan(jsa, -200e-15, 0.5e-15, 801)
     kept = first.copy()
@@ -259,8 +261,7 @@ def test_overlap_scan_results_do_not_share_the_workspace(monkeypatch):
     assert second.tobytes() == kept.tobytes()
 
 
-def test_overlap_scan_raising_part_way_leaves_later_calls_bitwise(monkeypatch):
-    monkeypatch.setattr(state_mod, "_WORKSPACE", {})
+def test_overlap_scan_raising_part_way_leaves_later_calls_bitwise():
     small, large, medium = _bitwise_jsas()
     _assert_bitwise(small, -200e-15, 0.5e-15, 801)
     with np.errstate(all="raise"):
@@ -271,6 +272,22 @@ def test_overlap_scan_raising_part_way_leaves_later_calls_bitwise(monkeypatch):
     for jsa in (medium, large, small):
         for scan in _SCANS:
             _assert_bitwise(jsa, *scan)
+
+
+def test_overlap_scan_on_two_threads_is_bitwise_the_single_threaded_scan():
+    small, _, medium = _bitwise_jsas()
+    jobs = [(small, -200e-15, 0.5e-15, 801), (medium, -177.75e-15, 0.1e-15, 4001)]
+    expected = [overlap_scan(*job).tobytes() for job in jobs]
+    start = threading.Barrier(len(jobs), timeout=60)
+
+    def scans(job):
+        start.wait()
+        return [overlap_scan(*job).tobytes() for _ in range(30)]
+
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        results = list(pool.map(scans, jobs))
+    differing = [sum(got != want for got in runs) for runs, want in zip(results, expected)]
+    assert differing == [0, 0]  # of 30 results on each thread
 
 
 # The chirps are exponentiated for one sign of their argument and mirrored: even n
@@ -300,8 +317,7 @@ def test_overlap_scan_mirrored_chirps_are_bitwise(seed, half, omega_max, tau0_fs
 
 @pytest.mark.parametrize("n", [4001, 4000, 801, 800])
 @pytest.mark.parametrize("tau0, step", [(1e300, 0.1e-15), (0.0, 1e291)])
-def test_overlap_scan_overflow_raises_as_the_allocating_evaluation(monkeypatch, n, tau0, step):
-    monkeypatch.setattr(state_mod, "_WORKSPACE", {})
+def test_overlap_scan_overflow_raises_as_the_allocating_evaluation(n, tau0, step):
     large = _bitwise_jsas()[1]
     with np.errstate(all="raise"):
         with pytest.raises(FloatingPointError) as expected:
@@ -324,33 +340,51 @@ def _on_glibc():
 
 
 _WARM_SCAN_FAULTS = """
-import resource
+import json, resource, sys
 from spdcpol.config import ScenarioConfig, base_config_dict
 from spdcpol.state import overlap_scan
-data = base_config_dict()
-data["grid"]["n_points"] = 16385
-jsa = ScenarioConfig(data).build_jsa()
-for _ in range(2):
-    overlap_scan(jsa, -177.75e-15, 0.1e-15, 4001)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-overlap_scan(jsa, -177.75e-15, 0.1e-15, 4001)
+def build_jsa(n_points):
+    data = base_config_dict()
+    data["grid"]["n_points"] = n_points
+    return ScenarioConfig(data).build_jsa()
+rounds, scans = json.loads(sys.argv[1])
+jsas = {n_points: build_jsa(n_points) for n_points, *_ in scans}
+for _ in range(rounds):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for n_points, *scan in scans:
+        overlap_scan(jsas[n_points], *scan)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+# (rounds, [(grid points, tau0, step, delays), ...]): the delay search alone, and
+# delay-scan's curve and search on the 16385-point grid after a smaller spectrum's scan
+_WARM_SCAN_INPUTS = (
+    (3, [(16385, -177.75e-15, 0.1e-15, 4001)]),
+    (
+        4,
+        [
+            (1025, -200e-15, 0.5e-15, 801),
+            (16385, -200e-15, 0.5e-15, 801),
+            (16385, -177.75e-15, 0.1e-15, 4001),
+        ],
+    ),
+)
 
 
 @pytest.mark.skipif(not _on_glibc(), reason="the malloc setting applies to glibc only")
 def test_warm_delay_search_scan_faults_in_no_fresh_pages():
     # the setting is process-wide and applied once, so a fresh process sees its effect
     src = Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run(
-        [sys.executable, "-c", _WARM_SCAN_FAULTS],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert int(result.stdout) <= 64  # minor page faults of the third call
+    for scan_input in _WARM_SCAN_INPUTS:
+        result = subprocess.run(
+            [sys.executable, "-c", _WARM_SCAN_FAULTS, json.dumps(scan_input)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) <= 64, scan_input  # minor page faults of the last round
 
 
 class _Libc:
