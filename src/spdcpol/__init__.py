@@ -12,9 +12,7 @@ from .counting import (
     chsh_from_counts,
     efficiency_budget,
     mean_counts,
-    measure_accidentals,
     poisson_counts,
-    subtract_accidentals,
 )
 from .errors import ConfigurationError, DegenerateDataError
 from .polarimetry import (
@@ -30,7 +28,6 @@ from .spectral import (
     SpectralFilter,
     SpectralGrid,
     WaveguideDispersion,
-    beta2_from_d,
     build_jsa,
     default_grid,
     filter_amplitude,

@@ -80,8 +80,15 @@ def number(interval: str | None = "(-inf, inf)", *also: Any, integer: bool = Fal
     return check
 
 
+def _steps_are_floats(reach: float, step: float) -> bool:
+    """|reach| / step < 2**52: the float spacing out to |reach| is finer than step, so a
+    lattice of this step that reaches no further has distinct float points."""
+    return abs(reach) / step < 2**52
+
+
 def scan(value: Any, where: str) -> None:
-    """{start, stop, step} with stop > start, step > 0 and at most MAX_POINTS points."""
+    """{start, stop, step} with stop > start, step > 0, at most MAX_POINTS points and
+    a step coarser than the float spacing at both ends."""
     _check_object(value, dict.fromkeys(("start", "stop", "step"), number()), where)
     start, stop, step = value["start"], value["stop"], value["step"]
     if step <= 0 or stop <= start:
@@ -89,6 +96,8 @@ def scan(value: Any, where: str) -> None:
     # np.arange(start, stop + step / 2, step) has ceil of this many points; inf fails, too
     if not (stop + 0.5 * step - start) / step <= MAX_POINTS:
         raise ConfigurationError(f"{where} spans more than {MAX_POINTS} points")
+    if not _steps_are_floats(max(abs(start), abs(stop)), step):
+        raise ConfigurationError(f"{where}: step {step:g} is too fine for the floats at its ends")
 
 
 def _scan_values(block: dict[str, Any]) -> np.ndarray:
@@ -420,13 +429,13 @@ class ScenarioConfig:
         DELAY_SCAN_STEP_FS lattice nearest delta*L/2."""
         block = self._data["run"]["delay_scan_fs"]
         if block is None:
-            steps = to_fs(self._dispersion.half_walkoff) / DELAY_SCAN_STEP_FS
-            if not abs(steps) < 2**52:  # else the window's lattice points are not all floats
+            half_walkoff_fs = to_fs(self._dispersion.half_walkoff)
+            if not _steps_are_floats(half_walkoff_fs, DELAY_SCAN_STEP_FS):
                 raise ConfigurationError(
-                    f"delta*L/2 = {steps * DELAY_SCAN_STEP_FS:.3e} fs is too large to centre "
+                    f"delta*L/2 = {half_walkoff_fs:.3e} fs is too large to centre "
                     "the default run.delay_scan_fs on; set it"
                 )
-            center = round(steps) * DELAY_SCAN_STEP_FS
+            center = round(half_walkoff_fs / DELAY_SCAN_STEP_FS) * DELAY_SCAN_STEP_FS
             half = DELAY_SCAN_HALF_WIDTH_FS
             block = {"start": center - half, "stop": center + half, "step": DELAY_SCAN_STEP_FS}
         return _scan_values(block), float(block["step"])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import ConfigurationError, DegenerateDataError
+from .errors import DegenerateDataError
 from .polarimetry import chsh_estimate
 from .units import HBAR, omega_from_lambda
 
@@ -34,8 +34,6 @@ __all__ = [
     "accidental_rate",
     "mean_counts",
     "poisson_counts",
-    "measure_accidentals",
-    "subtract_accidentals",
     "chsh_from_counts",
     "efficiency_budget",
 ]
@@ -106,8 +104,8 @@ def mean_counts(
 def poisson_counts(
     means: ArrayLike, seed: int | np.random.Generator, size: int | tuple[int, ...] | None = None
 ) -> NDArray[np.int64]:
-    """Independent Poisson draws, one per mean, or `size` draws of a broadcast mean.
-    Same seed, same output.
+    """Independent Poisson draws of shape `size`, the means broadcast to it (one
+    draw per mean if size is None). Same seed, same output.
 
     A Generator is drawn from in place, so consecutive calls continue one
     stream: drawing rows in blocks gives the same counts as drawing them
@@ -117,31 +115,6 @@ def poisson_counts(
         return np.random.default_rng(seed).poisson(means, size)
     except ValueError as exc:  # a mean that is negative, NaN or beyond about 9.2e18
         raise DegenerateDataError(f"cannot draw Poisson counts: {exc}") from exc
-
-
-def measure_accidentals(
-    model: DetectorModel,
-    integration_time: float,
-    seed: int | np.random.Generator,
-    n_settings: int | tuple[int, ...] = 1,
-) -> NDArray[np.int64]:
-    """Accidental-only Poisson draws, one per setting (`n_settings` may be a shape).
-
-    Simulated analogue of delaying the second detector's trigger out of the
-    first detector's window: the same singles, no correlated pairs.
-    """
-    return poisson_counts(accidental_rate(model) * integration_time, seed, n_settings)
-
-
-def subtract_accidentals(raw, accidentals) -> NDArray[np.float64]:
-    """Elementwise raw - accidentals; negative results are kept, not clamped."""
-    raw = np.asarray(raw, dtype=float)
-    accidentals = np.asarray(accidentals, dtype=float)
-    if raw.shape != accidentals.shape:
-        raise ConfigurationError(
-            f"raw and accidental count arrays differ in shape: {raw.shape} vs {accidentals.shape}"
-        )
-    return raw - accidentals
 
 
 def chsh_from_counts(counts: ArrayLike) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -36,7 +35,6 @@ from .errors import ConfigurationError, DegenerateDataError
 from .state import TwoQubitState
 
 __all__ = [
-    "FringeFit",
     "coincidence_probs",
     "fit_fringe",
     "canonical_settings",
@@ -57,18 +55,6 @@ def coincidence_probs(
     c2, s2 = np.cos(t2), np.sin(t2)
     v = np.stack([c1 * s2, c1 * c2, -s1 * s2, -s1 * c2], axis=-1)
     return np.real(np.einsum("...i,ij,...j->...", v, state.rho, v))
-
-
-class FringeFit(NamedTuple):
-    """Least-squares fit of y = offset + amplitude * cos(2 theta + phase).
-
-    Arrays of the fitted values' leading shape, 0-d for one fringe.
-    """
-
-    offset: NDArray[np.float64]
-    amplitude: NDArray[np.float64]
-    phase: NDArray[np.float64]
-    visibility: NDArray[np.float64]
 
 
 # Scale-free 4 det(G) / n^3 of the fit design's Gram matrix G: 1 on a uniform full
@@ -96,8 +82,8 @@ def _design_pinv(theta_bytes: bytes) -> NDArray[np.float64]:
     return pinv
 
 
-def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> FringeFit:
-    """Fit a + b cos(2 theta + phi) by linear least squares along the last axis.
+def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Visibility b / a of the least-squares fit a + b cos(2 theta + phi), along the last axis.
 
     `values` holds one fringe over the angles `theta` (shape (n,)) or a
     batch of them (shape (..., n)); every fringe is fitted by one product
@@ -106,11 +92,11 @@ def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> Fring
     unlike a BLAS matmul whose kernel follows the batch shape, gives a
     fringe the same fit whatever batch it is in.
 
-    Returns a FringeFit of arrays of the leading shape, 0-d for one fringe,
-    with visibility = b / a unclamped, so count-level noise propagates into
-    the estimate without bias. Raises DegenerateDataError for angles on
-    which the design is singular, such as a 90-degree step; callers enforce
-    their own grid rules (check_theta2_grid).
+    Returns an array of the leading shape, 0-d for one fringe, with the
+    visibility unclamped, so count-level noise propagates into the estimate
+    without bias. Raises DegenerateDataError for a non-positive offset a and
+    for angles on which the design is singular, such as a 90-degree step;
+    callers enforce their own grid rules (check_theta2_grid).
     """
     theta = np.asarray(theta, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -124,8 +110,7 @@ def fit_fringe(theta: NDArray[np.float64], values: NDArray[np.float64]) -> Fring
         raise DegenerateDataError(
             f"fringe offset {np.min(a):.3e} is not positive; nothing to normalize by"
         )
-    amplitude = np.hypot(p, q)
-    return FringeFit(a, amplitude, np.arctan2(-q, p), amplitude / a)
+    return np.hypot(p, q) / a
 
 
 def check_theta2_grid(grid: NDArray[np.float64]) -> None:

@@ -26,9 +26,7 @@ from .counting import (
     derive_seed,
     efficiency_budget,
     mean_counts,
-    measure_accidentals,
     poisson_counts,
-    subtract_accidentals,
 )
 from .errors import ConfigurationError, DegenerateDataError
 from .polarimetry import (
@@ -211,7 +209,7 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
     # so the clip removes roundoff only
     probs = coincidence_probs(state, np.radians(theta1s_deg)[:, None], grid)
     expected = mean_counts(probs, model, pair_rate, t_int)
-    vis_model = np.clip(fit_fringe(grid, probs).visibility, 0.0, 1.0)
+    vis_model = np.clip(fit_fringe(grid, probs), 0.0, 1.0)
 
     record = ResultRecord(command="fringe", config=cfg.to_dict(), scalars={})
     acc = accidental_rate(model)
@@ -221,11 +219,12 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
         acc_stream = np.random.default_rng(derive_seed(seed, 1, i, 0))
         vis_raw, vis_sub = _RunMoments(), _RunMoments()
         for b, n in enumerate(_blocks(runs)):
-            raw = poisson_counts(np.broadcast_to(means, (n, grid.size)), raw_stream)
-            acc_counts = measure_accidentals(model, t_int, acc_stream, (n, grid.size))
-            sub = subtract_accidentals(raw, acc_counts)
-            vis_raw.add(fit_fringe(grid, raw).visibility)
-            vis_sub.add(fit_fringe(grid, sub).visibility)
+            raw = poisson_counts(means, raw_stream, (n, grid.size))
+            # accidentals only: the second detector's trigger delayed out of the first's window
+            acc_counts = poisson_counts(acc * t_int, acc_stream, (n, grid.size))
+            sub = np.subtract(raw, acc_counts, dtype=float)  # negative values are kept
+            vis_raw.add(fit_fringe(grid, raw))
+            vis_sub.add(fit_fringe(grid, sub))
             if b == 0:
                 # copies: a view would keep the whole block alive
                 raw0, acc0, sub0 = raw[0].copy(), acc_counts[0].copy(), sub[0].copy()
@@ -296,7 +295,7 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
     stream = np.random.default_rng(derive_seed(seed, 2, 0))
     s_runs, sigma_runs = _RunMoments(), _RunMoments()
     for b, n in enumerate(_blocks(runs)):
-        counts = poisson_counts(np.broadcast_to(expected, (n, 4, 4)), stream)
+        counts = poisson_counts(expected, stream, (n, 4, 4))
         s_block, sigma_block = chsh_from_counts(counts)
         s_block = np.abs(s_block)  # |S|, as s_model
         s_runs.add(s_block)

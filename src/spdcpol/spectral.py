@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import ConfigurationError, DegenerateDataError
 from .units import C_LIGHT, TWO_PI, omega_from_lambda
@@ -37,20 +37,11 @@ __all__ = [
     "SpectralFilter",
     "SpectralGrid",
     "JointSpectralAmplitude",
-    "beta2_from_d",
     "phase_mismatch",
     "filter_amplitude",
     "build_jsa",
     "default_grid",
 ]
-
-
-def beta2_from_d(d: float, lam: float) -> float:
-    """Convert the dispersion parameter D (s/m^2) at wavelength lam (m) to
-    beta2 = -D * lam**2 / (2 pi c), in s^2/m."""
-    if lam <= 0:
-        raise ValueError(f"wavelength must be positive, got {lam}")
-    return -d * lam**2 / (TWO_PI * C_LIGHT)
 
 
 @dataclass(frozen=True)
@@ -99,20 +90,19 @@ class WaveguideDispersion:
 
     @property
     def beta2(self) -> float:
-        """beta_plus, the GVD coefficient both polarizations share (s^2/m)."""
-        return beta2_from_d(self.gvd_D, self.lambda_deg)
+        """beta_plus = -D lambda^2 / (2 pi c), the GVD both polarizations share (s^2/m)."""
+        return -self.gvd_D * self.lambda_deg**2 / (TWO_PI * C_LIGHT)
 
 
-def phase_mismatch(omega, disp: WaveguideDispersion):
-    """Accumulated phase phi(Omega) = dk(Omega) * L / 2 at detuning Omega.
+def phase_mismatch(omega: ArrayLike, disp: WaveguideDispersion) -> NDArray[np.float64]:
+    """Accumulated phase phi(Omega) = dk(Omega) * L / 2 at the detunings Omega.
 
     dk is expanded to second order around degeneracy:
-    dk = delta0 - delta*Omega - beta_plus*Omega**2. Accepts scalars or arrays.
+    dk = delta0 - delta*Omega - beta_plus*Omega**2.
     """
     omega = np.asarray(omega, dtype=float)
     dk = disp.delta0 - disp.delta * omega - disp.beta2 * omega**2
-    phi = dk * (disp.length_L / 2.0)
-    return phi if phi.ndim else float(phi)
+    return dk * (disp.length_L / 2.0)
 
 
 FILTER_SHAPES = ("top_hat", "gaussian")
@@ -147,8 +137,8 @@ class SpectralFilter:
         return omega_from_lambda(self.center_lambda + half), omega_from_lambda(self.center_lambda - half)
 
 
-def filter_amplitude(omega_abs, filt: SpectralFilter):
-    """Amplitude transmission g(omega) in [0, 1] at absolute frequency omega.
+def filter_amplitude(omega_abs: ArrayLike, filt: SpectralFilter) -> NDArray[np.float64]:
+    """Amplitude transmission g(omega) in [0, 1] at the absolute frequencies omega.
 
     top_hat: 1 inside the half-maximum band, 0 outside.
     gaussian: |g|^2 = exp(-4 ln2 ((lambda - center)/fwhm)^2), so the
@@ -160,10 +150,8 @@ def filter_amplitude(omega_abs, filt: SpectralFilter):
     lam = TWO_PI * C_LIGHT / omega_abs
     u = (lam - filt.center_lambda) / filt.fwhm_lambda
     if filt.shape == "top_hat":
-        g = (np.abs(u) <= 0.5).astype(float)
-    else:
-        g = np.exp(-2.0 * np.log(2.0) * u**2)
-    return g if g.ndim else float(g)
+        return (np.abs(u) <= 0.5).astype(float)
+    return np.exp(-2.0 * np.log(2.0) * u**2)
 
 
 @dataclass(frozen=True)

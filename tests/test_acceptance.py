@@ -13,6 +13,7 @@ from spdcpol import (
     DetectorModel,
     SpectralFilter,
     WaveguideDispersion,
+    accidental_rate,
     build_jsa,
     canonical_settings,
     chsh_estimate,
@@ -23,7 +24,6 @@ from spdcpol import (
     efficiency_budget,
     fit_fringe,
     mean_counts,
-    measure_accidentals,
     optimal_delay,
     overlap_scan,
     post_selected_state,
@@ -152,7 +152,7 @@ def test_criterion_4_visibilities():
     state = post_selected_state(0.91)
 
     # noiseless path: subtracted visibility at 45 degrees is the coherence
-    vis_45 = fit_fringe(theta2, coincidence_probs(state, 45.0 * DEG, theta2)).visibility
+    vis_45 = fit_fringe(theta2, coincidence_probs(state, 45.0 * DEG, theta2))
     noiseless_ok = abs(vis_45 - 0.91) < 1e-9
 
     # calibrated accidental preset: raw visibilities over >= 200 seeds
@@ -163,7 +163,7 @@ def test_criterion_4_visibilities():
         probs = coincidence_probs(state, theta1, theta2)
         counts_mean = mean_counts(probs, model, pair_rate, t_int)
         fits = [
-            fit_fringe(theta2, poisson_counts(counts_mean, seed=10_000 * offset + s)).visibility
+            fit_fringe(theta2, poisson_counts(counts_mean, seed=10_000 * offset + s))
             for s in range(n_seeds)
         ]
         means[label] = (float(np.mean(fits)), target)
@@ -340,8 +340,8 @@ def test_criterion_8_property_suites():
     expected = _expected_table(state, settings, model, 6.0, 60.0)
     t_a = poisson_counts(expected, seed=5)
     t_b = poisson_counts(expected, seed=5)
-    acc_a = measure_accidentals(model, 60.0, seed=6, n_settings=37)
-    acc_b = measure_accidentals(model, 60.0, seed=6, n_settings=37)
+    acc_a = poisson_counts(accidental_rate(model) * 60.0, seed=6, size=37)
+    acc_b = poisson_counts(accidental_rate(model) * 60.0, seed=6, size=37)
     checks["seed_determinism"] = bool(
         np.array_equal(t_a, t_b) and np.array_equal(acc_a, acc_b)
     )

@@ -232,6 +232,29 @@ def test_short_fringe_theta2_grid_exits_2(tmp_path, command, scan, message, run_
     assert not (tmp_path / "o").exists()
 
 
+_FINE = {"start": 1e17, "stop": 1.0000000000000006e17, "step": 0.5}  # 128 points, floats 16 apart
+
+
+@pytest.mark.parametrize(
+    "command, key, scan",
+    [
+        ("delay-scan", "delay_scan_fs", _FINE),
+        ("s-curve", "s_curve_theta_deg", _FINE),
+        ("fringe", "fringe_theta2_deg", {"start": 1e17, "stop": 1e17 + 368, "step": 10}),
+    ],
+)
+def test_scan_step_finer_than_the_floats_at_its_ends_exits_2(tmp_path, command, key, scan, run_cli):
+    # at 1e17 the floats are 16 apart: the lattice would repeat or skip its values,
+    # and the command would write them as if they were distinct
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"run": {key: scan}, "grid": {"n_points": 1025}}))
+    result = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    step = scan["step"]
+    message = f"CONFIG_ERROR: run.{key}: step {step:g} is too fine for the floats at its ends"
+    assert _single_config_error(result) == message
+    assert not (tmp_path / "o").exists()
+
+
 def test_budget_zero_efficiency_exits_2(tmp_path, run_cli):
     cfg = tmp_path / "eff.json"
     cfg.write_text(json.dumps({"detector": {"efficiency_1": 0.0}}))

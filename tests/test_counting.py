@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spdcpol import (
-    ConfigurationError,
     DegenerateDataError,
     DetectorModel,
     accidental_rate,
@@ -17,13 +16,12 @@ from spdcpol import (
     efficiency_budget,
     fit_fringe,
     mean_counts,
-    measure_accidentals,
     poisson_counts,
     post_selected_state,
-    subtract_accidentals,
     visibility_state,
 )
 from spdcpol.config import load_scenario
+from spdcpol.runners import run_fringe
 
 DEG = np.pi / 180.0
 
@@ -156,72 +154,82 @@ def test_simulate_counts_poisson_variance():
     assert abs(draws.var() - 9.0) / 9.0 < 0.10
 
 
-# --- measure_accidentals --------------------------------------------------------------
+# --- accidental-only draws ------------------------------------------------------------
+# Measuring the accidentals (one detector's trigger delayed out of the other's window)
+# draws the scalar mean accidental_rate * T at every setting: poisson_counts(mean, seed, size).
 
 
 def test_measure_accidentals_zero_calibration():
     model = _fringe_model(accidental_calibration=0.0)
-    assert np.all(measure_accidentals(model, 100.0, seed=1, n_settings=16) == 0)
+    assert np.all(poisson_counts(accidental_rate(model) * 100.0, seed=1, size=16) == 0)
 
 
 def test_measure_accidentals_mean():
-    model = _fringe_model()
-    draws = measure_accidentals(model, 10.0, seed=5, n_settings=20_000)
+    draws = poisson_counts(accidental_rate(_fringe_model()) * 10.0, seed=5, size=20_000)
     assert_allclose(draws.mean(), 132.06, rtol=0.02)
 
 
 def test_measure_accidentals_is_the_constant_mean_draw():
     # same stream as one Poisson call at the scalar mean with size=n
-    model = _fringe_model()
-    mean = accidental_rate(model) * 60.0
+    mean = accidental_rate(_fringe_model()) * 60.0
     expected = np.random.default_rng(7).poisson(mean, size=37)
-    assert np.array_equal(measure_accidentals(model, 60.0, seed=7, n_settings=37), expected)
+    assert np.array_equal(poisson_counts(mean, seed=7, size=37), expected)
     assert np.array_equal(poisson_counts(np.full(37, mean), seed=7), expected)
 
 
 def test_measure_accidentals_draws_what_a_full_array_of_means_draws():
-    # the scalar-mean draw against poisson_counts(np.full(shape, mean), ...), bit for bit
-    model = _fringe_model()
-    mean = accidental_rate(model) * 60.0
+    # a mean with `size` against poisson_counts(full array of means), bit for bit: the
+    # scalar accidental mean, and the per-angle means repeated over the runs of a block
+    mean = accidental_rate(_fringe_model()) * 60.0
     for shape in (37, (256, 37), (3, 4, 4)):
-        got = measure_accidentals(model, 60.0, seed=11, n_settings=shape)
+        got = poisson_counts(mean, seed=11, size=shape)
         assert np.array_equal(got, poisson_counts(np.full(shape, mean), seed=11))
-    ours, old = np.random.default_rng(12), np.random.default_rng(12)
-    for rows in (256, 256, 7):  # one stream drawn in blocks
-        got = measure_accidentals(model, 60.0, ours, (rows, 37))
-        assert np.array_equal(got, poisson_counts(np.full((rows, 37), mean), old))
+    means = mean_counts(_ideal_probs(np.arange(0.0, 365.0, 10.0) * DEG), _fringe_model(), 6.0, 60.0)
+    got = poisson_counts(means, seed=13, size=(256, 37))
+    assert np.array_equal(got, poisson_counts(np.tile(means, (256, 1)), seed=13))
+    for m in (mean, means):
+        ours, old = np.random.default_rng(12), np.random.default_rng(12)
+        for rows in (256, 256, 7):  # one stream drawn in blocks
+            got = poisson_counts(m, ours, (rows, 37))
+            assert np.array_equal(got, poisson_counts(np.full((rows, 37), m), old))
 
 
 def test_measure_accidentals_undrawable_mean_is_degenerate_data():
     with pytest.raises(DegenerateDataError, match="cannot draw Poisson counts"):
-        measure_accidentals(_fringe_model(), 1e300, seed=1, n_settings=4)
+        poisson_counts(accidental_rate(_fringe_model()) * 1e300, seed=1, size=4)
 
 
 def test_measure_accidentals_independent_seeds():
-    model = _fringe_model()
-    a = measure_accidentals(model, 10.0, seed=1, n_settings=1000)
-    b = measure_accidentals(model, 10.0, seed=2, n_settings=1000)
+    mean = accidental_rate(_fringe_model()) * 10.0
+    a = poisson_counts(mean, seed=1, size=1000)
+    b = poisson_counts(mean, seed=2, size=1000)
     assert not np.array_equal(a, b)
     assert abs(a.mean() - b.mean()) < 10.0
 
 
-# --- subtract_accidentals ---------------------------------------------------------------
+# --- accidental subtraction ---------------------------------------------------------------
+
+
+def _fringe_tables(preset, seed):
+    """The first-run counts tables of run_fringe, one column dict per basis."""
+    record = run_fringe(load_scenario(preset=preset, seed=seed, runs=1))
+    return [dict(zip(t["columns"], zip(*t["rows"]))) for t in record.tables.values()]
 
 
 def test_subtract_identity_for_zero_accidentals():
-    raw = np.array([5, 0, 3, 12])
-    out = subtract_accidentals(raw, np.zeros(4))
-    assert np.array_equal(out, raw.astype(float))
+    for cols in _fringe_tables("raw-visibility", 1):  # accidental_calibration 0
+        assert set(cols["counts_acc"]) == {0}
+        assert cols["counts_sub"] == tuple(map(float, cols["counts_raw"]))
 
 
 def test_subtract_preserves_negative_values():
-    out = subtract_accidentals([2, 1], [5, 0])
-    assert np.array_equal(out, [-3.0, 1.0])
-
-
-def test_subtract_length_mismatch():
-    with pytest.raises(ConfigurationError):
-        subtract_accidentals([1, 2, 3], [1, 2])
+    subs = []
+    for cols in _fringe_tables("paper-calibrated", 3):
+        sub = np.subtract(cols["counts_raw"], cols["counts_acc"], dtype=float)
+        assert cols["counts_sub"] == tuple(sub.tolist())
+        assert all(type(v) is float for v in cols["counts_sub"])
+        subs += cols["counts_sub"]
+    assert min(subs) < 0  # negative differences are written as they are, not clamped
 
 
 def test_subtraction_recovers_underlying_visibility():
@@ -232,9 +240,8 @@ def test_subtraction_recovers_underlying_visibility():
     truth = 0.25 * (1.0 + 0.98 * np.cos(2 * theta))
     accidental = np.full_like(truth, 0.05625)
     raw = truth + accidental
-    assert_allclose(fit_fringe(theta, raw).visibility, 0.80, atol=1e-12)
-    corrected = subtract_accidentals(raw, accidental)
-    assert_allclose(fit_fringe(theta, corrected).visibility, 0.98, atol=1e-12)
+    assert_allclose(fit_fringe(theta, raw), 0.80, atol=1e-12)
+    assert_allclose(fit_fringe(theta, raw - accidental), 0.98, atol=1e-12)
 
 
 def test_subtraction_then_fit_unbiased_over_ensemble():
@@ -244,12 +251,12 @@ def test_subtraction_then_fit_unbiased_over_ensemble():
     theta = np.arange(0.0, 360.0 + 5.0, 10.0) * DEG
     probs = coincidence_probs(state, 45.0 * DEG, theta)
     means = mean_counts(probs, model, 6.0, 60.0)
+    acc_mean = accidental_rate(model) * 60.0
     fitted = []
     for seed in range(500):
         raw = poisson_counts(means, seed=seed)
-        acc_meas = measure_accidentals(model, 60.0, seed=10_000 + seed, n_settings=theta.size)
-        corrected = subtract_accidentals(raw, acc_meas)
-        fitted.append(fit_fringe(theta, corrected).visibility)
+        acc_meas = poisson_counts(acc_mean, seed=10_000 + seed, size=theta.size)
+        fitted.append(fit_fringe(theta, np.subtract(raw, acc_meas, dtype=float)))
     fitted = np.asarray(fitted)
     assert abs(fitted.mean() - 0.91) < fitted.std()
 

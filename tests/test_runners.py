@@ -349,7 +349,7 @@ def test_runs_are_consecutive_rows_of_the_run_0_stream(monkeypatch):
         acc = _draw(seed, np.full((runs, grid.size), acc_mean), 1, i, 0)
         assert np.array_equal(np.concatenate(mine[0::2]), raw)
         assert np.array_equal(np.concatenate(mine[1::2]), raw - acc)
-        vis = [fit_fringe(grid, row).visibility for row in raw]
+        vis = [fit_fringe(grid, row) for row in raw]
         assert_allclose(basis["visibility_raw_fit_mean"], np.mean(vis), rtol=0, atol=1e-12)
         assert_allclose(basis["visibility_raw_fit_std"], np.std(vis), rtol=0, atol=1e-12)
 

@@ -14,7 +14,6 @@ from spdcpol import (
     SpectralFilter,
     SpectralGrid,
     WaveguideDispersion,
-    beta2_from_d,
     build_jsa,
     default_grid,
     filter_amplitude,
@@ -24,29 +23,34 @@ from spdcpol import spectral
 from spdcpol.units import omega_from_lambda
 
 
-# --- beta2_from_d -------------------------------------------------------------
+# --- WaveguideDispersion.beta2 -------------------------------------------------
 # hand evaluation of -D lam^2 / (2 pi c), c = 299792458 m/s:
 #   D = -7.9e-4 s/m^2 (i.e. -790 ps/(nm km)), lam = 1.55 um -> +1.007604e-24 s^2/m
 #   D = +1.7e-5 s/m^2 (i.e. +17 ps/(nm km)),  lam = 1.55 um -> -2.168250e-26 s^2/m
 
 
+def _beta2(d, lam):
+    disp = WaveguideDispersion(length_L=1e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=d, lambda_deg=lam)
+    return disp.beta2
+
+
 def test_beta2_normal_dispersion_telecom():
-    assert_allclose(beta2_from_d(-7.9e-4, 1.55e-6), 1.007604e-24, rtol=1e-5)
+    assert_allclose(_beta2(-7.9e-4, 1.55e-6), 1.007604e-24, rtol=1e-5)
 
 
 def test_beta2_zero_d():
-    assert beta2_from_d(0.0, 1.55e-6) == 0.0
+    assert _beta2(0.0, 1.55e-6) == 0.0
 
 
 def test_beta2_anomalous_fiber_value():
-    assert_allclose(beta2_from_d(1.7e-5, 1.55e-6), -2.168250e-26, rtol=1e-5)
+    assert_allclose(_beta2(1.7e-5, 1.55e-6), -2.168250e-26, rtol=1e-5)
 
 
 def test_beta2_rejects_nonpositive_wavelength():
-    with pytest.raises(ValueError):
-        beta2_from_d(-7.9e-4, 0.0)
-    with pytest.raises(ValueError):
-        beta2_from_d(-7.9e-4, -1e-6)
+    with pytest.raises(ValueError, match="lambda_deg must be positive"):
+        _beta2(-7.9e-4, 0.0)
+    with pytest.raises(ValueError, match="lambda_deg must be positive"):
+        _beta2(-7.9e-4, -1e-6)
 
 
 # --- WaveguideDispersion.delta ------------------------------------------------
