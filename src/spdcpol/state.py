@@ -86,8 +86,8 @@ class TwoQubitState:
 _NUMPY_ELIDE_BYTES = 256 * 1024
 
 # glibc's dynamic malloc rule (trim at twice the mmap threshold), started at 4 MiB, not at the
-# first large free: overlap_scan's arrays and pocketfft's per-transform scratch (to 2**18
-# points) reuse resident pages.
+# first large free: a scan's two transform buffers (to 2**17 points) and pocketfft's
+# per-transform scratch (to 2**18 points) reuse resident pages.
 _malloc_set = False  # True once a process has applied it
 
 
@@ -137,6 +137,14 @@ def overlap_scan(
     conjugated, bit for bit the values exp gives for them: (N + 1)/2 +
     (N + n)/2 exponentials for odd n and N + 1 + (N + n - 1)/2 for even n,
     against 3N + 2n - 1 for every value.
+
+    A scan of more than one delay works in two 2^k-point complex buffers,
+    each transformed in place: x holds the weighted, phase-shifted and
+    pre-chirped samples and y the chirp, each followed by its zero padding.
+    The post-chirp, and for odd n the pre-chirp, are read off the chirp
+    before y is transformed, and every N-point intermediate is released
+    before the first transform, so the buffers and the pre-chirp bound the
+    working set and the returned array is the only one that outlives the call.
     """
     f = jsa.amplitude
     m = f.size
@@ -144,25 +152,32 @@ def overlap_scan(
     w[[0, -1]] = 0.5  # trapezoid weights; the grid step cancels in the ratio
     f2 = np.abs(f)
     norm = np.sum(np.multiply(w, np.square(f2, out=f2), out=f2))
+    del f2
     if norm <= 0.0:
         raise DegenerateDataError("joint spectral amplitude has zero norm")
     h, c = (m - 1) // 2, 0.5 * (n - 1)
-    ramp = np.arange(m + n - 1, dtype=float)  # 0.0, 1.0, 2.0, ...
+    if n > 1:
+        _keep_freed_heap()
+    size = 1 << (m + n - 2).bit_length()  # >= N + n - 1: no wrap onto the outputs
+    x = np.empty(size if n > 1 else m, dtype=complex)  # the samples a, then zero padding
+    x[m:] = 0.0
+    a = x[:m]
     # a = w * f * conj(F(-Omega)) * exp(2i * Omega * (tau0 + c * step)), one step at a time
-    a = np.multiply(w, f)
-    np.multiply(a, np.conjugate(jsa.reflected()), out=a)
+    np.multiply(w, f, out=a)
+    del w
+    delay = np.conjugate(jsa.reflected())  # conj(F(-Omega)), then the delay phase
+    np.multiply(a, delay, out=a)
     # Omega_k = (k - h) * dOmega, as SpectralGrid.omegas computes it, for k >= h; the
     # delay phase is odd in Omega, so k < h takes the conjugate of its mirror image
-    om = np.multiply(ramp[: h + 1], jsa.grid.step)
-    delay = np.empty(m, dtype=complex)
+    om = np.multiply(np.arange(h + 1, dtype=float), jsa.grid.step)
     phase = np.multiply(np.multiply(2j, om, out=delay[h:]), tau0 + c * step, out=delay[h:])
+    del om
     np.conjugate(np.exp(phase, out=phase)[:0:-1], out=delay[:h])
     np.multiply(a, delay, out=a)
+    del phase, delay
     if n == 1:  # the chirp-z transform at a single point is the plain sum
         return a.sum(keepdims=True) / norm
-    _keep_freed_heap()
     theta = 2.0 * jsa.grid.step * step
-    size = 1 << (m + n - 2).bit_length()  # >= N + n - 1: no wrap onto the outputs
     fft = np.fft  # loaded on first use; import numpy does not load it
     # p, q and d = q - p are multiples of 1/2 far below 2**53: as floats they and
     # their squares are exact, as in the integer arithmetic of np.arange they stand for.
@@ -170,10 +185,13 @@ def overlap_scan(
     # its d run from -(h + c) to h + c: exponentiated for d >= 0, from k = mid on, and
     # mirrored onto k < mid.
     mid = h + n // 2
-    d2 = np.add(ramp[: m + n - 1 - mid], c % 1.0)
+    d2 = np.add(np.arange(m + n - 1 - mid, dtype=float), c % 1.0)
     np.square(d2, out=d2)
-    chirp = np.empty(m + n - 1, dtype=complex)
+    y = np.empty(size, dtype=complex)  # the chirp, then zero padding
+    y[m + n - 1 :] = 0.0
+    chirp = y[: m + n - 1]
     np.exp(np.multiply(-0.5j * theta, d2, out=chirp[mid:]), out=chirp[mid:])
+    del d2
     chirp[:mid] = chirp[::-1][:mid]
     # Conjugating exp(ix) gives exp(-ix) bit for bit but for the sign of a zero
     # imaginary part, where x is 0: at p = 0 and q = 0, and everywhere when theta is 0.
@@ -181,23 +199,26 @@ def overlap_scan(
     at_zero = np.exp(np.multiply(0.5j * theta, 0.0))
     pre = np.empty(m, dtype=complex)
     if n % 2 == 0:  # p is an integer but d is not: p >= 0 exponentiated, mirrored
-        p2 = np.square(ramp[: h + 1])
+        p2 = np.square(np.arange(h + 1, dtype=float))
         np.exp(np.multiply(0.5j * theta, p2, out=pre[h:]), out=pre[h:])
+        del p2
         pre[:h] = pre[::-1][:h]
     else:  # the chirp at d = p, conjugated
         np.conjugate(chirp[n // 2 : n // 2 + m], out=pre)
         pre[h] = at_zero
         if theta == 0.0:
             pre.fill(at_zero)
-    u = fft.fft(_times_temporary(a, pre, out=a), size)
-    v = fft.fft(chirp, size)
-    conv = fft.ifft(_times_temporary(u, v, out=u), out=u)[m - 1 : m - 1 + n]
+    _times_temporary(a, pre, out=a)
+    del pre
     post = np.conjugate(chirp[h : h + n])  # the chirp at d = q, conjugated
     if n % 2:
         post[n // 2] = at_zero
     if theta == 0.0:
         post.fill(at_zero)
-    return np.multiply(post, conv, out=post) / norm
+    fft.fft(x, out=x)
+    fft.fft(y, out=y)
+    conv = fft.ifft(_times_temporary(x, y, out=x), out=x)[m - 1 : m - 1 + n]
+    return np.divide(np.multiply(post, conv, out=post), norm, out=post)
 
 
 def halving_error(jsa: JointSpectralAmplitude, tau: float, v_int: complex) -> float | None:

@@ -1,8 +1,10 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -249,6 +251,53 @@ def test_overlap_scan_is_bitwise_the_allocating_evaluation():
     for jsa in _bitwise_jsas():
         for scan in _SCANS:
             _assert_bitwise(jsa, *scan)
+
+
+# numpy picks its SIMD kernels when it loads, so each dispatch level needs a process of
+# its own: without AVX-512 (x86-64-v3), then without AVX2 and FMA3 as well (x86-64-v2)
+_DISPATCH_LEVELS = ("AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3")
+
+_BITWISE_AT_LEVEL = """
+import os
+from numpy._core._multiarray_umath import __cpu_features__
+import test_state
+disabled = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+assert not any(__cpu_features__.get(name) for name in disabled), disabled
+for jsa in test_state._bitwise_jsas():
+    for scan in test_state._SCANS:
+        test_state._assert_bitwise(jsa, *scan)
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"), reason="x86-64 dispatch levels only"
+)
+@pytest.mark.parametrize("disabled", _DISPATCH_LEVELS)
+def test_overlap_scan_is_bitwise_the_allocating_evaluation_at_lower_dispatch(disabled):
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    result = subprocess.run(
+        [sys.executable, "-c", _BITWISE_AT_LEVEL],
+        env={**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": disabled},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_warm_overlap_scan_works_in_two_transform_buffers():
+    jsa = _bitwise_jsas()[1]  # 16385 points: two 2**15-point complex buffers, 1 MiB
+    for scan in _SCANS[:0:-1]:  # the delay search, then the delay-scan window
+        overlap_scan(jsa, *scan)  # warm: the fft module and its plans
+        tracemalloc.start()
+        try:
+            got = overlap_scan(jsa, *scan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20, scan  # the buffers and the 256 KiB pre-chirp
+        assert got.base is None  # a kept curve keeps no buffer alive
 
 
 def test_overlap_scan_results_do_not_share_memory():
