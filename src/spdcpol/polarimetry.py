@@ -32,7 +32,6 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import ConfigurationError, DegenerateDataError
-from .state import TwoQubitState
 
 __all__ = [
     "coincidence_probs",
@@ -47,14 +46,15 @@ _QUARTER_TURN = 0.5 * np.pi
 
 
 def coincidence_probs(
-    state: TwoQubitState, theta1: ArrayLike, theta2: ArrayLike
+    rho: NDArray[np.complex128], theta1: ArrayLike, theta2: ArrayLike
 ) -> NDArray[np.float64]:
-    """Probabilities <p1 p2| rho |p1 p2>, broadcast over the two angle arrays (radians)."""
+    """Probabilities <p1 p2| rho |p1 p2> of the 4x4 density matrix rho in the basis
+    (HH, HV, VH, VV), broadcast over the two angle arrays (radians)."""
     t1, t2 = np.broadcast_arrays(np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float))
     c1, s1 = np.cos(t1), np.sin(t1)
     c2, s2 = np.cos(t2), np.sin(t2)
     v = np.stack([c1 * s2, c1 * c2, -s1 * s2, -s1 * c2], axis=-1)
-    return np.real(np.einsum("...i,ij,...j->...", v, state.rho, v))
+    return np.real(np.einsum("...i,ij,...j->...", v, rho, v))
 
 
 # Scale-free 4 det(G) / n^3 of the fit design's Gram matrix G: 1 on a uniform full
@@ -152,12 +152,12 @@ def chsh_arm_angles(
     return np.stack([t1, t1 + q, t1p, t1p + q], -1), np.stack([t2, t2 + q, t2p, t2p + q], -1)
 
 
-def chsh_table(state: TwoQubitState, settings: ArrayLike) -> NDArray[np.float64]:
-    """Coincidence probabilities of the 4x4 tables of K settings (K, 4) in radians, (K, 4, 4)."""
+def chsh_table(rho: NDArray[np.complex128], settings: ArrayLike) -> NDArray[np.float64]:
+    """Coincidence probabilities of rho's 4x4 tables of K settings (K, 4) in radians, (K, 4, 4)."""
     if not np.all(np.isfinite(settings)):
         raise ValueError("CHSH angles must be finite")
     a_angles, b_angles = chsh_arm_angles(settings, _QUARTER_TURN)
-    return coincidence_probs(state, a_angles[:, :, None], b_angles[:, None, :])
+    return coincidence_probs(rho, a_angles[:, :, None], b_angles[:, None, :])
 
 
 def chsh_estimate(

@@ -207,7 +207,7 @@ def run_fringe(cfg: ScenarioConfig) -> ResultRecord:
 
     # one model fringe per basis, one row each; model probabilities keep b <= a,
     # so the clip removes roundoff only
-    probs = coincidence_probs(state, np.radians(theta1s_deg)[:, None], grid)
+    probs = coincidence_probs(state.rho, np.radians(theta1s_deg)[:, None], grid)
     expected = mean_counts(probs, model, pair_rate, t_int)
     vis_model = np.clip(fit_fringe(grid, probs), 0.0, 1.0)
 
@@ -289,7 +289,7 @@ def run_chsh(cfg: ScenarioConfig) -> ResultRecord:
     seed = cfg.seed()
     runs = cfg.runs()
 
-    probs = chsh_table(state, settings)
+    probs = chsh_table(state.rho, settings)
     s_model = abs(float(chsh_estimate(probs)[0][0]))
     expected = mean_counts(probs[0], model, pair_rate, t_int)
     stream = np.random.default_rng(derive_seed(seed, 2, 0))
@@ -339,7 +339,7 @@ def run_s_curve(cfg: ScenarioConfig) -> ResultRecord:
     seed = cfg.seed()
     thetas_deg = cfg.s_curve_theta_deg()
 
-    probs = chsh_table(state, canonical_settings(np.radians(thetas_deg)))
+    probs = chsh_table(state.rho, canonical_settings(np.radians(thetas_deg)))
     model_curve = chsh_estimate(probs)[0]
     expected = mean_counts(probs, model, pair_rate, t_int)
     counts = np.stack(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 import os
 from dataclasses import dataclass
 
@@ -42,7 +41,6 @@ __all__ = [
 
 _HH, _HV, _VH, _VV = 0, 1, 2, 3
 
-HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 
@@ -52,29 +50,38 @@ DELAY_STEP = 0.1e-15  # s, optimal_delay scan lattice
 
 @dataclass(frozen=True)
 class TwoQubitState:
-    """4x4 density matrix in the ordered basis (HH, HV, VH, VV).
+    """X-state of the pair in the ordered basis (HH, HV, VH, VV), first slot arm 1.
 
-    First slot is arm 1, second is arm 2. Validated on construction:
-    Hermitian and unit trace to 1e-12, eigenvalues >= -1e-10. Holds its own
-    read-only copy of rho, so the checks keep holding after construction.
+    Populations p_same on HH and VV and p_cross on HV and VH, and the
+    coherence kappa between HV and VH. Its eigenvalues are p_same (twice)
+    and p_cross +- |kappa|, so it is checked in closed form on construction:
+    eigenvalues >= -1e-10 and unit trace to 1e-12, each check failing on NaN.
     """
 
-    rho: NDArray[np.complex128]
+    p_same: float
+    p_cross: float
+    kappa: complex
 
     def __post_init__(self) -> None:
-        rho = np.array(self.rho, dtype=np.complex128)
-        if rho.shape != (4, 4):
-            raise ValueError(f"rho must be 4x4, got shape {rho.shape}")
-        if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
-            raise ValueError("rho is not Hermitian within 1e-12")
-        tr = np.trace(rho)
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace(rho) = {tr} is not 1 within 1e-12")
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs.min() < PSD_EIG_FLOOR:
-            raise ValueError(f"rho is not positive semidefinite: min eigenvalue {eigs.min():.3e}")
+        if not (self.p_same >= PSD_EIG_FLOOR and self.p_cross - abs(self.kappa) >= PSD_EIG_FLOOR):
+            raise ValueError(
+                f"state is not positive semidefinite: p_same = {self.p_same}, "
+                f"p_cross - |kappa| = {self.p_cross - abs(self.kappa)}"
+            )
+        trace = 2.0 * self.p_same + 2.0 * self.p_cross
+        if not abs(trace - 1.0) <= TRACE_ATOL:
+            raise ValueError(f"trace = {trace} is not 1 within 1e-12")
+
+    @functools.cached_property
+    def rho(self) -> NDArray[np.complex128]:
+        """The 4x4 density matrix, read-only."""
+        rho = np.zeros((4, 4), dtype=np.complex128)
+        rho[_HH, _HH] = rho[_VV, _VV] = self.p_same
+        rho[_HV, _HV] = rho[_VH, _VH] = self.p_cross
+        rho[_HV, _VH] = self.kappa
+        rho[_VH, _HV] = np.conj(self.kappa)
         rho.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
+        return rho
 
 
 # From this many bytes up, numpy evaluates `x * tmp`, where tmp is a
@@ -279,17 +286,6 @@ def optimal_delay(jsa: JointSpectralAmplitude, center: float) -> float:
     return _delay_search(jsa.grid, jsa.amplitude.tobytes(), center)
 
 
-def _x_state(p_same: float, p_cross: float, kappa: complex) -> TwoQubitState:
-    """X-state with populations p_same on HH and VV and p_cross on HV and VH, and
-    coherence kappa between HV and VH."""
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[_HH, _HH] = rho[_VV, _VV] = p_same
-    rho[_HV, _HV] = rho[_VH, _VH] = p_cross
-    rho[_HV, _VH] = kappa
-    rho[_VH, _HV] = np.conj(kappa)
-    return TwoQubitState(rho=rho)
-
-
 def post_selected_state(v_int: complex, phi_bs: float = 0.0) -> TwoQubitState:
     """X-state of the post-selected pair for a given spectral overlap, |v_int| <= 1.
 
@@ -300,7 +296,7 @@ def post_selected_state(v_int: complex, phi_bs: float = 0.0) -> TwoQubitState:
     """
     if abs(v_int) > 1.0 + 1e-10:
         raise ValueError(f"|v_int| = {abs(v_int)} exceeds 1")
-    return _x_state(0.0, 0.5, 0.5 * v_int * np.exp(1j * phi_bs))
+    return TwoQubitState(0.0, 0.5, 0.5 * v_int * np.exp(1j * phi_bs))
 
 
 def visibility_state(v_z: float, v_d: float, phi_bs: float = 0.0) -> TwoQubitState:
@@ -314,22 +310,15 @@ def visibility_state(v_z: float, v_d: float, phi_bs: float = 0.0) -> TwoQubitSta
         raise ValueError(f"v_z must lie in [-1, 1], got {v_z}")
     if not 0.0 <= v_d <= 0.5 * (1.0 + v_z) + 1e-12:
         raise ValueError(f"v_d = {v_d} incompatible with v_z = {v_z} (needs v_d <= (1+v_z)/2)")
-    return _x_state(0.25 * (1.0 - v_z), 0.25 * (1.0 + v_z), 0.5 * v_d * np.exp(1j * phi_bs))
+    return TwoQubitState(0.25 * (1.0 - v_z), 0.25 * (1.0 + v_z), 0.5 * v_d * np.exp(1j * phi_bs))
 
 
 def concurrence(state: TwoQubitState) -> float:
-    """Concurrence of an X-state, Yu & Eberly's closed form (Quantum Inf. Comput. 7, 459,
-    2007) 2 max(0, |rho_HV,VH| - sqrt(rho_HH rho_VV), |rho_HH,VV| - sqrt(rho_HV rho_VH)).
+    """Concurrence 2 max(0, |kappa| - max(p_same, 0)), Yu & Eberly's X-state closed form
+    (Quantum Inf. Comput. 7, 459, 2007) for equal HH and VV populations and no HH-VV
+    coherence.
 
     In Python floats, so no LAPACK kernel, whose choice follows the CPU, touches
-    the value, and exact to rounding even where |v_int| is 1e-14. ValueError for
-    a state that is not an X-state; every state this package builds is one.
+    the value, and exact to rounding even where |v_int| is 1e-14.
     """
-    rho = state.rho
-    x_entries = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]  # HH-VV and HV-VH
-    if np.any(rho[~x_entries]):
-        raise ValueError("concurrence needs an X-state: rho has other off-diagonal entries")
-    p_hh, p_hv, p_vh, p_vv = np.clip(rho.diagonal().real, 0.0, None).tolist()  # each >= -1e-10
-    hv_vh = abs(complex(rho[_HV, _VH])) - math.sqrt(p_hh * p_vv)
-    hh_vv = abs(complex(rho[_HH, _VV])) - math.sqrt(p_hv * p_vh)
-    return 2.0 * max(0.0, hv_vh, hh_vv)
+    return 2.0 * max(0.0, abs(complex(state.kappa)) - max(state.p_same, 0.0))

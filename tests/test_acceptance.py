@@ -87,7 +87,7 @@ def _batched_E(rhos, t1, t2):
 
 def _signed_s(state, settings):
     """Signed CHSH sums of the tables of settings (K, 4)."""
-    return chsh_estimate(chsh_table(state, settings))[0]
+    return chsh_estimate(chsh_table(state.rho, settings))[0]
 
 
 # --- criterion 1: ideal S(theta) identity -------------------------------------
@@ -115,7 +115,7 @@ def test_criterion_2_ideal_fringe_identity():
     state = post_selected_state(1.0)
     t1 = np.arange(0.0, 360.0, 5.0)[:, None] * DEG
     t2 = np.arange(0.0, 360.0, 5.0)[None, :] * DEG
-    probs = coincidence_probs(state, t1, t2)
+    probs = coincidence_probs(state.rho, t1, t2)
     worst = float(np.max(np.abs(probs - 0.5 * np.cos(t1 + t2) ** 2)))
     _verdict(2, "ideal fringe cos^2(t1+t2)/2 on 5x5 deg grid", worst < 1e-12, f"(max|err|={worst:.2e})")
 
@@ -133,7 +133,7 @@ def test_criterion_3_x_state_closed_forms():
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
         e_closed = np.cos(2 * t1) * np.cos(2 * t2) - c * np.sin(2 * t1) * np.sin(2 * t2)
         # E(t1, t2) is block 0 of the table whose first settings are t1 and t2
-        e = chsh_estimate(chsh_table(state, [[t1, 0.0, t2, 0.0]]))[1][0, 0]
+        e = chsh_estimate(chsh_table(state.rho, [[t1, 0.0, t2, 0.0]]))[1][0, 0]
         worst_e = max(worst_e, abs(e - e_closed))
         worst_s = max(worst_s, abs(abs(_signed_s(state, settings)[0]) - SQRT2 * (1.0 + c)))
     _verdict(
@@ -152,7 +152,7 @@ def test_criterion_4_visibilities():
     state = post_selected_state(0.91)
 
     # noiseless path: subtracted visibility at 45 degrees is the coherence
-    vis_45 = fit_fringe(theta2, coincidence_probs(state, 45.0 * DEG, theta2))
+    vis_45 = fit_fringe(theta2, coincidence_probs(state.rho, 45.0 * DEG, theta2))
     noiseless_ok = abs(vis_45 - 0.91) < 1e-9
 
     # calibrated accidental preset: raw visibilities over >= 200 seeds
@@ -160,7 +160,7 @@ def test_criterion_4_visibilities():
     t_int, pair_rate, n_seeds = 60.0, 6.0, 200
     means = {}
     for offset, (label, theta1, target) in enumerate((("z", 0.0, 0.80), ("d", 45.0 * DEG, 0.77))):
-        probs = coincidence_probs(state, theta1, theta2)
+        probs = coincidence_probs(state.rho, theta1, theta2)
         counts_mean = mean_counts(probs, model, pair_rate, t_int)
         fits = [
             fit_fringe(theta2, poisson_counts(counts_mean, seed=10_000 * offset + s))
@@ -212,7 +212,7 @@ def test_criterion_5_delay_compensation():
 
 
 def _expected_table(state, settings, model, pair_rate, t_int):
-    return mean_counts(chsh_table(state, settings), model, pair_rate, t_int)[0]
+    return mean_counts(chsh_table(state.rho, settings), model, pair_rate, t_int)[0]
 
 
 def test_criterion_6_chsh_from_counts():

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -408,6 +409,30 @@ def test_seed_flag_changes_counts(tmp_path, run_cli):
     run_cli("chsh", "--preset", "paper-calibrated", "--out", str(a), "--seed", "1")
     run_cli("chsh", "--preset", "paper-calibrated", "--out", str(b), "--seed", "2")
     assert (a / "chsh_counts.csv").read_bytes() != (b / "chsh_counts.csv").read_bytes()
+
+
+def test_no_command_reaches_lapack(tmp_path, run_cli, monkeypatch):
+    # every output is computed without LAPACK, whose kernel follows the CPU
+    called = []
+
+    def refuse(name):
+        def stub(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"numpy.linalg.{name} called")
+
+        return stub
+
+    for name in np.linalg.__all__:
+        if callable(obj := getattr(np.linalg, name)) and not isinstance(obj, type):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+    configs = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+    assert configs
+    for config in [None, *configs]:  # None: the default spectral scenario
+        for command in ("fringe", "chsh", "s-curve", "delay-scan", "budget"):
+            argv = [command, "--out", str(tmp_path / f"{command}-{config and config.stem}")]
+            result = run_cli(*argv, *(["--config", str(config)] if config else []))
+            assert result.returncode == 0, result.stderr
+    assert called == []
 
 
 @pytest.mark.parametrize("command", ["fringe", "delay-scan", "chsh", "s-curve", "budget"])

@@ -97,7 +97,7 @@ def test_detector_model_rejects_nan(field, message):
 
 
 def _ideal_probs(theta2):
-    return coincidence_probs(post_selected_state(1.0), 0.0, theta2)
+    return coincidence_probs(post_selected_state(1.0).rho, 0.0, theta2)
 
 
 def test_expected_counts_fringe_null():
@@ -249,7 +249,7 @@ def test_subtraction_then_fit_unbiased_over_ensemble():
     state = post_selected_state(0.91)
     model = _fringe_model(accidental_calibration=0.026)
     theta = np.arange(0.0, 360.0 + 5.0, 10.0) * DEG
-    probs = coincidence_probs(state, 45.0 * DEG, theta)
+    probs = coincidence_probs(state.rho, 45.0 * DEG, theta)
     means = mean_counts(probs, model, 6.0, 60.0)
     acc_mean = accidental_rate(model) * 60.0
     fitted = []
@@ -264,28 +264,27 @@ def test_subtraction_then_fit_unbiased_over_ensemble():
 # --- chsh_from_counts --------------------------------------------------------------------
 
 
-def _noiseless_table(state, theta=22.5 * DEG, pair_rate=6.0, t_int=60.0, alpha=0.0):
+def _noiseless_table(rho, theta=22.5 * DEG, pair_rate=6.0, t_int=60.0, alpha=0.0):
     model = _fringe_model(accidental_calibration=alpha)
-    probs = chsh_table(state, canonical_settings([theta]))
+    probs = chsh_table(rho, canonical_settings([theta]))
     return mean_counts(probs, model, pair_rate, t_int)[0]
 
 
 def test_chsh_from_counts_matches_model_on_noiseless_tables():
     from conftest import random_density_matrix
-    from spdcpol import TwoQubitState
 
     rng = np.random.default_rng(17)
     states = [post_selected_state(1.0), post_selected_state(0.91), visibility_state(0.8, 0.77)]
-    states += [TwoQubitState(rho=random_density_matrix(rng)) for _ in range(10)]
-    for state in states:
+    rhos = [state.rho for state in states] + [random_density_matrix(rng) for _ in range(10)]
+    for rho in rhos:
         theta = rng.uniform(0, np.pi)
-        s_counts, _ = chsh_from_counts(_noiseless_table(state, theta=theta))
-        s_model = chsh_estimate(chsh_table(state, canonical_settings([theta])))[0][0]
+        s_counts, _ = chsh_from_counts(_noiseless_table(rho, theta=theta))
+        s_model = chsh_estimate(chsh_table(rho, canonical_settings([theta])))[0][0]
         assert_allclose(s_counts, s_model, atol=1e-9)  # both signed
 
 
 def test_chsh_from_counts_ideal_value():
-    s, sigma = chsh_from_counts(_noiseless_table(post_selected_state(1.0)))
+    s, sigma = chsh_from_counts(_noiseless_table(post_selected_state(1.0).rho))
     assert_allclose(s, 2.0 * np.sqrt(2.0), atol=1e-9)
     assert sigma > 0.0
 
@@ -360,7 +359,7 @@ def test_batched_chsh_equals_per_table_loop(seed, lead, signed):
 
 
 def test_single_table_returns_0d_arrays_equal_to_row_0_of_the_batch():
-    table = _noiseless_table(post_selected_state(0.91))
+    table = _noiseless_table(post_selected_state(0.91).rho)
     s, sigma = chsh_from_counts(table)
     assert s.shape == sigma.shape == () and s.dtype == sigma.dtype == np.float64
     batch_s, batch_sigma = chsh_from_counts(table[None])
@@ -388,7 +387,7 @@ def test_negative_count_rejected(shape):
 
 
 def test_sigma_scale_covariance():
-    table = _noiseless_table(post_selected_state(0.91))
+    table = _noiseless_table(post_selected_state(0.91).rho)
     s1, sig1 = chsh_from_counts(table)
     for k in (4.0, 9.0, 100.0):
         sk, sigk = chsh_from_counts(table * k)
@@ -400,22 +399,22 @@ def test_expected_tables_match_one_table_per_settings():
     state = visibility_state(0.8, 0.77)
     model = _fringe_model(accidental_calibration=0.026)
     settings = canonical_settings(np.arange(-90.0, 91.0, 15.0) * DEG)
-    tables = mean_counts(chsh_table(state, settings), model, 6.0, 60.0)
+    tables = mean_counts(chsh_table(state.rho, settings), model, 6.0, 60.0)
     assert tables.shape == (len(settings), 4, 4)
     for table, s in zip(tables, settings):
-        single = mean_counts(chsh_table(state, [s]), model, 6.0, 60.0)[0]
+        single = mean_counts(chsh_table(state.rho, [s]), model, 6.0, 60.0)[0]
         assert_allclose(table, single, rtol=1e-15, atol=0.0)
 
 
 def test_simulated_tables_deterministic():
-    expected = _noiseless_table(post_selected_state(0.91), alpha=0.026)
+    expected = _noiseless_table(post_selected_state(0.91).rho, alpha=0.026)
     t1 = poisson_counts(expected, seed=99)
     t2 = poisson_counts(expected, seed=99)
     assert np.array_equal(t1, t2)
 
 
 def test_sigma_propagation_matches_ensemble():
-    expected = _noiseless_table(post_selected_state(0.91), alpha=0.026)
+    expected = _noiseless_table(post_selected_state(0.91).rho, alpha=0.026)
     _, sigma_prop = chsh_from_counts(expected)
     draws = np.array([chsh_from_counts(poisson_counts(expected, seed=s))[0] for s in range(1000)])
     assert abs(draws.std() - sigma_prop) / sigma_prop < 0.20
@@ -428,7 +427,7 @@ def test_propagated_sigma_s_covers_the_spread_of_s(scale, bound):
     # 1.0000 +- 0.0014; one 100,000-run ratio scatters by about 0.002.
     cfg = load_scenario(preset="raw-visibility")
     state, _ = cfg.resolve_state()
-    probs = chsh_table(state, cfg.chsh_settings()[1])[0]
+    probs = chsh_table(state.rho, cfg.chsh_settings()[1])[0]
     model, pair_rate, t_int = cfg.counting()
     means = mean_counts(probs, model, pair_rate, scale * t_int)
     assert_allclose(means.mean(), 18.0 * scale, rtol=1e-12)

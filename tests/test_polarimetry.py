@@ -8,7 +8,6 @@ from conftest import random_density_matrix
 from spdcpol import (
     ConfigurationError,
     DegenerateDataError,
-    TwoQubitState,
     canonical_settings,
     chsh_arm_angles,
     chsh_estimate,
@@ -27,20 +26,20 @@ DEG = np.pi / 180.0
 
 
 def test_parallel_analyzers_on_ideal_state():
-    assert_allclose(coincidence_probs(post_selected_state(1.0), 0.0, 0.0), 0.5, atol=1e-15)
+    assert_allclose(coincidence_probs(post_selected_state(1.0).rho, 0.0, 0.0), 0.5, atol=1e-15)
 
 
 def test_crossed_analyzers_null():
-    p = coincidence_probs(post_selected_state(1.0), 0.0, 90.0 * DEG)
+    p = coincidence_probs(post_selected_state(1.0).rho, 0.0, 90.0 * DEG)
     assert abs(p) < 1e-15
 
 
 def test_ideal_fringe_law_on_grid():
     # cos^2(t1 + t2) / 2 over a 5 x 30 degree grid, one broadcast call
-    state = post_selected_state(1.0)
+    rho = post_selected_state(1.0).rho
     t1 = np.arange(0.0, 360.0, 5.0)[:, None] * DEG
     t2 = np.arange(0.0, 360.0, 30.0)[None, :] * DEG
-    probs = coincidence_probs(state, t1, t2)
+    probs = coincidence_probs(rho, t1, t2)
     assert probs.shape == (72, 12)
     assert np.max(np.abs(probs - 0.5 * np.cos(t1 + t2) ** 2)) < 1e-12
 
@@ -60,7 +59,7 @@ def _oracle_prob(rho, t1, t2):
 @settings(max_examples=200, deadline=None)
 def test_coincidence_probs_matches_scalar_oracle(seed, shape, data):
     rng = np.random.default_rng(seed)
-    state = TwoQubitState(rho=random_density_matrix(rng))
+    rho = random_density_matrix(rng)
 
     def operand_shape():
         # a broadcast-compatible operand: drop leading axes, collapse others to 1
@@ -70,38 +69,38 @@ def test_coincidence_probs_matches_scalar_oracle(seed, shape, data):
 
     t1 = rng.uniform(-4 * np.pi, 4 * np.pi, size=operand_shape())
     t2 = rng.uniform(-4 * np.pi, 4 * np.pi, size=operand_shape())
-    probs = coincidence_probs(state, t1, t2)
+    probs = coincidence_probs(rho, t1, t2)
     assert probs.shape == np.broadcast_shapes(t1.shape, t2.shape)
     b1, b2 = np.broadcast_arrays(t1, t2)
     for idx in np.ndindex(probs.shape):
-        assert abs(probs[idx] - _oracle_prob(state.rho, b1[idx], b2[idx])) <= 1e-15
+        assert abs(probs[idx] - _oracle_prob(rho, b1[idx], b2[idx])) <= 1e-15
 
 
 def test_diagonal_projection_reads_coherence():
     # (1 - c)/4 at t1 = t2 = 45 deg for the single-coherence X-state
     for c in (0.0, 0.5, 0.91, 1.0):
-        state = post_selected_state(c)
-        p = coincidence_probs(state, 45.0 * DEG, 45.0 * DEG)
+        rho = post_selected_state(c).rho
+        p = coincidence_probs(rho, 45.0 * DEG, 45.0 * DEG)
         assert_allclose(p, (1.0 - c) / 4.0, atol=1e-12)
 
 
 def test_probability_periodic_in_half_turn():
-    state = post_selected_state(0.7)
+    rho = post_selected_state(0.7).rho
     rng = np.random.default_rng(3)
     for _ in range(25):
         t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
-        p = coincidence_probs(state, t1, t2)
-        assert_allclose(coincidence_probs(state, t1 + np.pi, t2), p, atol=1e-12)
-        assert_allclose(coincidence_probs(state, t1, t2 + np.pi), p, atol=1e-12)
+        p = coincidence_probs(rho, t1, t2)
+        assert_allclose(coincidence_probs(rho, t1 + np.pi, t2), p, atol=1e-12)
+        assert_allclose(coincidence_probs(rho, t1, t2 + np.pi), p, atol=1e-12)
 
 
 @given(t1=st.floats(-4 * np.pi, 4 * np.pi), shift=st.floats(-np.pi, np.pi))
 @settings(max_examples=100, deadline=None)
 def test_ideal_probability_depends_on_angle_sum(t1, shift):
-    state = post_selected_state(1.0)
+    rho = post_selected_state(1.0).rho
     t2 = 0.3
-    a = coincidence_probs(state, t1, t2)
-    b = coincidence_probs(state, t1 + shift, t2 - shift)
+    a = coincidence_probs(rho, t1, t2)
+    b = coincidence_probs(rho, t1 + shift, t2 - shift)
     assert abs(a - b) < 1e-12
 
 
@@ -112,28 +111,28 @@ def _full_turn(step_deg=10.0):
     return np.arange(0.0, 360.0 + step_deg / 2, step_deg) * DEG
 
 
-def _model_fringe(state, theta1, grid):
+def _model_fringe(rho, theta1, grid):
     """Model fringe at theta1 over the theta2 grid and its fitted visibility."""
-    probs = coincidence_probs(state, theta1, grid)
+    probs = coincidence_probs(rho, theta1, grid)
     return probs, fit_fringe(grid, probs)
 
 
 def test_ideal_fringe_scan():
     grid = _full_turn()
-    probs, vis = _model_fringe(post_selected_state(1.0), 0.0, grid)
+    probs, vis = _model_fringe(post_selected_state(1.0).rho, 0.0, grid)
     assert_allclose(probs, 0.5 * np.cos(grid) ** 2, atol=1e-12)
     assert_allclose(vis, 1.0, atol=1e-9)
 
 
 def test_fringe_visibility_reads_coherence_in_diagonal_basis():
-    state = post_selected_state(0.91)
-    _, vis = _model_fringe(state, 45.0 * DEG, _full_turn())
+    rho = post_selected_state(0.91).rho
+    _, vis = _model_fringe(rho, 45.0 * DEG, _full_turn())
     assert_allclose(vis, 0.91, atol=1e-9)
 
 
 def test_fringe_visibility_insensitive_in_hv_basis():
-    state = post_selected_state(0.91)
-    _, vis = _model_fringe(state, 0.0, _full_turn())
+    rho = post_selected_state(0.91).rho
+    _, vis = _model_fringe(rho, 0.0, _full_turn())
     assert_allclose(vis, 1.0, atol=1e-9)
 
 
@@ -145,8 +144,8 @@ def test_fringe_grid_rules():
 
 
 def test_max_min_estimator_agrees_on_noiseless_fringe():
-    state = post_selected_state(0.8)
-    probs, vis = _model_fringe(state, 45.0 * DEG, _full_turn(step_deg=5.0))
+    rho = post_selected_state(0.8).rho
+    probs, vis = _model_fringe(rho, 45.0 * DEG, _full_turn(step_deg=5.0))
     # 5 deg grid hits the extrema of a 90-degree-period fringe exactly
     hi, lo = probs.max(), probs.min()
     assert_allclose((hi - lo) / (hi + lo), vis, atol=1e-9)
@@ -230,31 +229,31 @@ def test_fit_rejects_mismatched_angles():
 # --- CHSH tables: correlation fractions ------------------------------------------------
 
 
-def _correlation(state, theta1, theta2):
+def _correlation(rho, theta1, theta2):
     """E at analyzer angles (theta1, theta2): block 0 of the table with t1 = theta1, t2 = theta2."""
-    table = chsh_table(state, [[theta1, 0.0, theta2, 0.0]])
+    table = chsh_table(rho, [[theta1, 0.0, theta2, 0.0]])
     return float(chsh_estimate(table)[1][0, 0])
 
 
-def _signed_s(state, settings):
+def _signed_s(rho, settings):
     """Signed CHSH sum of the table of one setting (t1, t1', t2, t2')."""
-    return float(chsh_estimate(chsh_table(state, [settings]))[0][0])
+    return float(chsh_estimate(chsh_table(rho, [settings]))[0][0])
 
 
-def _chsh_s(state, settings):
+def _chsh_s(rho, settings):
     """CHSH parameter |S| of one table."""
-    return abs(_signed_s(state, settings))
+    return abs(_signed_s(rho, settings))
 
 
-def _s_curve(state, theta_grid):
+def _s_curve(rho, theta_grid):
     """Signed CHSH sums along the canonical family (0, -2t, t, 3t)."""
-    return chsh_estimate(chsh_table(state, canonical_settings(theta_grid)))[0]
+    return chsh_estimate(chsh_table(rho, canonical_settings(theta_grid)))[0]
 
 
 def test_correlation_ideal_values():
-    state = post_selected_state(1.0)
-    assert_allclose(_correlation(state, 0.0, 0.0), 1.0, atol=1e-12)
-    assert abs(_correlation(state, 0.0, 45.0 * DEG)) < 1e-12
+    rho = post_selected_state(1.0).rho
+    assert_allclose(_correlation(rho, 0.0, 0.0), 1.0, atol=1e-12)
+    assert abs(_correlation(rho, 0.0, 45.0 * DEG)) < 1e-12
 
 
 def test_correlation_closed_form_random_angles():
@@ -263,26 +262,26 @@ def test_correlation_closed_form_random_angles():
     for _ in range(100):
         c = rng.uniform(0.0, 1.0)
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
-        state = post_selected_state(c)
+        rho = post_selected_state(c).rho
         expected = np.cos(2 * t1) * np.cos(2 * t2) - c * np.sin(2 * t1) * np.sin(2 * t2)
-        assert_allclose(_correlation(state, t1, t2), expected, atol=1e-9)
+        assert_allclose(_correlation(rho, t1, t2), expected, atol=1e-9)
 
 
 def test_correlation_two_visibility_closed_form():
     rng = np.random.default_rng(12)
-    state = visibility_state(0.80, 0.77)
+    rho = visibility_state(0.80, 0.77).rho
     for _ in range(50):
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
         expected = 0.80 * np.cos(2 * t1) * np.cos(2 * t2) - 0.77 * np.sin(2 * t1) * np.sin(2 * t2)
-        assert_allclose(_correlation(state, t1, t2), expected, atol=1e-9)
+        assert_allclose(_correlation(rho, t1, t2), expected, atol=1e-9)
 
 
 def test_correlation_bounded_random_states():
     rng = np.random.default_rng(21)
     for _ in range(500):
-        state = TwoQubitState(rho=random_density_matrix(rng))
+        rho = random_density_matrix(rng)
         t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
-        e = _correlation(state, t1, t2)
+        e = _correlation(rho, t1, t2)
         assert -1.0 - 1e-9 <= e <= 1.0 + 1e-9
 
 
@@ -291,7 +290,7 @@ def test_correlation_rejects_nonfinite_angle(bad):
     # chsh_table rejects the settings before any table is built
     for t1, t2 in ((bad, 0.0), (0.0, bad)):
         with pytest.raises(ValueError, match="finite"):
-            chsh_table(post_selected_state(1.0), [[t1, 0.0, t2, 0.0]])
+            chsh_table(post_selected_state(1.0).rho, [[t1, 0.0, t2, 0.0]])
 
 
 # --- CHSH -------------------------------------------------------------------------
@@ -324,19 +323,19 @@ def _canonical_225():
 def test_chsh_maximal_violation_settings():
     s = _canonical_225()
     assert_allclose(np.degrees(s), [0, -45, 22.5, 67.5])
-    assert_allclose(_chsh_s(post_selected_state(1.0), s), 2.0 * np.sqrt(2.0), atol=1e-9)
+    assert_allclose(_chsh_s(post_selected_state(1.0).rho, s), 2.0 * np.sqrt(2.0), atol=1e-9)
 
 
 def test_chsh_product_state_respects_classical_bound():
-    product = TwoQubitState(rho=np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
+    product = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
     assert _chsh_s(product, _canonical_225()) <= 2.0 + 1e-12
 
 
 def test_chsh_coherence_scaling():
     # S = sqrt(2) (1 + c) at the maximal-violation settings
     for c in (0.0, 0.5, 0.91):
-        state = post_selected_state(c)
-        assert_allclose(_chsh_s(state, _canonical_225()), np.sqrt(2.0) * (1.0 + c), atol=1e-9)
+        rho = post_selected_state(c).rho
+        assert_allclose(_chsh_s(rho, _canonical_225()), np.sqrt(2.0) * (1.0 + c), atol=1e-9)
 
 
 @given(
@@ -348,18 +347,18 @@ def test_chsh_coherence_scaling():
 def test_chsh_complex_coherence_identity(mag, arg, phi):
     # S at the canonical 22.5 deg settings is sqrt(2) (1 + Re(v e^{i phi}))
     v = mag * np.exp(1j * arg)
-    state = post_selected_state(v, phi_bs=phi)
+    rho = post_selected_state(v, phi_bs=phi).rho
     expected = abs(np.sqrt(2.0) * (1.0 + (v * np.exp(1j * phi)).real))
-    assert_allclose(_chsh_s(state, _canonical_225()), expected, atol=1e-9)
+    assert_allclose(_chsh_s(rho, _canonical_225()), expected, atol=1e-9)
 
 
 def test_tsirelson_bound_random_states_and_settings():
     rng = np.random.default_rng(31)
     bound = 2.0 * np.sqrt(2.0) + 1e-9
     for _ in range(1000):
-        state = TwoQubitState(rho=random_density_matrix(rng))
+        rho = random_density_matrix(rng)
         t = rng.uniform(0.0, 2 * np.pi, size=4)
-        s = _chsh_s(state, t)
+        s = _chsh_s(rho, t)
         assert s <= bound
 
 
@@ -368,20 +367,20 @@ def test_tsirelson_bound_random_states_and_settings():
 
 def test_s_curve_matches_ideal_identity():
     thetas = np.arange(0.0, 360.0 + 0.5, 1.0) * DEG
-    curve = _s_curve(post_selected_state(1.0), thetas)
+    curve = _s_curve(post_selected_state(1.0).rho, thetas)
     expected = 3.0 * np.cos(2 * thetas) - np.cos(6 * thetas)
     assert np.max(np.abs(curve - expected)) < 1e-9
 
 
 def test_s_curve_landmarks():
-    state = post_selected_state(1.0)
-    assert_allclose(_s_curve(state, [22.5 * DEG])[0], 2.0 * np.sqrt(2.0), atol=1e-9)
-    assert_allclose(_s_curve(state, [0.0])[0], 2.0, atol=1e-12)
+    rho = post_selected_state(1.0).rho
+    assert_allclose(_s_curve(rho, [22.5 * DEG])[0], 2.0 * np.sqrt(2.0), atol=1e-9)
+    assert_allclose(_s_curve(rho, [0.0])[0], 2.0, atol=1e-12)
 
 
 def test_s_curve_signed_has_negative_lobes():
     thetas = np.arange(0.0, 180.0, 2.0) * DEG
-    curve = _s_curve(post_selected_state(1.0), thetas)
+    curve = _s_curve(post_selected_state(1.0).rho, thetas)
     assert curve.min() < -2.0  # the signed sum dips to -2 sqrt 2
 
 
@@ -389,16 +388,16 @@ def test_s_curve_equals_pointwise_chsh_signed():
     rng = np.random.default_rng(41)
     thetas = rng.uniform(-np.pi, np.pi, size=25)
     for _ in range(20):
-        state = TwoQubitState(rho=random_density_matrix(rng))
-        pointwise = [_signed_s(state, canonical_settings(t)) for t in thetas]
-        assert_allclose(_s_curve(state, thetas), pointwise, rtol=0.0, atol=1e-12)
+        rho = random_density_matrix(rng)
+        pointwise = [_signed_s(rho, canonical_settings(t)) for t in thetas]
+        assert_allclose(_s_curve(rho, thetas), pointwise, rtol=0.0, atol=1e-12)
 
 
 def test_signed_vs_absolute():
-    state = post_selected_state(1.0)
+    rho = post_selected_state(1.0).rho
     settings_neg = canonical_settings(112.5 * DEG)
-    assert _signed_s(state, settings_neg) < 0
-    assert_allclose(_chsh_s(state, settings_neg), -_signed_s(state, settings_neg), atol=1e-12)
+    assert _signed_s(rho, settings_neg) < 0
+    assert_allclose(_chsh_s(rho, settings_neg), -_signed_s(rho, settings_neg), atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(4,), (16,), (2, 8), (4, 4, 3), (3, 16)])

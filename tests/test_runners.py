@@ -260,7 +260,7 @@ def _draw(seed, means, *indices):
 
 
 def _means(cfg, state, theta1, theta2):
-    p = coincidence_probs(state, theta1, theta2)
+    p = coincidence_probs(state.rho, theta1, theta2)
     model, pair_rate, t_int = cfg.counting()
     return (pair_rate * p + accidental_rate(model)) * t_int
 
@@ -339,7 +339,7 @@ def test_runs_are_consecutive_rows_of_the_run_0_stream(monkeypatch):
     record = run_fringe(cfg)
     theta1s = np.radians(cfg.fringe_theta1_deg())
     # first the model fringes of every basis, one (bases, angles) batch
-    assert np.array_equal(fits.pop(0), coincidence_probs(state, theta1s[:, None], grid))
+    assert np.array_equal(fits.pop(0), coincidence_probs(state.rho, theta1s[:, None], grid))
     # then per block and basis: raw counts, then raw - accidentals
     per_basis = len(fits) // len(record.scalars["bases"])
     for i, (theta1, basis) in enumerate(zip(theta1s, record.scalars["bases"])):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -659,20 +660,71 @@ def test_splitter_phase_rotates_coherence():
 @example(1.014257788666664e-14)  # np.linalg.svd of R loses this split entirely
 @settings(max_examples=200, deadline=None)
 def test_post_selected_state_valid_and_concurrence_matches(v):
-    state = post_selected_state(v)  # constructor enforces Hermitian/trace/PSD
+    state = post_selected_state(v)  # constructor enforces trace and positivity
     assert_allclose(concurrence(state), abs(v), rtol=0.0, atol=1e-14)
 
 
 def test_state_validation_rejects_bad_matrices():
-    with pytest.raises(ValueError):
-        TwoQubitState(rho=np.eye(4, dtype=complex))  # trace 4
-    bad = np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex)
-    with pytest.raises(ValueError):
-        TwoQubitState(rho=bad)  # negative eigenvalue
-    skew = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-    skew[0, 1] = 0.1
-    with pytest.raises(ValueError):
-        TwoQubitState(rho=skew)  # not Hermitian
+    with pytest.raises(ValueError, match="trace"):
+        TwoQubitState(0.5, 0.5, 0.0)  # trace 2
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        TwoQubitState(-0.25, 0.75, 0.0)  # eigenvalue p_same < 0
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        TwoQubitState(0.0, 0.5, 0.6j)  # eigenvalue p_cross - |kappa| < 0
+    for nan in ((np.nan, 0.5, 0.0), (0.0, np.nan, 0.0), (0.0, 0.5, complex(np.nan, 0.0))):
+        with pytest.raises(ValueError):
+            TwoQubitState(*nan)
+
+
+def _x_matrix(p_same, p_cross, kappa):
+    rho = np.diag([p_same, p_cross, p_cross, p_same]).astype(complex)
+    rho[1, 2], rho[2, 1] = kappa, np.conj(kappa)
+    return rho
+
+
+@given(
+    p_same=st.one_of(st.floats(-3e-10, 1e-10), st.floats(0.0, 0.5)),
+    trace_offset=st.floats(-3e-12, 3e-12),
+    gap=st.one_of(st.floats(-3e-10, 1e-10), st.floats(0.0, 0.5)),
+    phase=st.floats(0.0, 2 * np.pi),
+)
+@example(p_same=-1e-10, trace_offset=0.0, gap=0.0, phase=0.0)
+@example(p_same=0.0, trace_offset=0.0, gap=-1e-10, phase=1.0)
+@example(p_same=-2e-10, trace_offset=0.0, gap=0.0, phase=0.0)
+@example(p_same=0.0, trace_offset=0.0, gap=-2e-10, phase=1.0)
+@example(p_same=0.1, trace_offset=2.5e-12, gap=0.1, phase=0.0)
+@settings(max_examples=300, deadline=None)
+def test_closed_form_check_accepts_what_the_eigenvalue_floor_accepts(
+    p_same, trace_offset, gap, phase
+):
+    # eigenvalues >= -1e-10 and unit trace to 1e-12, as a general 4x4 check reads them
+    p_cross = 0.5 - p_same + 0.5 * trace_offset
+    kappa = max(p_cross - gap, 0.0) * np.exp(1j * phase)
+    rho = _x_matrix(p_same, p_cross, kappa)
+    min_eig, trace_error = np.linalg.eigvalsh(rho).min(), abs(np.trace(rho) - 1.0)
+    # within rounding of either bound the two forms may round apart
+    assume(abs(min_eig - state_mod.PSD_EIG_FLOOR) > 1e-14)
+    assume(abs(trace_error - state_mod.TRACE_ATOL) > 1e-14)
+    valid = min_eig >= state_mod.PSD_EIG_FLOOR and trace_error <= state_mod.TRACE_ATOL
+    try:
+        state = TwoQubitState(p_same, p_cross, kappa)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid
+        assert np.array_equal(state.rho, rho)
+
+
+@pytest.mark.parametrize("phi_bs", [0.0, 0.7, np.pi])
+def test_post_selected_state_builds_at_the_overlap_bound(phi_bs):
+    state = post_selected_state(1.0 + 1e-10, phi_bs)
+    assert state.p_cross - abs(state.kappa) >= state_mod.PSD_EIG_FLOOR
+
+
+@pytest.mark.parametrize("v_z", [-1.0, -0.3, 0.0, 0.8, 1.0])
+def test_visibility_state_builds_at_the_positivity_bound(v_z):
+    state = visibility_state(v_z, (1.0 + v_z) / 2 + 1e-12)
+    assert state.kappa == 0.5 * ((1.0 + v_z) / 2 + 1e-12)
 
 
 # --- visibility_state -------------------------------------------------------------
@@ -726,12 +778,6 @@ def test_concurrence_matches_x_state_closed_form():
         assert_allclose(concurrence(state), _dilation_concurrence(state.rho), rtol=0.0, atol=1e-14)
 
 
-def test_concurrence_rejects_a_state_that_is_not_an_x_state():
-    plus = np.full(4, 0.5, dtype=complex)  # |++>, every entry of rho is 1/4
-    with pytest.raises(ValueError, match="X-state"):
-        concurrence(TwoQubitState(rho=np.outer(plus, plus.conj())))
-
-
 def test_concurrence_maximally_entangled():
     assert_allclose(concurrence(post_selected_state(1.0)), 1.0, atol=1e-12)
 
@@ -760,9 +806,10 @@ def test_concurrence_matches_sqrt_oracle_on_random_states():
 
 
 def test_state_keeps_a_read_only_copy_of_rho():
-    rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-    state = TwoQubitState(rho=rho)
-    rho[0, 0] = rho[3, 3] = 1.0  # the caller's array, not the state's
+    state = visibility_state(0.0, 0.5)
     assert_allclose(np.diag(state.rho).real, 0.25)
+    assert state.rho is state.rho  # built once
     with pytest.raises(ValueError):
         state.rho[3, 3] = -0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.p_same = -0.5
