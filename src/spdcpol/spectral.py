@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -42,6 +43,24 @@ __all__ = [
     "build_jsa",
     "default_grid",
 ]
+
+# From this many bytes up, numpy evaluates an operator expression on a
+# temporary array in the temporary's buffer (temporary elision), `x * tmp`
+# as `tmp * x`. Before it does, it checks its caller with glibc's
+# backtrace(), whose first call in a process pages in about 0.5-0.7 MB of
+# unwind tables, so the grid-sized arithmetic here and in state is written
+# as explicit ufunc calls, which never reach that check. Complex multiply is
+# not bitwise commutative on every build (numpy 2.4 on AVX-512 is not), and
+# the outputs were fixed by the operator expressions, so _times_temporary
+# keeps the operand order they had.
+_NUMPY_ELIDE_BYTES = 256 * 1024
+
+
+def _times_temporary(x: ArrayLike, tmp: NDArray[Any], out: NDArray[Any]) -> NDArray[Any]:
+    """x * tmp into out, in the operand order numpy uses when tmp is a temporary."""
+    if tmp.nbytes >= _NUMPY_ELIDE_BYTES:
+        return np.multiply(tmp, x, out=out)
+    return np.multiply(x, tmp, out=out)
 
 
 @dataclass(frozen=True)
@@ -101,8 +120,12 @@ def phase_mismatch(omega: ArrayLike, disp: WaveguideDispersion) -> NDArray[np.fl
     dk = delta0 - delta*Omega - beta_plus*Omega**2.
     """
     omega = np.asarray(omega, dtype=float)
-    dk = disp.delta0 - disp.delta * omega - disp.beta2 * omega**2
-    return dk * (disp.length_L / 2.0)
+    dk, gvd = np.empty_like(omega), np.empty_like(omega)  # arrays, also for a 0-d omega
+    np.subtract(disp.delta0, np.multiply(disp.delta, omega, out=dk), out=dk)
+    np.square(omega, out=gvd)
+    np.subtract(dk, _times_temporary(disp.beta2, gvd, out=gvd), out=dk)
+    del gvd
+    return np.multiply(dk, disp.length_L / 2.0)
 
 
 FILTER_SHAPES = ("top_hat", "gaussian")
@@ -147,11 +170,13 @@ def filter_amplitude(omega_abs: ArrayLike, filt: SpectralFilter) -> NDArray[np.f
     omega_abs = np.asarray(omega_abs, dtype=float)
     if np.any(omega_abs <= 0):
         raise ValueError("filter_amplitude requires positive absolute frequencies")
-    lam = TWO_PI * C_LIGHT / omega_abs
-    u = (lam - filt.center_lambda) / filt.fwhm_lambda
+    # u = (lambda - center) / fwhm, in lambda's buffer (an array, also for a 0-d omega_abs)
+    u = np.divide(TWO_PI * C_LIGHT, omega_abs, out=np.empty_like(omega_abs))
+    np.divide(np.subtract(u, filt.center_lambda, out=u), filt.fwhm_lambda, out=u)
     if filt.shape == "top_hat":
-        return (np.abs(u) <= 0.5).astype(float)
-    return np.exp(-2.0 * np.log(2.0) * u**2)
+        return np.less_equal(np.abs(u, out=u), 0.5).astype(float)
+    u2 = np.square(u, out=u)
+    return np.exp(_times_temporary(-2.0 * np.log(2.0), u2, out=u2))
 
 
 @dataclass(frozen=True)
@@ -179,8 +204,7 @@ class SpectralGrid:
     @property
     def omegas(self) -> NDArray[np.float64]:
         half = (self.n_points - 1) // 2
-        idx = np.arange(self.n_points) - half
-        return idx * self.step
+        return np.multiply(np.arange(-half, half + 1), self.step)
 
 
 @dataclass(frozen=True)
@@ -335,12 +359,20 @@ def build_jsa(
     """
     _check_band_inside_grid(disp, filt, grid)
     _check_span(disp, grid.omega_max)
-    omega0 = disp.omega_deg
     om = grid.omegas
-    phi = phase_mismatch(om, disp)
-    # np.sinc is sin(pi x)/(pi x); rescale to sin(x)/x
-    pm = np.sinc(phi / np.pi) * np.exp(1j * phi)
     # om is exactly antisymmetric and omega0 - x == omega0 + (-x), so g(omega0 - Omega)
     # is g(omega0 + Omega) reversed, bit for bit
-    g = filter_amplitude(omega0 + om, filt)
-    return JointSpectralAmplitude(grid=grid, amplitude=pm * (g * g[::-1]))
+    g = filter_amplitude(np.add(disp.omega_deg, om), filt)
+    g = np.multiply(g, g[::-1])
+    phi = phase_mismatch(om, disp)
+    del om
+    amp = np.multiply(1j, phi)
+    np.exp(amp, out=amp)
+    # sinc(phi) as np.sinc(phi / pi) computes sin(pi x)/(pi x): x = pi * (phi / pi),
+    # y = x with its zeros set to eps, sin(y) / y
+    x = np.multiply(np.pi, np.divide(phi, np.pi, out=phi), out=phi)
+    y = np.where(x, x, np.finfo(float).eps)
+    sinc = np.divide(np.sin(y, out=x), y, out=x)
+    del y
+    np.multiply(_times_temporary(sinc, amp, out=amp), g, out=amp)
+    return JointSpectralAmplitude(grid=grid, amplitude=amp)

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigurationError, DegenerateDataError
-from .spectral import JointSpectralAmplitude, SpectralGrid
+from .spectral import JointSpectralAmplitude, SpectralGrid, _times_temporary
 
 __all__ = [
     "TwoQubitState",
@@ -84,14 +84,6 @@ class TwoQubitState:
         return rho
 
 
-# From this many bytes up, numpy evaluates `x * tmp`, where tmp is a
-# temporary array and x is not, in tmp's buffer as `tmp * x` (temporary
-# elision). Complex multiply is not bitwise commutative on every build
-# (numpy 2.4 on AVX-512 is not), and the scan's outputs were fixed by the
-# expressions `a * np.exp(...)` and `x * fft(chirp)`, so _times_temporary
-# keeps the operand order they had.
-_NUMPY_ELIDE_BYTES = 256 * 1024
-
 # glibc's dynamic malloc rule (trim at twice the mmap threshold), started at 4 MiB, not at the
 # first large free: a scan's two transform buffers (to 2**17 points) and pocketfft's
 # per-transform scratch (to 2**18 points) reuse resident pages.
@@ -112,15 +104,6 @@ def _keep_freed_heap() -> None:
         return
     mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD; each returns 0 if refused, which changes no value
     mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
-
-
-def _times_temporary(
-    x: NDArray[np.complex128], tmp: NDArray[np.complex128], out: NDArray[np.complex128]
-) -> NDArray[np.complex128]:
-    """x * tmp into out, in the operand order numpy uses when tmp is a temporary."""
-    if tmp.nbytes >= _NUMPY_ELIDE_BYTES:
-        return np.multiply(tmp, x, out=out)
-    return np.multiply(x, tmp, out=out)
 
 
 def overlap_scan(

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,10 @@ def search_grid(disp, filt, **kwargs):
     |delta*L/2| + DELAY_HALF_WIDTH."""
     tau_max = abs(disp.half_walkoff) + DELAY_HALF_WIDTH
     return default_grid(disp, filt, tau_max, **kwargs)
+
+
+def on_glibc():
+    try:
+        return "glibc" in os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, TypeError, ValueError):
+        return False

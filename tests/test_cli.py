@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import on_glibc
 from spdcpol import cli
 from spdcpol import state as state_mod
 from spdcpol.config import base_config_dict
@@ -89,6 +90,64 @@ def test_degenerate_spectrum_exits_3(tmp_path):
     assert len(err_lines) == 1
     assert err_lines[0].startswith("NUMERICAL_ERROR:")
     assert "Traceback" not in result.stderr
+
+
+_ELISION_AFTER_COMMANDS = """
+import contextlib, io, json, os, sys
+import numpy as np
+from spdcpol import cli
+
+def rss_file_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("RssFile:"))
+
+out, scenarios = sys.argv[1], json.loads(sys.argv[2])
+for i, scenario in enumerate(scenarios):
+    cfg = os.path.join(out, f"scenario{i}.json")
+    with open(cfg, "w") as fh:
+        json.dump(scenario, fh)
+    for command in ("delay-scan", "fringe", "chsh", "s-curve"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", cfg, "--out", os.path.join(out, f"{command}{i}")])
+        assert code == 0, (command, scenario)
+a = np.ones(2**15)
+before = rss_file_kib()
+(np.ones(2**15) * 2.0) + a  # 256 KiB temporaries: elided, after the backtrace() check
+print(rss_file_kib() - before)
+"""
+
+# spectral scenarios on both sides of the 256 KiB elision threshold for float arrays
+_ELISION_SCENARIOS = [
+    {"grid": {"n_points": 16385}},
+    {"grid": {"n_points": 65537}},
+    {"filter": {"shape": "gaussian"}, "grid": {"n_points": 65537}},
+]
+
+
+def _elision_check_kib(tmp_path, scenarios):
+    """RssFile (KiB) that a fresh interpreter's first elided operation pages in after
+    running every spectral command on the scenarios."""
+    result = subprocess.run(
+        [sys.executable, "-c", _ELISION_AFTER_COMMANDS, str(tmp_path), json.dumps(scenarios)],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout)
+
+
+@pytest.mark.skipif(
+    not (on_glibc() and Path("/proc/self/status").exists()), reason="glibc's backtrace() on Linux"
+)
+def test_no_command_reaches_numpy_elision_check(tmp_path):
+    # numpy checks its caller with backtrace() before it evaluates an operator expression in a
+    # temporary of 256 KiB or more; the first call pages in the unwind tables
+    control = _elision_check_kib(tmp_path, [])
+    if control < 256:
+        pytest.skip(f"a first elided operation pages in only {control} KiB here")
+    assert _elision_check_kib(tmp_path, _ELISION_SCENARIOS) >= 256
 
 
 # --- in this process ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from spdcpol import (
     phase_mismatch,
 )
 from spdcpol import spectral
-from spdcpol.units import omega_from_lambda
+from spdcpol.units import C_LIGHT, TWO_PI, omega_from_lambda
 
 
 # --- WaveguideDispersion.beta2 -------------------------------------------------
@@ -427,3 +428,85 @@ def test_jsa_magnitude_even_without_walkoff(v, d, length):
     jsa = build_jsa(disp, filt, search_grid(disp, filt, n_points=513))
     mag = np.abs(jsa.amplitude)
     assert_allclose(mag, mag[::-1], rtol=0.0, atol=1e-15)
+
+
+# --- the spectral chain: bitwise against the allocating evaluation ----------------
+
+
+def _allocating_chain(disp, filt, grid):
+    """omegas, phi, g(omega0 + Omega) and F as whole-array expressions, one temporary per
+    intermediate: from 256 KiB up numpy evaluates some of them in place (temporary elision)."""
+    half = (grid.n_points - 1) // 2
+    idx = np.arange(grid.n_points) - half
+    om = idx * grid.step
+    dk = disp.delta0 - disp.delta * om - disp.beta2 * om**2
+    phi = dk * (disp.length_L / 2.0)
+    lam = TWO_PI * C_LIGHT / (disp.omega_deg + om)
+    u = (lam - filt.center_lambda) / filt.fwhm_lambda
+    if filt.shape == "top_hat":
+        g = (np.abs(u) <= 0.5).astype(float)
+    else:
+        g = np.exp(-2.0 * np.log(2.0) * u**2)
+    pm = np.sinc(phi / np.pi) * np.exp(1j * phi)
+    return om, phi, g, pm * (g * g[::-1])
+
+
+# Float arrays cross numpy's 256 KiB elision threshold between 32767 and 32769
+# points, complex ones between 16383 and 16385.
+_CHAIN_POINTS = (1025, 4097, 16383, 16385, 32769, 65537)
+
+
+def _assert_chain_bitwise():
+    """The chain's four arrays on each grid size, both filter shapes and delta0 0 and
+    not, byte for byte the allocating evaluation."""
+    for shape in spectral.FILTER_SHAPES:
+        filt = SpectralFilter(shape=shape, center_lambda=1550e-9, fwhm_lambda=45e-9)
+        for delta0 in (0.0, 3.0e3):
+            disp = WaveguideDispersion(
+                length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4, delta0=delta0
+            )
+            for n_points in _CHAIN_POINTS:
+                grid = search_grid(disp, filt, n_points=n_points)
+                om = grid.omegas
+                got = (
+                    om,
+                    phase_mismatch(om, disp),
+                    filter_amplitude(disp.omega_deg + om, filt),
+                    build_jsa(disp, filt, grid).amplitude,
+                )
+                expected = _allocating_chain(disp, filt, grid)
+                for name, a, b in zip(("omegas", "phi", "g", "F"), got, expected):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                        name, shape, delta0, n_points,
+                    )
+
+
+def test_spectral_chain_is_bitwise_the_allocating_evaluation():
+    _assert_chain_bitwise()
+
+
+def test_scalar_frequencies_give_numpy_scalars():
+    disp = WaveguideDispersion(length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4)
+    for shape in spectral.FILTER_SHAPES:
+        filt = SpectralFilter(shape=shape, center_lambda=1550e-9, fwhm_lambda=45e-9)
+        g = filter_amplitude(disp.omega_deg + 1e13, filt)
+        assert type(g) is np.float64
+        assert g == filter_amplitude(np.array([disp.omega_deg + 1e13]), filt)[0]
+    phi = phase_mismatch(1e13, disp)
+    assert type(phi) is np.float64 and phi == phase_mismatch([1e13], disp)[0]
+
+
+def test_warm_build_jsa_peaks_under_1_mib():
+    disp = WaveguideDispersion(length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4)
+    for shape in spectral.FILTER_SHAPES:
+        filt = SpectralFilter(shape=shape, center_lambda=1550e-9, fwhm_lambda=45e-9)
+        grid = search_grid(disp, filt, n_points=16385)  # F: 262,160 bytes
+        build_jsa(disp, filt, grid)  # warm
+        tracemalloc.start()
+        try:
+            jsa = build_jsa(disp, filt, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, shape  # F (256 KiB), the filter pair and sinc's two arrays
+        assert jsa.amplitude.base is None

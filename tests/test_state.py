@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import search_grid
+from conftest import on_glibc, search_grid
 from spdcpol import (
     ConfigurationError,
     DegenerateDataError,
@@ -255,15 +255,18 @@ def test_overlap_scan_is_bitwise_the_allocating_evaluation():
 
 
 # numpy picks its SIMD kernels when it loads, so each dispatch level needs a process of
-# its own: without AVX-512 (x86-64-v3), then without AVX2 and FMA3 as well (x86-64-v2)
+# its own: without AVX-512 (x86-64-v3), then without AVX2 and FMA3 as well (x86-64-v2).
+# The same process checks the spectral chain's bitwise oracle (test_spectral.py).
 _DISPATCH_LEVELS = ("AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3")
 
 _BITWISE_AT_LEVEL = """
 import os
 from numpy._core._multiarray_umath import __cpu_features__
+import test_spectral
 import test_state
 disabled = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
 assert not any(__cpu_features__.get(name) for name in disabled), disabled
+test_spectral._assert_chain_bitwise()
 for jsa in test_state._bitwise_jsas():
     for scan in test_state._SCANS:
         test_state._assert_bitwise(jsa, *scan)
@@ -382,13 +385,6 @@ def test_overlap_scan_overflow_raises_as_the_allocating_evaluation(n, tau0, step
 # --- overlap_scan: the process-wide malloc setting -------------------------------
 
 
-def _on_glibc():
-    try:
-        return "glibc" in os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, TypeError, ValueError):
-        return False
-
-
 _WARM_SCAN_FAULTS = """
 import json, resource, sys
 from spdcpol.config import ScenarioConfig, base_config_dict
@@ -421,7 +417,7 @@ _WARM_SCAN_INPUTS = (
 )
 
 
-@pytest.mark.skipif(not _on_glibc(), reason="the malloc setting applies to glibc only")
+@pytest.mark.skipif(not on_glibc(), reason="the malloc setting applies to glibc only")
 def test_warm_delay_search_scan_faults_in_no_fresh_pages():
     # the setting is process-wide and applied once, so a fresh process sees its effect
     src = Path(__file__).resolve().parent.parent / "src"
