@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -43,25 +42,6 @@ __all__ = [
     "build_jsa",
     "default_grid",
 ]
-
-# From this many bytes up, numpy evaluates an operator expression on a
-# temporary array in the temporary's buffer (temporary elision), `x * tmp`
-# as `tmp * x`. Before it does, it checks its caller with glibc's
-# backtrace(), whose first call in a process pages in about 0.5-0.7 MB of
-# unwind tables, so the grid-sized arithmetic here and in state is written
-# as explicit ufunc calls, which never reach that check. Complex multiply is
-# not bitwise commutative on every build (numpy 2.4 on AVX-512 is not), and
-# the outputs were fixed by the operator expressions, so _times_temporary
-# keeps the operand order they had.
-_NUMPY_ELIDE_BYTES = 256 * 1024
-
-
-def _times_temporary(x: ArrayLike, tmp: NDArray[Any], out: NDArray[Any]) -> NDArray[Any]:
-    """x * tmp into out, in the operand order numpy uses when tmp is a temporary."""
-    if tmp.nbytes >= _NUMPY_ELIDE_BYTES:
-        return np.multiply(tmp, x, out=out)
-    return np.multiply(x, tmp, out=out)
-
 
 @dataclass(frozen=True)
 class WaveguideDispersion:
@@ -123,7 +103,7 @@ def phase_mismatch(omega: ArrayLike, disp: WaveguideDispersion) -> NDArray[np.fl
     dk, gvd = np.empty_like(omega), np.empty_like(omega)  # arrays, also for a 0-d omega
     np.subtract(disp.delta0, np.multiply(disp.delta, omega, out=dk), out=dk)
     np.square(omega, out=gvd)
-    np.subtract(dk, _times_temporary(disp.beta2, gvd, out=gvd), out=dk)
+    np.subtract(dk, np.multiply(disp.beta2, gvd, out=gvd), out=dk)
     del gvd
     return np.multiply(dk, disp.length_L / 2.0)
 
@@ -176,7 +156,7 @@ def filter_amplitude(omega_abs: ArrayLike, filt: SpectralFilter) -> NDArray[np.f
     if filt.shape == "top_hat":
         return np.less_equal(np.abs(u, out=u), 0.5).astype(float)
     u2 = np.square(u, out=u)
-    return np.exp(_times_temporary(-2.0 * np.log(2.0), u2, out=u2))
+    return np.exp(np.multiply(-2.0 * np.log(2.0), u2, out=u2))
 
 
 @dataclass(frozen=True)
@@ -374,5 +354,5 @@ def build_jsa(
     y = np.where(x, x, np.finfo(float).eps)
     sinc = np.divide(np.sin(y, out=x), y, out=x)
     del y
-    np.multiply(_times_temporary(sinc, amp, out=amp), g, out=amp)
+    np.multiply(np.multiply(sinc, amp, out=amp), g, out=amp)
     return JointSpectralAmplitude(grid=grid, amplitude=amp)

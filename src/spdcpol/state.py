@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigurationError, DegenerateDataError
-from .spectral import JointSpectralAmplitude, SpectralGrid, _times_temporary
+from .spectral import JointSpectralAmplitude, SpectralGrid
 
 __all__ = [
     "TwoQubitState",
@@ -84,18 +84,33 @@ class TwoQubitState:
         return rho
 
 
+# From this many bytes up, numpy evaluates an operator expression on a
+# temporary array in the temporary's buffer (temporary elision), `x * tmp`
+# as `tmp * x`. Before it does, it checks its caller with glibc's
+# backtrace(), whose first call in a process pages in about 0.5-0.7 MB of
+# unwind tables, so the grid-sized arithmetic here and in spectral is written
+# as explicit ufunc calls, which never reach that check. A complex times a
+# complex is not bitwise commutative on every build (numpy 2.4 on AVX-512 is
+# not), and the outputs were fixed by the operator expressions, so
+# _times_temporary keeps the operand order they had for overlap_scan's two.
+_NUMPY_ELIDE_BYTES = 256 * 1024
+
+
+def _times_temporary(
+    x: NDArray[np.complex128], tmp: NDArray[np.complex128], out: NDArray[np.complex128]
+) -> NDArray[np.complex128]:
+    """x * tmp into out, in the operand order numpy uses when tmp is a temporary."""
+    if tmp.nbytes >= _NUMPY_ELIDE_BYTES:
+        return np.multiply(tmp, x, out=out)
+    return np.multiply(x, tmp, out=out)
+
+
 # glibc's dynamic malloc rule (trim at twice the mmap threshold), started at 4 MiB, not at the
 # first large free: a scan's two transform buffers (to 2**17 points) and pocketfft's
 # per-transform scratch (to 2**18 points) reuse resident pages.
-_malloc_set = False  # True once a process has applied it
-
-
+@functools.cache
 def _keep_freed_heap() -> None:
     """Apply that rule once per process through mallopt; a no-op off glibc or without mallopt."""
-    global _malloc_set
-    if _malloc_set:
-        return
-    _malloc_set = True
     try:
         if "glibc" not in os.confstr("CS_GNU_LIBC_VERSION"):
             return
@@ -238,9 +253,9 @@ def _delay_search(grid: SpectralGrid, amplitude: bytes, center: float) -> float:
     half = round(DELAY_HALF_WIDTH / DELAY_STEP)
     first = round(center / DELAY_STEP) - half
     mags = np.abs(overlap_scan(jsa, first * DELAY_STEP, DELAY_STEP, 2 * half + 1))
-    if not np.all(np.isfinite(mags)):
+    i = int(np.argmax(mags))  # the first NaN if any, else an inf if any: |V| is never -inf
+    if not np.isfinite(mags[i]):
         raise DegenerateDataError("|V_int| is not finite on the delay search window")
-    i = int(np.argmax(mags))
     tau_star = (first + i) * DELAY_STEP
     if i in (0, mags.size - 1):
         raise DegenerateDataError(

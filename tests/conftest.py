@@ -37,10 +37,12 @@ def random_density_matrix(rng: np.random.Generator, n: int = 4) -> np.ndarray:
 
 
 def random_density_batch(rng: np.random.Generator, count: int, n: int = 4) -> np.ndarray:
-    a = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    a = np.empty((count, n, n), dtype=complex)  # the real parts are drawn first
+    a.real = rng.standard_normal((count, n, n))
+    a.imag = rng.standard_normal((count, n, n))
     rho = a @ np.conj(np.swapaxes(a, 1, 2))
-    tr = np.einsum("kii->k", rho).real
-    return rho / tr[:, None, None]
+    rho /= np.einsum("kii->k", rho).real[:, None, None]
+    return rho
 
 
 def norm_sq(jsa):

@@ -70,13 +70,14 @@ def _detector(**overrides):
 def _batched_E(rhos, t1, t2):
     """Vectorized correlation fraction for batches of states and angles."""
     q = 0.5 * np.pi
+    re = rhos.real  # v^T rho v for a real v reads only Re rho
     # (cos, sin) of each analyzer angle, taken once: arm 1 at t1, t1 + q; arm 2 at t2, t2 + q
     a, a_q, b, b_q = ((np.cos(t), np.sin(t)) for t in (t1, t1 + q, t2, t2 + q))
 
     def prob(arm1, arm2):
         (ca, sa), (cb, sb) = arm1, arm2
         v = np.stack([ca * sb, ca * cb, -sa * sb, -sa * cb], axis=1)
-        return np.real(np.einsum("ni,nij,nj->n", v, rhos, v))
+        return np.einsum("ni,nij,nj->n", v, re, v)
 
     p1 = prob(a, b)
     p2 = prob(a_q, b_q)
@@ -283,19 +284,23 @@ def test_criterion_7_budget():
 # --- criterion 8: property suites -----------------------------------------------------
 
 
+def _coherences(rng, count):
+    """count draws of uniform(0, 1) * exp(i uniform(0, 2 pi)), read two doubles a draw."""
+    u = rng.random((count, 2))
+    return u[:, 0] * np.exp(1j * (2 * np.pi * u[:, 1]))
+
+
 def test_criterion_8_property_suites():
     rng = np.random.default_rng(808)
     checks: dict[str, bool] = {}
 
     # density-matrix invariants for 1000 random coherences on the unit disk
-    ok = True
-    for _ in range(1000):
-        v = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        rho = post_selected_state(v).rho
-        ok &= bool(np.allclose(rho, rho.conj().T, atol=1e-12))
-        ok &= bool(abs(np.trace(rho) - 1.0) < 1e-12)
-        ok &= bool(np.linalg.eigvalsh(rho).min() > -1e-10)
-    checks["rho_invariants"] = ok
+    rhos = np.stack([post_selected_state(v).rho for v in _coherences(rng, 1000)])
+    checks["rho_invariants"] = bool(
+        np.allclose(rhos, rhos.conj().swapaxes(1, 2), atol=1e-12)
+        and np.all(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) < 1e-12)
+        and np.linalg.eigvalsh(rhos).min() > -1e-10
+    )
 
     # |V_int| <= 1 across random dispersion/delay draws
     ok = True
@@ -357,8 +362,7 @@ def test_criterion_8_property_suites():
     worst = 0.0
     for v in [0.5, 0.9, 0.99999, 0.99999998, 1.0]:  # near pure states too
         worst = max(worst, abs(concurrence(post_selected_state(v)) - v))
-    for _ in range(200):
-        v = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    for v in _coherences(rng, 200):
         worst = max(worst, abs(concurrence(post_selected_state(v)) - abs(v)))
     checks["concurrence_identity"] = worst < 1e-14
 

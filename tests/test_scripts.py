@@ -134,12 +134,12 @@ def test_golden_manifest_holds_under_another_openblas_kernel(coretype):
 
 def test_golden_manifest_holds_without_the_malloc_setting():
     # state's malloc setting is process-wide and applied once: in a process of its own
-    # marked as having applied it, it never runs, and the outputs must not move
+    # where it is a no-op, it never runs, and the outputs must not move
     script = str(SCRIPTS / "compare_outputs.py")
     code = (
         "import runpy, sys\n"
         "from spdcpol import state\n"
-        "state._malloc_set = True\n"
+        "state._keep_freed_heap = lambda: None\n"
         f"sys.argv = [{script!r}]\n"
         f"runpy.run_path({script!r}, run_name='__main__')\n"
     )

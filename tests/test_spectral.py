@@ -485,6 +485,65 @@ def test_spectral_chain_is_bitwise_the_allocating_evaluation():
     _assert_chain_bitwise()
 
 
+# Finite doubles of either sign: zero, two subnormals, one whose square underflows, an
+# ordinary value and one near overflow.
+_EDGE_VALUES = [v for m in (0.0, 5e-324, 1e-310, 1e-160, 3.0, 1.5e308) for v in (m, -m)]
+
+
+def _assert_orders_agree(r, z, rz, zr):
+    """rz and zr bit for bit, but for parts of r * z whose nonzero exact product rounds to
+    zero: a fused multiply-add keeps that product's sign, so there the zero's sign may
+    follow the operand order (from x86-64-v3 up). In sinc * exp(i phi) that needs sinc
+    times cos phi or sin phi under 2.5e-324: sinc is near 1 where phi is small, so only
+    a |phi| beyond about 1e285 could."""
+    parts = z.view(np.float64).reshape(z.size, -1)  # (Re, Im), or the real value
+    scale = r.reshape(-1, 1)
+    tiny = (scale != 0) & (parts != 0) & (scale * parts == 0)
+    rz, zr = (p.view(np.float64).reshape(parts.shape) for p in (rz, zr))
+    assert np.array_equal(rz[~tiny].view(np.uint64), zr[~tiny].view(np.uint64))
+    assert not np.any(rz[tiny]) and not np.any(zr[tiny])
+
+
+def _assert_swaps_agree(r, z, n):
+    """r * z against z * r by windows of n points: into fresh arrays, then in place in a
+    copy of z's buffer, as build_jsa writes."""
+    fresh = np.empty_like(z), np.empty_like(z)
+    in_place = z.copy(), z.copy()
+    for s in range(0, r.size, n):
+        w = slice(s, s + n)
+        np.multiply(r[w], z[w], out=fresh[0][w])
+        np.multiply(z[w], r[w], out=fresh[1][w])
+        np.multiply(r[w], in_place[0][w], out=in_place[0][w])
+        np.multiply(in_place[1][w], r[w], out=in_place[1][w])
+    _assert_orders_agree(r, z, *fresh)
+    _assert_orders_agree(r, z, *in_place)
+
+
+def _assert_real_operand_commutes():
+    """np.multiply(r, z) is np.multiply(z, r) for r real and z real or complex, which the
+    spectrum's three products with a real operand rely on to take either order. Every
+    (r, Re z, Im z) of _EDGE_VALUES, in windows of 1 to 17 points (SIMD tails), then
+    whole arrays past numpy's 256 KiB elision size."""
+    values = np.array(_EDGE_VALUES)
+    k = values.size
+    rng = np.random.default_rng(35)
+    i, j, l = np.unravel_index(np.resize(rng.permutation(k**3), 2**16 + 3), (k, k, k))
+    r, z = values[i], np.empty(i.size, dtype=complex)
+    z.real, z.imag = values[j], values[l]
+    with np.errstate(all="ignore"):  # products past the largest double overflow
+        for other in (z, z.real.copy()):
+            for n in range(1, 18):
+                _assert_swaps_agree(r[: k**3], other[: k**3], n)
+            _assert_swaps_agree(r, other, r.size)  # 1 MiB complex, 512 KiB real
+            b = other[: k**3]
+            for c in values:  # a scalar real operand, as phase_mismatch's beta2
+                _assert_orders_agree(np.full(k**3, c), b, np.multiply(c, b), np.multiply(b, c))
+
+
+def test_real_operand_order_moves_only_the_sign_of_an_underflowed_zero():
+    _assert_real_operand_commutes()
+
+
 def test_scalar_frequencies_give_numpy_scalars():
     disp = WaveguideDispersion(length_L=1.2e-3, v_te=8.98e7, v_tm=9.01e7, gvd_D=-7.9e-4)
     for shape in spectral.FILTER_SHAPES:

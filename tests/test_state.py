@@ -256,7 +256,8 @@ def test_overlap_scan_is_bitwise_the_allocating_evaluation():
 
 # numpy picks its SIMD kernels when it loads, so each dispatch level needs a process of
 # its own: without AVX-512 (x86-64-v3), then without AVX2 and FMA3 as well (x86-64-v2).
-# The same process checks the spectral chain's bitwise oracle (test_spectral.py).
+# The same process checks the spectral chain's bitwise oracle and that a real operand
+# may take either order (test_spectral.py).
 _DISPATCH_LEVELS = ("AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3")
 
 _BITWISE_AT_LEVEL = """
@@ -267,6 +268,7 @@ import test_state
 disabled = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
 assert not any(__cpu_features__.get(name) for name in disabled), disabled
 test_spectral._assert_chain_bitwise()
+test_spectral._assert_real_operand_commutes()
 for jsa in test_state._bitwise_jsas():
     for scan in test_state._SCANS:
         test_state._assert_bitwise(jsa, *scan)
@@ -448,10 +450,11 @@ class _Libc:
 def unset_malloc(monkeypatch):
     """A process in which the setting has not run yet, on a glibc whose libc is _Libc()."""
     libc = _Libc()
-    monkeypatch.setattr(state_mod, "_malloc_set", False)
     monkeypatch.setattr(state_mod.os, "confstr", lambda name: "glibc 2.36")
     monkeypatch.setattr(state_mod.ctypes, "pythonapi", libc)
-    return libc
+    state_mod._keep_freed_heap.cache_clear()
+    yield libc
+    state_mod._keep_freed_heap.cache_clear()  # the next scan applies the real setting again
 
 
 def _scan_small():
@@ -469,7 +472,7 @@ def test_malloc_setting_runs_once_before_the_first_chirp_z_transform(unset_mallo
     _scan_small()
     # glibc's malloc.h: M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD is -1
     assert unset_malloc.calls == [(-3, 4 * 2**20), (-1, 8 * 2**20)]
-    assert state_mod._malloc_set
+    assert state_mod._keep_freed_heap.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize(
@@ -490,7 +493,7 @@ def test_malloc_setting_is_a_no_op_off_glibc(unset_malloc, monkeypatch, libc):
 def test_malloc_setting_is_a_no_op_without_mallopt(unset_malloc, monkeypatch):
     monkeypatch.setattr(state_mod.ctypes, "pythonapi", object())
     _scan_small()
-    assert state_mod._malloc_set
+    assert state_mod._keep_freed_heap.cache_info().currsize == 1
 
 
 def test_malloc_setting_ignores_a_mallopt_that_returns_0(unset_malloc):
@@ -621,6 +624,24 @@ def test_optimal_delay_that_raises_is_not_cached(scans):
             optimal_delay(jsa, 0.0)
         assert state_mod._delay_search.cache_info().currsize == 0
     assert len(scans) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("at", [1000, 3000])  # of 4001 delays: before and after the peak
+def test_optimal_delay_with_one_non_finite_interior_value_raises(monkeypatch, bad, at):
+    disp, jsa = _paper_jsa()
+    state_mod._delay_search.cache_clear()
+    scan = state_mod.overlap_scan
+
+    def spoiled(*args):
+        v = scan(*args)
+        v[at] = bad
+        return v
+
+    monkeypatch.setattr(state_mod, "overlap_scan", spoiled)
+    with pytest.raises(DegenerateDataError, match="not finite"):
+        optimal_delay(jsa, _half_walkoff(disp))
+    assert state_mod._delay_search.cache_info().currsize == 0
 
 
 # --- post_selected_state ---------------------------------------------------------
